@@ -39,14 +39,25 @@ EXIT_BUDGET = 3
 BUDGET_ENV = "COCLASS_LAB_BUDGET"
 
 
-def _env_budget():
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"{value} is not positive")
+    return value
+
+
+def _env_budget(parser: argparse.ArgumentParser):
+    """The budget from the environment, or None when unset or empty."""
     raw = os.environ.get(BUDGET_ENV)
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return None
+    if not raw:
+        return None
+    try:
+        return _positive_int(raw)
+    except argparse.ArgumentTypeError as exc:
+        parser.error(f"{BUDGET_ENV}: {exc}")
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -224,10 +235,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact checks on commuting automorphisms of nilpotent Lie algebras.",
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--budget", type=int, default=None,
+    parser.add_argument("--budget", type=_positive_int, default=None,
                         help="candidate-extension cap for enumerations "
                         f"(default 10^8; 'suite' defaults to {SUITE_BUDGET}; "
-                        f"env {BUDGET_ENV} overrides)")
+                        f"env {BUDGET_ENV} sets the default; must be positive)")
     parser.add_argument("--parallelism", type=int, default=os.cpu_count() or 1,
                         help="worker count (reserved; execution is serial and deterministic)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -283,7 +294,7 @@ def main(argv=None) -> int:
     if args.command == "verify" and not args.algebra and not args.catalog:
         parser.error("verify needs an algebra or --catalog FILE")
     if args.budget is None:
-        env = _env_budget()
+        env = _env_budget(parser)
         if env is not None:
             args.budget = env
         else:

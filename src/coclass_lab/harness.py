@@ -542,6 +542,7 @@ class SuiteReport:
     oracle_results: tuple      # (entry name, commuting_match, central_match)
     witness_reports: tuple     # WitnessReport
     structural: StructuralSuiteReport
+    oracle_skipped: tuple = ()  # (entry name, reason): brute force over its limit
 
     @property
     def all_consistent(self) -> bool:
@@ -581,6 +582,10 @@ class SuiteReport:
             "oracle": [
                 {"entry": name, "commuting_match": c, "central_match": z}
                 for name, c, z in self.oracle_results
+            ]
+            + [
+                {"entry": name, "commuting_match": None, "central_match": None, "skipped": reason}
+                for name, reason in self.oracle_skipped
             ],
             "witnesses": [w.as_dict() for w in self.witness_reports],
             "structural": self.structural.as_dict(),
@@ -613,6 +618,8 @@ class SuiteReport:
         lines.append(f"identity violations: {self.identity_violations}")
         for name, c, z in self.oracle_results:
             lines.append(f"oracle {name}: commuting {'ok' if c else 'MISMATCH'}, central {'ok' if z else 'MISMATCH'}")
+        for name, reason in self.oracle_skipped:
+            lines.append(f"oracle {name}: skipped ({reason})")
         for w in self.witness_reports:
             tag = f"{w.family}{w.params if w.params else ''} over {w.field}"
             lines.append(f"witness {tag}: {'ok' if w.ok else 'FAILED'}")
@@ -629,6 +636,7 @@ def run_suite(p: int = 3, budget: int = SUITE_BUDGET) -> SuiteReport:
     verdicts = []
     identity_counts = {}
     oracle_results = []
+    oracle_skipped = []
     for entry in entries:
         alg = entry.algebra
         prof = profile(alg)
@@ -652,8 +660,12 @@ def run_suite(p: int = 3, budget: int = SUITE_BUDGET) -> SuiteReport:
         if alg.dim <= 3:
             from .search import enumerate_commuting_bruteforce, enumerate_central_bruteforce
 
-            brute_c = enumerate_commuting_bruteforce(alg)
-            brute_z = enumerate_central_bruteforce(alg)
+            try:
+                brute_c = enumerate_commuting_bruteforce(alg)
+                brute_z = enumerate_central_bruteforce(alg)
+            except BudgetExceededError as exc:
+                oracle_skipped.append((entry.name, f"brute force {exc}"))
+                continue
             oracle_results.append(
                 (
                     entry.name,
@@ -678,4 +690,5 @@ def run_suite(p: int = 3, budget: int = SUITE_BUDGET) -> SuiteReport:
         oracle_results=tuple(oracle_results),
         witness_reports=tuple(witness_reports),
         structural=structural,
+        oracle_skipped=tuple(oracle_skipped),
     )

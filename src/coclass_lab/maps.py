@@ -333,12 +333,37 @@ def lemma_identity_suite(algebra: LieAlgebra, f: LinearMap) -> IdentitySuiteRepo
     return IdentitySuiteReport({name: tuple(v[name]) for name in IDENTITY_NAMES})
 
 
+def _count_nonzero_residues(a: np.ndarray, p: int) -> int:
+    """Index tuples (all axes but the last) whose residue vector mod p is nonzero.
+
+    Reduces ``a`` in place.
+    """
+    np.remainder(a, p, out=a)
+    return int(np.count_nonzero(a.any(axis=-1)))
+
+
 def identity_suite_batch(algebra: LieAlgebra, mats: np.ndarray, chunk: int = 2048) -> dict:
     """Violation counts of the identity family over a (B, n, n) member batch.
 
     Same mathematics as :func:`lemma_identity_suite`, vectorized for
     prime fields so the suite can sweep every enumerated commuting
     automorphism of a catalog algebra.  Returns {identity name: count}.
+
+    A count is the number of (member, basis tuple) pairs that fail, so it
+    is zero exactly when the single-map report is clean, but otherwise
+    need not equal the length of that report's witness list:
+    ``double_bracket_vanishes`` counts ordered pairs (j, j2), diagonal
+    included, where :func:`lemma_identity_suite` lists unordered ones.
+    Only zero versus nonzero is comparable between the two.
+
+    Every bracket tensor is built from U[b,i,l,:] = [d_i, e_l] (d_i the
+    displacement f(e_i) - e_i) by one more two-operand contraction with
+    the structure tensor, each step reduced mod p:
+
+        X[b,i,j,k,:] = [d_i, [e_j, e_k]] = sum_l T[j,k,l] U[b,i,l,:]
+        W[b,i,j,k,:] = [e_k, [d_i, e_j]] = sum_l U[b,i,j,l] T[k,l,:]
+
+    and [e_j, [e_k, d_i]] = -W[b,i,j,k,:] by antisymmetry.
     """
     p = algebra.field.p
     if not p:
@@ -346,6 +371,8 @@ def identity_suite_batch(algebra: LieAlgebra, mats: np.ndarray, chunk: int = 204
     T = modp.structure_tensor(algebra)
     n = algebra.dim
     eye = np.eye(n, dtype=np.int64)
+    T_jk_l = T.reshape(n * n, n)
+    T_l_kr = T.transpose(1, 0, 2).reshape(n, n * n)
     cz = modp.subspace_constraints(algebra.center())
     cz2 = modp.subspace_constraints(algebra.second_center())
     zbasis = modp.matrix_to_array(algebra.center().basis) if algebra.center().dim else None
@@ -353,26 +380,34 @@ def identity_suite_batch(algebra: LieAlgebra, mats: np.ndarray, chunk: int = 204
     for start in range(0, mats.shape[0], chunk):
         F = mats[start : start + chunk] % p
         D = (F - eye) % p
-        S1 = np.einsum("bli,ljr->bijr", F, T)
-        S2 = np.einsum("imr,bmj->bijr", T, F)
-        counts["bracket_swap"] += int(np.count_nonzero(((S1 - S2) % p).any(axis=3)))
-        Sd1 = np.einsum("bli,ljr->bijr", D, T)
-        Sd2 = np.einsum("imr,bmj->bijr", T, D)
-        counts["displacement_swap"] += int(np.count_nonzero(((Sd1 - Sd2) % p).any(axis=3)))
+        B = F.shape[0]
+        # [f(e_i), e_j] - [e_i, f(e_j)] = S[i,j] + S[j,i] with S[i,j] = [f(e_i), e_j]
+        S = modp.batch_commuting_form(F, T, p)
+        counts["bracket_swap"] += _count_nonzero_residues(S + S.transpose(0, 2, 1, 3), p)
+        U = modp.batch_commuting_form(D, T, p)
+        counts["displacement_swap"] += _count_nonzero_residues(U + U.transpose(0, 2, 1, 3), p)
         if zbasis is not None and cz.shape[0]:
             imgs = np.einsum("brl,zl->brz", F, zbasis)
             res = np.einsum("cn,bnz->bcz", cz, imgs) % p
             counts["center_preserved"] += int(np.count_nonzero(res.any(axis=1)))
-        X = np.einsum("bai,jkl,alr->bijkr", D, T, T) % p
-        counts["displacement_bracket_swap"] += int(
-            np.count_nonzero(((X - X.transpose(0, 2, 1, 3, 4)) % p).any(axis=4))
+        X = np.matmul(T_jk_l, U).reshape(B, n, n, n, n)
+        np.remainder(X, p, out=X)
+        counts["displacement_bracket_swap"] += _count_nonzero_residues(
+            X - X.transpose(0, 2, 1, 3, 4), p
         )
-        Y = np.einsum("pal,bai,jlr->bjpir", T, D, T) % p
-        sym = (Y + Y.transpose(0, 2, 1, 3, 4)) % p
-        counts["double_bracket_vanishes"] += int(np.count_nonzero(sym.any(axis=4)))
-        rhs = 2 * Y.transpose(0, 3, 2, 1, 4)  # Y[b,k,j,i,r] -> axes (b,i,j,k,r)
-        counts["double_bracket_factor"] += int(np.count_nonzero(((X - rhs) % p).any(axis=4)))
         counts["displacement_kills_brackets"] += int(np.count_nonzero(X.any(axis=4)))
+        W = np.matmul(U, T_l_kr).reshape(B, n, n, n, n)
+        np.remainder(W, p, out=W)
+        # [e_j, [e_k, d_i]] + [e_k, [e_j, d_i]] = -(W[i,j,k] + W[i,k,j])
+        counts["double_bracket_vanishes"] += _count_nonzero_residues(
+            W + W.transpose(0, 1, 3, 2, 4), p
+        )
+        # [d_i, [e_j, e_k]] - 2 [e_k, [e_j, d_i]] = X[i,j,k] + 2 W[i,j,k]
+        W *= 2
+        X += W
+        del W
+        counts["double_bracket_factor"] += _count_nonzero_residues(X, p)
+        del X
         if cz2.shape[0]:
             res = np.einsum("cn,bni->bci", cz2, D) % p
             counts["displacement_in_second_center"] += int(np.count_nonzero(res.any(axis=1)))

@@ -2,8 +2,12 @@
 
 These are the hot-path counterparts of :mod:`linalg` for prime fields:
 batches of candidate matrices are filtered with tensor contractions and
-explicit ``% p`` reductions.  Entries stay below 2^16 and dimensions
-below ~16, so int64 products and sums never overflow.
+explicit ``% p`` reductions.  int64 arithmetic is exact only while every
+contraction step satisfies ``terms * (p - 1)**k < 2**63``, where the step
+sums ``terms`` products of ``k`` residues in [0, p); so every intermediate
+is reduced mod p before the next step uses it.  At p < 2^16 a two-factor
+step allows about 2^31 terms and a three-factor step about 2^15, which is
+why large contractions are split into two-operand steps.
 """
 
 from __future__ import annotations
@@ -72,28 +76,72 @@ def batch_invertible(mats: np.ndarray, p: int) -> np.ndarray:
     return ok
 
 
+def batch_inverse(mats: np.ndarray, p: int) -> tuple:
+    """Gauss-Jordan mod p on a (B, n, n) batch: (inverses, invertible mask).
+
+    Rows of the inverse of a singular matrix are meaningless; callers read
+    them only where the mask is True.
+    """
+    B, n, _ = mats.shape
+    M = np.zeros((B, n, 2 * n), dtype=np.int64)
+    M[:, :, :n] = mats % p
+    M[:, :, n:] = np.eye(n, dtype=np.int64)
+    ok = np.ones(B, dtype=bool)
+    inv = inverse_table(p)
+    idx = np.arange(B)
+    for c in range(n):
+        nz = M[:, c:, c] != 0
+        ok &= nz.any(axis=1)
+        piv = c + np.argmax(nz, axis=1)
+        rows_c = M[idx, c, :].copy()
+        M[idx, c, :] = M[idx, piv, :]
+        M[idx, piv, :] = rows_c
+        pivval = M[:, c, c]
+        M[:, c, :] = (M[:, c, :] * inv[np.where(pivval == 0, 1, pivval)][:, None]) % p
+        factors = M[:, :, c].copy()
+        factors[:, c] = 0
+        M -= factors[:, :, None] * M[:, c, None, :]
+        np.remainder(M, p, out=M)
+    return M[:, :, n:], ok
+
+
 def batch_compose(outer: np.ndarray, inner: np.ndarray, p: int) -> np.ndarray:
     """Matrices of outer∘inner for aligned batches (apply inner first)."""
     return np.matmul(outer, inner) % p
 
 
-def batch_is_homomorphism(mats: np.ndarray, T: np.ndarray, p: int) -> np.ndarray:
-    """Mask of f([e_i,e_j]) == [f(e_i), f(e_j)] over all basis pairs."""
-    lhs = np.einsum("ijl,brl->bijr", T, mats)
-    rhs = np.einsum("bli,bmj,lmr->bijr", mats, mats, T)
-    return (((lhs - rhs) % p) == 0).all(axis=(1, 2, 3))
-
-
 def batch_commuting_form(mats: np.ndarray, T: np.ndarray, p: int) -> np.ndarray:
     """S[b,i,j,:] = [f(e_i), e_j]; f commuting iff S + S^T(i<->j) vanishes."""
-    return np.einsum("bli,ljr->bijr", mats, T) % p
+    n = T.shape[0]
+    S = np.matmul(mats.transpose(0, 2, 1) % p, T.reshape(n, n * n))
+    return np.remainder(S, p, out=S).reshape(-1, n, n, n)
+
+
+def homomorphism_mask(mats: np.ndarray, S: np.ndarray, T: np.ndarray, p: int) -> np.ndarray:
+    """batch_is_homomorphism given S = batch_commuting_form(mats, T, p).
+
+    [f(e_i), f(e_j)] = sum_m f_mj [f(e_i), e_m] = sum_m S[b,i,m,:] f_mj.
+    """
+    lhs = np.matmul(T, mats.transpose(0, 2, 1)[:, None] % p)  # f([e_i, e_j]), (b,i,j,r)
+    rhs = np.matmul(S.transpose(0, 1, 3, 2), mats[:, None] % p)  # (b,i,r,j)
+    diff = lhs - rhs.transpose(0, 1, 3, 2)
+    return ~np.remainder(diff, p, out=diff).any(axis=(1, 2, 3))
+
+
+def commuting_mask(S: np.ndarray, p: int) -> np.ndarray:
+    """batch_is_commuting given S = batch_commuting_form(mats, T, p)."""
+    sym = S + S.transpose(0, 2, 1, 3)
+    # for odd p the symmetrized condition subsumes the diagonal [f(e_i), e_i] = 0
+    return ~np.remainder(sym, p, out=sym).any(axis=(1, 2, 3))
+
+
+def batch_is_homomorphism(mats: np.ndarray, T: np.ndarray, p: int) -> np.ndarray:
+    """Mask of f([e_i,e_j]) == [f(e_i), f(e_j)] over all basis pairs."""
+    return homomorphism_mask(mats, batch_commuting_form(mats, T, p), T, p)
 
 
 def batch_is_commuting(mats: np.ndarray, T: np.ndarray, p: int) -> np.ndarray:
-    S = batch_commuting_form(mats, T, p)
-    sym = (S + S.transpose(0, 2, 1, 3)) % p
-    # for odd p the symmetrized condition subsumes the diagonal [f(e_i), e_i] = 0
-    return (sym == 0).all(axis=(1, 2, 3))
+    return commuting_mask(batch_commuting_form(mats, T, p), p)
 
 
 def batch_in_subspace(columns: np.ndarray, constraints: np.ndarray, p: int) -> np.ndarray:

@@ -21,7 +21,7 @@ refuses to start when that projection exceeds the budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
 
 import numpy as np
@@ -95,6 +95,8 @@ class AutomorphismSet:
     algebra: LieAlgebra
     kind: str  # "commuting" | "central" | "full"
     members: tuple
+    # the members as a read-only (B, n, n) int64 array, when built from one
+    _array: Optional[np.ndarray] = dataclass_field(default=None, compare=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -104,6 +106,8 @@ class AutomorphismSet:
         return frozenset(m.key() for m in self.members)
 
     def member_array(self) -> np.ndarray:
+        if self._array is not None:
+            return self._array
         n = self.algebra.dim
         if not self.members:
             return np.zeros((0, n, n), dtype=np.int64)
@@ -113,31 +117,47 @@ class AutomorphismSet:
         return f.key() in self.member_keys()
 
 
-def _sorted_members(maps) -> tuple:
-    uniq = {m.key(): m for m in maps}
-    return tuple(uniq[k] for k in sorted(uniq))
+def _row_keys(mats: np.ndarray) -> np.ndarray:
+    """One opaque key per matrix whose byte order is the order of LinearMap.key().
+
+    Entries are residues in [0, p), and big-endian bytes of non-negative
+    integers compare like the integers, so comparing the keys compares
+    the flattened entry tuples lexicographically.
+    """
+    n = mats.shape[1]
+    flat = np.ascontiguousarray(mats.reshape(len(mats), n * n), dtype=">i8")
+    return flat.view(np.dtype((np.void, flat.shape[1] * 8))).ravel()
 
 
-def _finish_set(algebra: LieAlgebra, kind: str, maps) -> AutomorphismSet:
-    members = _sorted_members(maps)
-    result = AutomorphismSet(algebra, kind, members)
-    keys = result.member_keys()
-    ident = LinearMap.identity(algebra)
-    if ident.key() not in keys:
+def _contains_rows(sorted_keys: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Mask: which query keys occur in the sorted key array."""
+    if len(sorted_keys) == 0:
+        return np.zeros(len(query), dtype=bool)
+    at = np.minimum(np.searchsorted(sorted_keys, query), len(sorted_keys) - 1)
+    return sorted_keys[at] == query
+
+
+def _finish_set(algebra: LieAlgebra, kind: str, mats: np.ndarray) -> AutomorphismSet:
+    """Canonical set from a (B, n, n) int64 array of member matrices, entries in [0, p).
+
+    Rows are sorted in LinearMap.key() order with duplicates dropped, and
+    the set must contain the identity and the inverse of every member.
+    """
+    p = algebra.field.p
+    n = algebra.dim
+    keys = np.unique(_row_keys(mats))
+    arr = keys.view(">i8").reshape(len(keys), n, n).astype(np.int64)
+    if not _contains_rows(keys, _row_keys(np.eye(n, dtype=np.int64)[None]))[0]:
         raise AssertionError(f"{kind} enumeration lost the identity map")
-    for m in members:
-        inv = invert(m.matrix)
-        if inv is None or LinearMap(inv).key() not in keys:
-            raise AssertionError(f"{kind} enumeration is not closed under inverse")
-    return result
-
-
-def _maps_from_arrays(algebra: LieAlgebra, mats: np.ndarray) -> list:
-    field = algebra.field
-    return [
-        LinearMap(Matrix(field, tuple(tuple(int(x) for x in row) for row in mat)))
-        for mat in mats
-    ]
+    inverses, invertible = modp.batch_inverse(arr, p)
+    if not (invertible.all() and _contains_rows(keys, _row_keys(inverses)).all()):
+        raise AssertionError(f"{kind} enumeration is not closed under inverse")
+    arr.flags.writeable = False
+    fld = algebra.field
+    members = tuple(
+        LinearMap(Matrix(fld, tuple(tuple(row) for row in mat))) for mat in arr.tolist()
+    )
+    return AutomorphismSet(algebra, kind, members, arr)
 
 
 # ---------------------------------------------------------------------------
@@ -223,16 +243,18 @@ def enumerate_commuting(algebra: LieAlgebra, budget: int = DEFAULT_BUDGET) -> Au
 
     dfs(0, [], derived)
 
-    members = _filter_assignments(algebra, pres, assignments)
-    return _finish_set(algebra, "commuting", members)
+    return _finish_set(algebra, "commuting", _filter_assignments(algebra, pres, assignments))
 
 
-def _filter_assignments(algebra: LieAlgebra, pres, assignments) -> list:
-    """Extend generator assignments to full maps; keep genuine members."""
-    if not assignments:
-        return []
+def _filter_assignments(algebra: LieAlgebra, pres, assignments) -> np.ndarray:
+    """Extend generator assignments to full maps; keep genuine members.
+
+    Returns the kept matrices as a (B, n, n) int64 array.
+    """
     p = algebra.field.p
     n = algebra.dim
+    if not assignments:
+        return np.zeros((0, n, n), dtype=np.int64)
     T = modp.structure_tensor(algebra)
     binv = invert(pres.basis_matrix)
     assert binv is not None
@@ -251,14 +273,15 @@ def _filter_assignments(algebra: LieAlgebra, pres, assignments) -> list:
                 gi += 1
             else:
                 w = np.einsum("bi,bj,ijk->bk", values[step.gen_index], values[step.operand], T)
-                values.append((int(step.scale) * w) % p)
+                values.append((int(step.scale) * (w % p)) % p)
         cols = np.stack(values, axis=2)  # (B, n, steps) images as columns
         mats = np.matmul(cols, binv_np) % p
+        S = modp.batch_commuting_form(mats, T, p)
         mask = modp.batch_invertible(mats, p)
-        mask &= modp.batch_is_homomorphism(mats[:], T, p)
-        mask &= modp.batch_is_commuting(mats, T, p)
-        kept.extend(_maps_from_arrays(algebra, mats[mask]))
-    return kept
+        mask &= modp.homomorphism_mask(mats, S, T, p)
+        mask &= modp.commuting_mask(S, p)
+        kept.append(mats[mask])
+    return np.concatenate(kept)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +326,7 @@ def enumerate_central(algebra: LieAlgebra, budget: int = DEFAULT_BUDGET) -> Auto
     if count > budget:
         raise BudgetExceededError(budget, count, f"p^(dim Z * dim L/L') = {p}^{d * r}")
     if d == 0 or r == 0:
-        return _finish_set(algebra, "central", [LinearMap.identity(algebra)])
+        return _finish_set(algebra, "central", np.eye(n, dtype=np.int64)[None])
 
     # transition from (complement | derived-basis) coordinates to standard ones
     cols = [basis_vec(field, n, i) for i in comp] + list(derived.basis.rows)
@@ -324,8 +347,7 @@ def enumerate_central(algebra: LieAlgebra, budget: int = DEFAULT_BUDGET) -> Auto
     phi_ext = np.concatenate([phi_cols, np.zeros((count, n, n - r), dtype=np.int64)], axis=2)
     phi_std = np.matmul(phi_ext, minv_np) % p
     mats = (phi_std + np.eye(n, dtype=np.int64)) % p
-    mask = modp.batch_invertible(mats, p)
-    return _finish_set(algebra, "central", _maps_from_arrays(algebra, mats[mask]))
+    return _finish_set(algebra, "central", mats[modp.batch_invertible(mats, p)])
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +377,7 @@ def enumerate_aut_bruteforce(algebra: LieAlgebra, limit: int = BRUTE_FORCE_LIMIT
     T = modp.structure_tensor(algebra)
     mask = modp.batch_invertible(mats, p)
     mask &= modp.batch_is_homomorphism(mats, T, p)
-    return _finish_set(algebra, "full", _maps_from_arrays(algebra, mats[mask]))
+    return _finish_set(algebra, "full", mats[mask])
 
 
 def enumerate_commuting_bruteforce(
@@ -370,7 +392,7 @@ def enumerate_commuting_bruteforce(
     mask = modp.batch_invertible(mats, p)
     mask &= modp.batch_is_homomorphism(mats, T, p)
     mask &= modp.batch_is_commuting(mats, T, p)
-    return _finish_set(algebra, "commuting", _maps_from_arrays(algebra, mats[mask]))
+    return _finish_set(algebra, "commuting", mats[mask])
 
 
 def enumerate_central_bruteforce(
@@ -388,7 +410,7 @@ def enumerate_central_bruteforce(
     cz = modp.subspace_constraints(algebra.center())
     disp = (mats - np.eye(n, dtype=np.int64)) % p
     mask &= modp.batch_in_subspace(disp, cz, p)
-    return _finish_set(algebra, "central", _maps_from_arrays(algebra, mats[mask]))
+    return _finish_set(algebra, "central", mats[mask])
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,10 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
+import einsum_reference
 from coclass_lab.constructions import default_catalog
 from coclass_lab.fields import FieldSpec
 from coclass_lab.harness import SUITE_BUDGET, dim5_witness, heisenberg_witness, structural_suite
@@ -177,6 +179,21 @@ def test_criterion_7_identity_suite_zero_violations(enumerations):
     assert total_members > 40_000
     elapsed = time.monotonic() - t0
     report(7, elapsed, f"all identities hold over {total_members} enumerated maps")
+
+
+def test_identity_sweep_matches_unfactored_einsum(enumerations):
+    # the factored sweep against the original three-operand contractions,
+    # on every member and on up to 512 members with one entry moved
+    rng = np.random.default_rng(7)
+    for name, (alg, commuting, _) in sorted(enumerations.items()):
+        members = commuting.member_array()
+        moved = members[:: max(1, len(members) // 512)].copy()
+        n = alg.dim
+        at = np.arange(len(moved))
+        moved[at, rng.integers(0, n, len(moved)), rng.integers(0, n, len(moved))] += 1
+        for batch in (members, moved % alg.field.p):
+            counts = identity_suite_batch(alg, batch)
+            assert counts == einsum_reference.identity_counts(alg, batch), name
 
 
 def test_criterion_8_oracle_equivalence(catalog):

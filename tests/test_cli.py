@@ -137,3 +137,20 @@ def test_flag_budget_beats_env(capsys, monkeypatch):
                        "search-commuting", "filiform:4", "--p", "3")
     assert code == 0
     assert json.loads(out)["size"] == 9
+
+
+@pytest.mark.parametrize("raw", ["ten", "1e5", "0", "-5"])
+def test_bad_env_budget_usage_error(capsys, monkeypatch, raw):
+    monkeypatch.setenv("COCLASS_LAB_BUDGET", raw)
+    with pytest.raises(SystemExit) as err:
+        main(["search-commuting", "filiform:4", "--p", "3"])
+    assert err.value.code == 2
+    assert "COCLASS_LAB_BUDGET" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", ["0", "-1", "many"])
+def test_bad_flag_budget_usage_error(capsys, raw):
+    with pytest.raises(SystemExit) as err:
+        main(["--budget", raw, "search-commuting", "filiform:4", "--p", "3"])
+    assert err.value.code == 2
+    assert "--budget" in capsys.readouterr().err

@@ -274,3 +274,34 @@ def test_structural_suite_bounds_fire_for_all_dim6_entries():
     report = structural_suite(default_catalog(F3))
     bounds = [c for c in report.checks if c.check == "center_bounds"]
     assert len(bounds) == 3 and all(c.ok for c in bounds)
+
+
+# -- suite oracle ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", (3, 5))
+def test_suite_records_oracle_over_its_limit_as_skipped(monkeypatch, p):
+    # 3^9 matrices fit the brute-force limit; 5^9 do not
+    from coclass_lab import harness
+    from coclass_lab.constructions import CatalogEntry
+
+    monkeypatch.setattr(
+        harness,
+        "default_catalog",
+        lambda field: [CatalogEntry("heisenberg_1_1", heisenberg(1, 1, field), ())],
+    )
+    report = harness.run_suite(p=p)
+    assert report.ok
+    rows = report.as_dict()["oracle"]
+    if p == 3:
+        assert report.oracle_results == (("heisenberg_1_1", True, True),)
+        assert report.oracle_skipped == ()
+        assert rows == [{"entry": "heisenberg_1_1", "commuting_match": True, "central_match": True}]
+        return
+    assert report.oracle_results == ()
+    ((name, reason),) = report.oracle_skipped
+    assert name == "heisenberg_1_1" and "5^9" in reason
+    assert rows == [
+        {"entry": name, "commuting_match": None, "central_match": None, "skipped": reason}
+    ]
+    assert f"oracle heisenberg_1_1: skipped ({reason})" in report.to_text()

@@ -1,0 +1,125 @@
+"""Batched mod-p kernels against the unfactored formulas and the exact core."""
+
+import numpy as np
+import pytest
+
+import einsum_reference
+from coclass_lab import modp
+from coclass_lab.constructions import dim5_example, filiform, heisenberg
+from coclass_lab.fields import FieldSpec
+from coclass_lab.linalg import Matrix, invert
+from coclass_lab.maps import LinearMap, commuting_defect, identity_suite_batch, is_automorphism
+
+PRIMES = (3, 65521)
+
+
+def _as_map(field, mat) -> LinearMap:
+    return LinearMap(Matrix(field, tuple(tuple(int(x) for x in row) for row in mat)))
+
+
+def _automorphisms(name: str, p: int, count: int, rng) -> tuple:
+    """(algebra, (count, n, n) batch of automorphisms) from explicit families."""
+    field = FieldSpec.prime(p)
+    out = []
+    for _ in range(count):
+        a, b, c = (int(x) for x in rng.integers(1, p, size=3))
+        s, t = (int(x) for x in rng.integers(0, p, size=2))
+        if name == "heisenberg_1_1":
+            alg = heisenberg(1, 1, field)
+            det = 0
+            while det == 0:
+                d = int(rng.integers(0, p))
+                det = (a * d - b * c) % p
+            # f(u1) = a u1 + c u2 + s z, f(u2) = b u1 + d u2 + t z, f(z) = det z
+            out.append([[a, b, 0], [c, d, 0], [s, t, det]])
+        elif name == "filiform_5":
+            alg = filiform(5, field)
+            # grading u -> a u, v -> b v, v_i -> a^i b v_i, then u -> u + s v
+            grade = [a, b, a * b % p, a * a * b % p, a**3 * b % p]
+            m = np.diag(grade)
+            m[1, 0] = s * b % p
+            out.append(m.tolist())
+        else:
+            alg = dim5_example(field)
+            # x1, x2, x3, x4 scaled with a*b = c*e, x5 -> a*b x5, then x1 -> x1 + s x5
+            e = a * b * pow(c, -1, p) % p
+            m = np.diag([a, b, c, e, a * b % p])
+            m[4, 0] = s
+            out.append(m.tolist())
+    return alg, np.array(out, dtype=np.int64) % p
+
+
+def _mixed_batch(name: str, p: int, rng) -> tuple:
+    """Automorphisms, the same with one entry moved, and random matrices."""
+    alg, auts = _automorphisms(name, p, 60, rng)
+    n = alg.dim
+    moved = auts.copy()
+    rows = rng.integers(0, n, size=len(moved))
+    cols = rng.integers(0, n, size=len(moved))
+    moved[np.arange(len(moved)), rows, cols] += rng.integers(1, p, size=len(moved))
+    noise = rng.integers(0, p, size=(60, n, n))
+    return alg, auts, np.concatenate([auts, moved % p, noise])
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("name", ["heisenberg_1_1", "filiform_5", "dim5_example"])
+def test_batch_is_homomorphism_matches_unfactored_einsum(p, name):
+    rng = np.random.default_rng(p + len(name))
+    alg, auts, batch = _mixed_batch(name, p, rng)
+    T = modp.structure_tensor(alg)
+    got = modp.batch_is_homomorphism(batch, T, p)
+    assert got.tolist() == einsum_reference.is_homomorphism(batch, T, p).tolist()
+    assert got[: len(auts)].all()
+    assert not got.all()
+    for mat in auts[:3]:
+        assert is_automorphism(alg, _as_map(alg.field, mat)).clean
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_commuting_mask_matches_pure_python_predicate(p):
+    field = FieldSpec.prime(p)
+    L = heisenberg(1, 1, field)
+    T = modp.structure_tensor(L)
+    rng = np.random.default_rng(p)
+    mats = []
+    for a, b in rng.integers(1, p, size=(20, 2)).tolist() + [[p - 2, p - 2], [p - 1, 1]]:
+        mats.append(np.diag([a, a, a * a % p]))  # commuting
+        mats.append(np.diag([a, b, a * b % p]))  # commuting only when a == b
+    mats = np.array(mats, dtype=np.int64)
+    got = modp.batch_is_commuting(mats, T, p)
+    want = [commuting_defect(L, _as_map(field, m)).clean for m in mats]
+    assert got.tolist() == want
+    assert any(want) and not all(want)
+
+
+@pytest.mark.parametrize("p", (3, 5, 65521))
+def test_batch_inverse_matches_exact_invert(p):
+    rng = np.random.default_rng(p)
+    field = FieldSpec.prime(p)
+    for n in (1, 2, 3, 5):
+        mats = rng.integers(0, p, size=(40, n, n))
+        mats[0] = 0
+        if n > 1:
+            mats[1, 1] = mats[1, 0]  # repeated row
+            mats[2, :, n - 1] = (2 * mats[2, :, 0]) % p  # dependent column
+        inv, ok = modp.batch_inverse(mats, p)
+        assert ok.tolist() == modp.batch_invertible(mats, p).tolist()
+        assert not ok[:1 if n == 1 else 3].any()
+        for b in range(len(mats)):
+            exact = invert(Matrix(field, tuple(tuple(int(x) for x in r) for r in mats[b])))
+            assert ok[b] == (exact is not None)
+            if exact is not None:
+                assert inv[b].tolist() == [list(r) for r in exact.rows]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("name", ["heisenberg_1_1", "filiform_5", "dim5_example"])
+def test_identity_suite_batch_matches_unfactored_einsum(p, name):
+    rng = np.random.default_rng(2 * p + len(name))
+    alg, _, batch = _mixed_batch(name, p, rng)
+    got = identity_suite_batch(alg, batch, chunk=64)
+    assert got == einsum_reference.identity_counts(alg, batch)
+    assert got["bracket_swap"] > 0
+    if name == "filiform_5":  # class 4: the random part breaks every identity
+        assert all(got.values()), got
+

@@ -396,3 +396,52 @@ def test_membership_spot_check_random_dim4(sets):
         rows[0][0] = (rows[0][0] + 1) % 3
         g = LinearMap(Matrix(F3, tuple(tuple(r) for r in rows)))
         assert (g.key() in keys) == is_commuting(L, g)
+
+
+# -- array canonicalisation and the extension filter ----------------------------------
+
+
+def test_members_sorted_by_key_and_array_cached(sets):
+    aset = sets("h12", lambda: heisenberg(1, 2, F3))
+    keys = [m.key() for m in aset.members]
+    assert keys == sorted(set(keys))
+    arr = aset.member_array()
+    assert arr is aset.member_array()
+    assert not arr.flags.writeable
+    assert [tuple(row) for row in arr.reshape(len(arr), -1).tolist()] == keys
+
+
+def test_finish_set_sorts_dedups_and_checks_inverses():
+    import numpy as np
+
+    from coclass_lab.search import _finish_set
+
+    p = 65521
+    L = heisenberg(1, 1, FieldSpec.prime(p))
+    a = p - 2
+    a_inv = pow(a, -1, p)
+    group = [np.diag(d) for d in ([1, 1, 1], [a, a, a * a % p], [a_inv, a_inv, a_inv * a_inv % p])]
+    shuffled = np.array(group[::-1] + group, dtype=np.int64)
+    aset = _finish_set(L, "commuting", shuffled)
+    keys = [m.key() for m in aset.members]
+    assert keys == sorted({tuple(int(x) for x in g.ravel()) for g in group})
+    with pytest.raises(AssertionError, match="inverse"):
+        _finish_set(L, "commuting", np.array(group[:2], dtype=np.int64))
+    with pytest.raises(AssertionError, match="identity"):
+        _finish_set(L, "commuting", np.array(group[1:], dtype=np.int64))
+
+
+@pytest.mark.parametrize("p", (3, 251, 4093, 65521))
+def test_filter_keeps_scalar_member_at_every_prime(p):
+    # the bracket step once scaled an unreduced contraction, which
+    # overflowed int64 near p = 2^16 and silently dropped this member
+    from coclass_lab.linalg import Matrix
+    from coclass_lab.search import _filter_assignments
+
+    field = FieldSpec.prime(p)
+    L = heisenberg(1, 1, field)
+    a = p - 2
+    kept = _filter_assignments(L, L.generator_presentation(), [((a, 0, 0), (0, a, 0))])
+    assert kept.tolist() == [[[a, 0, 0], [0, a, 0], [0, 0, a * a % p]]]
+    f = LinearMap(Matrix(field, tuple(tuple(row) for row in kept[0].tolist())))
+    assert is_commuting(L, f)
