@@ -240,14 +240,6 @@ class LieAlgebra:
     def coclass(self) -> int:
         return self.dim - self.nilpotency_class()
 
-    def series_profile(self) -> "SeriesProfile":
-        return SeriesProfile(
-            lower=tuple(self.lower_central_series()),
-            upper=tuple(self.upper_central_series()),
-            nilpotency_class=self.nilpotency_class(),
-            coclass=self.coclass(),
-        )
-
     # -- subalgebras ---------------------------------------------------------
 
     def check_subalgebra(self, s: Subspace) -> None:
@@ -284,6 +276,23 @@ class LieAlgebra:
 
     # -- generator presentation ----------------------------------------------
 
+    def generator_indices(self) -> list:
+        """Lexicographically first basis indices independent modulo L'.
+
+        Their basis vectors lift a basis of L/L'.
+        """
+        f = self.field
+        span = self.derived()
+        out = []
+        for i in range(self.dim):
+            if span.is_full():
+                break
+            grown = Subspace.from_vectors(f, self.dim, span.basis.rows + (basis_vec(f, self.dim, i),))
+            if grown.dim > span.dim:
+                out.append(i)
+                span = grown
+        return out
+
     def generator_presentation(self) -> "GeneratorPresentation":
         """Express a basis of L as bracket words in lifts of a basis of L/L'.
 
@@ -297,17 +306,7 @@ class LieAlgebra:
         if not self.is_nilpotent:
             raise NonNilpotentError("presentations require a nilpotent algebra")
         f = self.field
-        derived = self.derived()
-        generators = []
-        span = derived
-        for i in range(self.dim):
-            if span.is_full():
-                break
-            cand = basis_vec(f, self.dim, i)
-            grown = Subspace.from_vectors(f, self.dim, span.basis.rows + (cand,))
-            if grown.dim > span.dim:
-                generators.append(i)
-                span = grown
+        generators = self.generator_indices()
         steps = [PresentationStep("gen", g, None, f.one) for g in generators]
         values = [basis_vec(f, self.dim, g) for g in generators]
         span = Subspace.from_vectors(f, self.dim, values)
@@ -344,14 +343,6 @@ class PresentationStep:
 
 
 @dataclass(frozen=True)
-class SeriesProfile:
-    lower: tuple
-    upper: tuple
-    nilpotency_class: int
-    coclass: int
-
-
-@dataclass(frozen=True)
 class GeneratorPresentation:
     algebra: LieAlgebra
     generators: tuple
@@ -373,24 +364,5 @@ class GeneratorPresentation:
             else:
                 g = basis_vec(f, self.algebra.dim, self.generators[step.gen_index])
                 w = self.algebra.bracket(g, out[step.operand])
-                out.append(scale_vec(f, step.scale, w))
-        return tuple(out)
-
-    def extend_images(self, generator_images: Sequence[Vector]) -> tuple:
-        """Images of every step value under the map sending generators as given.
-
-        Generators occupy the first steps in order, so a bracket step's
-        generator operand is the step at the same index.
-        """
-        f = self.algebra.field
-        gen_imgs = list(generator_images)
-        out = []
-        gi = 0
-        for step in self.steps:
-            if step.kind == "gen":
-                out.append(tuple(gen_imgs[gi]))
-                gi += 1
-            else:
-                w = self.algebra.bracket(out[step.gen_index], out[step.operand])
                 out.append(scale_vec(f, step.scale, w))
         return tuple(out)

@@ -239,8 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="candidate-extension cap for enumerations "
                         f"(default 10^8; 'suite' defaults to {SUITE_BUDGET}; "
                         f"env {BUDGET_ENV} sets the default; must be positive)")
-    parser.add_argument("--parallelism", type=int, default=os.cpu_count() or 1,
-                        help="worker count (reserved; execution is serial and deterministic)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("validate", help="antisymmetry/Jacobi report for a catalog file")

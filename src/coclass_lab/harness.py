@@ -272,7 +272,7 @@ def summarize_enumeration(
 ) -> EnumerationSummary:
     closure = closure_check(commuting)
     equality = sets_equal(commuting, central)
-    central_in = central.member_keys() <= commuting.member_keys()
+    central_in = not central.outside(commuting).any()
     return EnumerationSummary(
         commuting_size=commuting.size,
         central_size=central.size,

@@ -230,17 +230,6 @@ class Subspace:
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(row) for row in other.basis.rows)
 
-    def reduce(self, v: Vector) -> Vector:
-        """Residual of v after eliminating this subspace's pivots."""
-        f = self.field
-        residual = list(vec(f, v))
-        for row in self.basis.rows:
-            c = next(i for i, x in enumerate(row) if x)
-            if residual[c]:
-                factor = residual[c]
-                residual = [f.sub(x, f.mul(factor, y)) for x, y in zip(residual, row)]
-        return tuple(residual)
-
     def annihilator(self) -> Matrix:
         """Matrix C with this subspace = {x : C x = 0}.
 
@@ -309,6 +298,35 @@ def solve_affine(m: Matrix, b: Vector) -> Optional[AffineSolution]:
     for r, pc in enumerate(pivots):
         x[pc] = rows[r][n]
     return AffineSolution(tuple(x), kernel(m))
+
+
+@dataclass(frozen=True)
+class AffineOperators:
+    """Right-hand-side independent solution of m x = b.
+
+    b is consistent exactly when ``consistency`` b = 0, and then
+    ``particular`` b is the point :func:`solve_affine` returns; the full
+    solution set is that point plus ``homogeneous``.
+    """
+
+    consistency: Matrix  # (nrows - rank) x nrows
+    particular: Matrix  # ncols x nrows
+    homogeneous: Subspace
+
+
+def affine_operators(m: Matrix) -> AffineOperators:
+    """One Gauss-Jordan pass over (m | I) yields every operator at once."""
+    f = m.field
+    nrows, n = m.nrows, m.ncols
+    aug = [list(row) + list(basis_vec(f, nrows, i)) for i, row in enumerate(m.rows)]
+    rows, pivots = _rref_rows(f, aug)
+    rank = sum(1 for c in pivots if c < n)
+    # rows below the rank vanish on m, so their right halves span the left kernel
+    consistency = tuple(tuple(r[n:]) for r in rows[rank:])
+    particular = [zero_vec(f, nrows)] * n
+    for r, pc in enumerate(pivots[:rank]):
+        particular[pc] = tuple(rows[r][n:])
+    return AffineOperators(Matrix(f, consistency), Matrix(f, tuple(particular)), kernel(m))
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:

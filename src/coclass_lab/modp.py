@@ -105,11 +105,6 @@ def batch_inverse(mats: np.ndarray, p: int) -> tuple:
     return M[:, :, n:], ok
 
 
-def batch_compose(outer: np.ndarray, inner: np.ndarray, p: int) -> np.ndarray:
-    """Matrices of outer∘inner for aligned batches (apply inner first)."""
-    return np.matmul(outer, inner) % p
-
-
 def batch_commuting_form(mats: np.ndarray, T: np.ndarray, p: int) -> np.ndarray:
     """S[b,i,j,:] = [f(e_i), e_j]; f commuting iff S + S^T(i<->j) vanishes."""
     n = T.shape[0]

@@ -1,8 +1,8 @@
 """Exact enumeration of commuting and central automorphisms over F_p.
 
-The commuting enumerator does a depth-first search over generator images
-with affine constraint propagation instead of brute force over p^(n^2)
-matrices.  For a commuting automorphism f and generators g_1, ..., g_r:
+The commuting enumerator searches generator images with affine
+constraint propagation instead of brute force over p^(n^2) matrices.
+For a commuting automorphism f and generators g_1, ..., g_r:
 
   * f(g_t) lies in the coset g_t + Z_2(L)  (skipped when Z_2 = L),
   * [f(g_t), g_t] = 0,
@@ -13,10 +13,19 @@ survive; each completed generator assignment is extended to a full map
 through the generator presentation and kept only if the full automorphism
 and commuting checks pass, which restores sufficiency.
 
-The homogeneous part of every level's constraint system is branch
-independent, so the product of the per-level solution-set sizes is an
-exact upper bound for the number of candidate extensions; enumeration
-refuses to start when that projection exceeds the budget.
+The search is a level-synchronous frontier expansion.  Level t's
+constraint matrix is the same for every branch and its right-hand side is
+linear in the earlier images, so it is row-reduced once into a
+consistency operator, a particular-solution operator and a kernel basis;
+a level is then one matmul over a (B, t, n) int64 frontier, a consistency
+mask and a broadcast add of the p^k kernel points.  The frontier streams
+depth first in blocks of at most CHUNK rows.  Independence of the images
+modulo L' is tested once, on completed assignments.
+
+The product of the per-level kernel sizes p^k is therefore an exact upper
+bound on the completed assignments, and so on everything the filter sees;
+enumeration refuses to start when that projection exceeds the budget, and
+no later count can pass it.
 """
 
 from __future__ import annotations
@@ -28,17 +37,7 @@ import numpy as np
 
 from . import modp
 from .algebra import LieAlgebra, NonNilpotentError
-from .linalg import (
-    Matrix,
-    Subspace,
-    basis_vec,
-    invert,
-    kernel,
-    scale_vec,
-    solution_points,
-    solve_affine,
-    zero_vec,
-)
+from .linalg import Matrix, affine_operators, basis_vec, invert, kernel
 from .maps import (
     LinearMap,
     commuting_defect,
@@ -48,7 +47,8 @@ from .maps import (
 
 DEFAULT_BUDGET = 10**8
 BRUTE_FORCE_LIMIT = 250_000
-PAIR_BUDGET = 1_000_000
+# rows per array block in the enumerators' hot loops; bounds their memory
+CHUNK = 8192
 
 
 class BudgetExceededError(RuntimeError):
@@ -113,8 +113,18 @@ class AutomorphismSet:
             return np.zeros((0, n, n), dtype=np.int64)
         return np.array([[list(r) for r in m.matrix.rows] for m in self.members], dtype=np.int64)
 
+    def _sorted_keys(self) -> np.ndarray:
+        keys = _row_keys(self.member_array())
+        # a cached array is canonical (sorted, no duplicates) by construction
+        return keys if self._array is not None else np.unique(keys)
+
+    def outside(self, other: "AutomorphismSet") -> np.ndarray:
+        """Mask over this set's members: True where the member is not in other."""
+        return ~_contains_rows(other._sorted_keys(), _row_keys(self.member_array()))
+
     def __contains__(self, f: LinearMap) -> bool:
-        return f.key() in self.member_keys()
+        query = np.array(f.matrix.rows, dtype=np.int64)[None]
+        return bool(_contains_rows(self._sorted_keys(), _row_keys(query))[0])
 
 
 def _row_keys(mats: np.ndarray) -> np.ndarray:
@@ -165,6 +175,86 @@ def _finish_set(algebra: LieAlgebra, kind: str, mats: np.ndarray) -> Automorphis
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _Level:
+    """Branch-independent solution of one level's system, as int64 arrays.
+
+    For a frontier whose rows flatten the images f(g_0), ..., f(g_{t-1}),
+    ``images @ linear + offset`` is (consistency residual | particular
+    point) of the level's system; a row is consistent when the residual
+    vanishes, and its solutions are the particular point plus every
+    combination of ``kernel``.
+    """
+
+    linear: np.ndarray  # (t * n, q + n)
+    offset: np.ndarray  # (q + n,)
+    checks: int  # q, the number of consistency rows
+    kernel: np.ndarray  # (k, n)
+
+
+def _level(system: Matrix, coset_rhs: np.ndarray, bracket: np.ndarray, t: int, p: int) -> _Level:
+    """Row-reduce level t's system once and fold its right-hand side in.
+
+    The right-hand side is the constant ``coset_rhs`` on the coset rows,
+    zero on the [w, g_t] rows, and -[f(g_s), g_t] on the rows for each
+    earlier generator g_s, which is linear in the earlier images:
+    [f(g_s), g_t] = f(g_s) @ bracket with bracket = T[:, g_t, :].
+    """
+    ops = affine_operators(system)
+    m, n = system.nrows, system.ncols
+    c = len(coset_rhs)
+    K = np.array(ops.consistency.rows, dtype=np.int64).reshape(-1, m)
+    P = np.array(ops.particular.rows, dtype=np.int64).reshape(n, m)
+    KP = np.concatenate([K, P])  # (q + n, m)
+    neg = -bracket % p
+    linear = [neg @ KP[:, c + n * (s + 1) : c + n * (s + 2)].T % p for s in range(t)]
+    return _Level(
+        np.concatenate(linear) if linear else np.zeros((0, len(KP)), dtype=np.int64),
+        KP[:, :c] @ coset_rhs % p,
+        len(K),
+        np.array(ops.homogeneous.basis.rows, dtype=np.int64).reshape(-1, n),
+    )
+
+
+def _span_points(basis: np.ndarray, p: int, start: int, stop: int) -> np.ndarray:
+    """Combinations start..stop-1 of the basis rows, first coefficient slowest."""
+    idx = np.arange(start, stop, dtype=np.int64)
+    coeffs = np.empty((len(idx), len(basis)), dtype=np.int64)
+    for i in range(len(basis) - 1, -1, -1):
+        coeffs[:, i] = idx % p
+        idx //= p
+    return coeffs @ basis % p
+
+
+def _frontier_blocks(levels: list, p: int, n: int, frontier: np.ndarray):
+    """Every consistent generator assignment, as (B, r, n) blocks of at most CHUNK rows.
+
+    Each level maps a (B, t, n) frontier to its (B', t + 1, n) children
+    with one matmul, a consistency mask and a broadcast add of the kernel
+    points; blocks go depth first, so only one block per level is alive.
+    """
+    t = frontier.shape[1]
+    if t == len(levels):
+        yield frontier
+        return
+    lv = levels[t]
+    solved = (frontier.reshape(len(frontier), t * n) @ lv.linear + lv.offset) % p
+    consistent = ~solved[:, : lv.checks].any(axis=1)
+    frontier = frontier[consistent]
+    particular = solved[consistent, lv.checks :]
+    width = p ** len(lv.kernel)
+    for q0 in range(0, width, CHUNK):
+        points = _span_points(lv.kernel, p, q0, min(width, q0 + CHUNK))
+        step = max(1, CHUNK // len(points))
+        for b0 in range(0, len(frontier), step):
+            parents = frontier[b0 : b0 + step]
+            images = (particular[b0 : b0 + step, None, :] + points[None]) % p
+            children = np.concatenate(
+                [np.repeat(parents, len(points), axis=0), images.reshape(-1, 1, n)], axis=1
+            )
+            yield from _frontier_blocks(levels, p, n, children)
+
+
 def enumerate_commuting(algebra: LieAlgebra, budget: int = DEFAULT_BUDGET) -> AutomorphismSet:
     """The exact set of commuting automorphisms of a nilpotent algebra over F_p."""
     field = algebra.field
@@ -181,90 +271,53 @@ def enumerate_commuting(algebra: LieAlgebra, budget: int = DEFAULT_BUDGET) -> Au
     gens = pres.generators
     r = len(gens)
     z2 = algebra.second_center()
-    coset_rows = None if z2.is_full() else z2.annihilator()
-    ad = {g: algebra.ad_matrix(g) for g in gens}
-    derived = algebra.derived()
-
-    # Per-level homogeneous systems; kernels are branch independent.
-    level_rows = []
-    level_kernel_dim = []
-    for t in range(r):
-        rows = []
-        if coset_rows is not None:
-            rows.extend(coset_rows.rows)
-        rows.extend(ad[gens[t]].rows)
-        for s in range(t):
-            rows.extend(ad[gens[s]].rows)
-        h = Matrix(field, tuple(rows))
-        level_rows.append(h)
-        level_kernel_dim.append(kernel(h).dim)
+    coset_rows = () if z2.is_full() else z2.annihilator().rows
+    ad = [algebra.ad_matrix(g).rows for g in gens]
+    # level t solves for w = f(g_t): C w = C g_t on the coset rows C, then
+    # [w, g_t] = 0, then [w, g_s] = -[f(g_s), g_t] for each s < t
+    systems = [Matrix(field, coset_rows + ad[t] + sum(ad[:t], ())) for t in range(r)]
+    widths = [kernel(h).dim for h in systems]
 
     projected = 1
-    for k in level_kernel_dim:
+    for k in widths:
         projected *= p**k
     if projected > budget:
-        widths = " x ".join(f"p^{k}" for k in level_kernel_dim)
-        raise BudgetExceededError(budget, projected, f"level widths {widths}")
+        shown = " x ".join(f"p^{k}" for k in widths)
+        raise BudgetExceededError(budget, projected, f"level widths {shown}")
 
-    gen_vectors = [basis_vec(field, n, g) for g in gens]
+    T = modp.structure_tensor(algebra)
+    coset_cols = np.array(coset_rows, dtype=np.int64).reshape(-1, n)
+    levels = [
+        _level(systems[t], coset_cols[:, gens[t]], T[:, gens[t], :], t, p) for t in range(r)
+    ]
 
-    def level_rhs(t: int, images: list) -> tuple:
-        rhs = []
-        if coset_rows is not None:
-            rhs.extend(coset_rows.apply(gen_vectors[t]))
-        rhs.extend(zero_vec(field, n))
-        for s in range(t):
-            b = algebra.bracket(images[s], gen_vectors[t])
-            rhs.extend(scale_vec(field, field.neg(field.one), b))
-        return tuple(rhs)
-
-    assignments = []
-    count = 0
-
-    def dfs(t: int, images: list, span: Subspace):
-        nonlocal count
-        if t == r:
-            count += 1
-            if count > budget:
-                raise BudgetExceededError(budget, count, "live assignment count")
-            assignments.append(tuple(images))
-            return
-        sol = solve_affine(level_rows[t], level_rhs(t, images))
-        if sol is None:
-            return
-        for w in solution_points(sol):
-            # generator images must stay independent modulo L'
-            grown = Subspace.from_vectors(field, n, span.basis.rows + (w,))
-            if grown.dim == span.dim:
-                continue
-            images.append(w)
-            dfs(t + 1, images, grown)
-            images.pop()
-
-    dfs(0, [], derived)
-
-    return _finish_set(algebra, "commuting", _filter_assignments(algebra, pres, assignments))
+    # generator images must be independent modulo L': their projections
+    # to L/L' (through the annihilator of L') form an invertible r x r matrix
+    to_quotient = modp.subspace_constraints(algebra.derived())  # (r, n)
+    kept = [np.zeros((0, n, n), dtype=np.int64)]
+    for block in _frontier_blocks(levels, p, n, np.zeros((1, 0, n), dtype=np.int64)):
+        block = block[modp.batch_invertible(block @ to_quotient.T % p, p)]
+        if len(block):
+            kept.append(_filter_assignments(algebra, pres, block))
+    return _finish_set(algebra, "commuting", np.concatenate(kept))
 
 
 def _filter_assignments(algebra: LieAlgebra, pres, assignments) -> np.ndarray:
-    """Extend generator assignments to full maps; keep genuine members.
+    """Extend (B, r, n) generator assignments to full maps; keep genuine members.
 
     Returns the kept matrices as a (B, n, n) int64 array.
     """
     p = algebra.field.p
     n = algebra.dim
-    if not assignments:
-        return np.zeros((0, n, n), dtype=np.int64)
+    arr = np.asarray(assignments, dtype=np.int64).reshape(-1, len(pres.generators), n)
     T = modp.structure_tensor(algebra)
     binv = invert(pres.basis_matrix)
     assert binv is not None
     binv_np = modp.matrix_to_array(binv)
 
-    arr = np.array(assignments, dtype=np.int64)  # (B, r, n)
-    kept = []
-    chunk = 65536
-    for start in range(0, arr.shape[0], chunk):
-        block = arr[start : start + chunk]
+    kept = [np.zeros((0, n, n), dtype=np.int64)]
+    for start in range(0, arr.shape[0], CHUNK):
+        block = arr[start : start + CHUNK]
         values = []
         gi = 0
         for step in pres.steps:
@@ -289,22 +342,6 @@ def _filter_assignments(algebra: LieAlgebra, pres, assignments) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _complement_mod_derived(algebra: LieAlgebra) -> list:
-    """Lexicographically first basis indices independent modulo L'."""
-    span = algebra.derived()
-    out = []
-    for i in range(algebra.dim):
-        if span.is_full():
-            break
-        grown = Subspace.from_vectors(
-            algebra.field, algebra.dim, span.basis.rows + (basis_vec(algebra.field, algebra.dim, i),)
-        )
-        if grown.dim > span.dim:
-            out.append(i)
-            span = grown
-    return out
-
-
 def enumerate_central(algebra: LieAlgebra, budget: int = DEFAULT_BUDGET) -> AutomorphismSet:
     """Aut_c(L) = {id + phi : phi(L) in Z(L), phi(L') = 0, id + phi invertible}.
 
@@ -319,7 +356,7 @@ def enumerate_central(algebra: LieAlgebra, budget: int = DEFAULT_BUDGET) -> Auto
     n = algebra.dim
     center = algebra.center()
     derived = algebra.derived()
-    comp = _complement_mod_derived(algebra)
+    comp = algebra.generator_indices()
     r = len(comp)
     d = center.dim
     count = p ** (d * r)
@@ -444,137 +481,92 @@ def _make_witness(algebra, members, fi, gi) -> ClosureWitness:
     return ClosureWitness(f, g, fi, gi, x, residual)
 
 
-def closure_check(
-    aset: AutomorphismSet, exhaustive: bool = False, pair_budget: int = PAIR_BUDGET
-) -> ClosureVerdict:
+def closure_check(aset: AutomorphismSet, exhaustive: bool = False) -> ClosureVerdict:
     """Decide whether the commuting set is closed under composition.
 
-    Ordered pairs (f, g) are tested via commuting_defect(g o f); the first
-    failing pair in canonical member order is the witness.  Because the
-    commuting condition is linear in the matrix of g o f, and that matrix
-    is bilinear in (g, f), closure over the whole set is equivalent to
-    closure over ordered pairs drawn from members spanning the set's linear
-    span.  Large sets are decided that way; the witness, if any, is then
-    located by the ordered scan so the reported pair stays canonical.
+    The witness, when there is one, is the first ordered pair (f, g) in
+    canonical member order whose composition g o f does not commute.
+
+    By default both come from the d <= n^2 members that span the set's
+    linear span, picked greedily in canonical order (each member that is
+    not a combination of the ones before it).  The commuting defect of
+    g o f is linear in g and linear in f, so:
+
+      * the set is closed exactly when all d^2 ordered pairs of
+        representatives compose to commuting maps;
+      * the witness's f is a representative: were it a combination of
+        earlier members, which all pass against every g, it would pass too.
+        Likewise its g is a representative, so the witness is the first
+        failing pair of the d x d check.
+
+    ``pair_count`` is the number of compositions tested, d^2.
+    ``exhaustive=True`` is the plain ordered scan over all N^2 pairs
+    instead, the reference the span method is tested against.
     """
     if aset.kind != "commuting":
         raise ValueError("closure_check applies to commuting sets")
     algebra = aset.algebra
-    members = aset.members
-    n_members = len(members)
-    if n_members == 0:
-        return ClosureVerdict(True, None, 0, "pairs")
-
     if not algebra.field.is_prime:
-        return _closure_pairs_exact(aset, exhaustive)
+        raise ValueError("closure check needs a prime field")
+    if not aset.members:
+        return ClosureVerdict(True, None, 0, "pairs")
+    if exhaustive:
+        return _closure_pairs(aset)
 
-    if exhaustive or n_members * n_members <= pair_budget:
-        return _closure_pairs(aset, exhaustive)
-
-    # span reduction
     p = algebra.field.p
+    n = algebra.dim
     T = modp.structure_tensor(algebra)
     arr = aset.member_array()
     reps = _spanning_member_indices(arr, p)
+    d = len(reps)
     rep_arr = arr[reps]
-    bad = None
-    for a, fi in enumerate(reps):
-        comps = np.matmul(rep_arr, arr[fi]) % p  # g o f for all rep g
-        ok = modp.batch_is_commuting(comps, T, p)
-        if not ok.all():
-            bad = (fi, reps[int(np.argmin(ok))])
-            break
-    pair_count = len(reps) * len(reps)
-    if bad is None:
-        return ClosureVerdict(True, None, pair_count, "span")
-    # not closed: recover the canonical first witness by the ordered scan
-    verdict = _closure_pairs(aset, exhaustive=False, pair_budget=pair_budget)
-    if not verdict.closed:
-        return ClosureVerdict(False, verdict.witness, verdict.pair_count, "span")
-    witness = _make_witness(algebra, members, bad[0], bad[1])
-    return ClosureVerdict(False, witness, pair_count, "span")
+    comps = np.matmul(rep_arr[None], rep_arr[:, None]) % p  # [a, b] = rep_b o rep_a
+    ok = modp.batch_is_commuting(comps.reshape(d * d, n, n), T, p).reshape(d, d)
+    if ok.all():
+        return ClosureVerdict(True, None, d * d, "span")
+    a = int(np.argmin(ok.all(axis=1)))
+    witness = _make_witness(algebra, aset.members, reps[a], reps[int(np.argmin(ok[a]))])
+    return ClosureVerdict(False, witness, d * d, "span")
 
 
-def _closure_pairs(
-    aset: AutomorphismSet, exhaustive: bool, pair_budget: Optional[int] = None
-) -> ClosureVerdict:
+def _closure_pairs(aset: AutomorphismSet) -> ClosureVerdict:
+    """Every ordered pair, f outer and g inner in canonical order."""
     algebra = aset.algebra
     members = aset.members
     p = algebra.field.p
     T = modp.structure_tensor(algebra)
     arr = aset.member_array()
-    n_members = len(members)
     first = None
-    checked = 0
-    for fi in range(n_members):
-        comps = np.matmul(arr, arr[fi]) % p
-        ok = modp.batch_is_commuting(comps, T, p)
-        if ok.all():
-            checked += n_members
-        else:
-            gi = int(np.argmin(ok))
-            checked += gi + 1
-            if first is None:
-                first = (fi, gi)
-            if not exhaustive:
-                witness = _make_witness(algebra, members, fi, gi)
-                return ClosureVerdict(False, witness, checked, "pairs")
-            checked += n_members - gi - 1
-        if pair_budget is not None and checked > pair_budget and first is None:
-            # caller falls back to a non-canonical witness
-            return ClosureVerdict(True, None, checked, "pairs")
+    for fi in range(len(members)):
+        ok = modp.batch_is_commuting(np.matmul(arr, arr[fi]) % p, T, p)
+        if first is None and not ok.all():
+            first = (fi, int(np.argmin(ok)))
+    pair_count = len(members) * len(members)
     if first is None:
-        return ClosureVerdict(True, None, checked, "pairs")
-    witness = _make_witness(algebra, members, first[0], first[1])
-    return ClosureVerdict(False, witness, n_members * n_members, "pairs")
-
-
-def _closure_pairs_exact(aset: AutomorphismSet, exhaustive: bool) -> ClosureVerdict:
-    """Pure-field fallback (rationals); small sets only."""
-    algebra = aset.algebra
-    members = aset.members
-    first = None
-    checked = 0
-    for fi, f in enumerate(members):
-        for gi, g in enumerate(members):
-            checked += 1
-            defect = commuting_defect(algebra, compose(g, f))
-            if not defect.clean:
-                if first is None:
-                    first = (fi, gi)
-                if not exhaustive:
-                    witness = _make_witness(algebra, members, fi, gi)
-                    return ClosureVerdict(False, witness, checked, "pairs")
-    if first is None:
-        return ClosureVerdict(True, None, checked, "pairs")
-    witness = _make_witness(algebra, members, first[0], first[1])
-    return ClosureVerdict(False, witness, checked, "pairs")
+        return ClosureVerdict(True, None, pair_count, "pairs")
+    return ClosureVerdict(False, _make_witness(algebra, members, *first), pair_count, "pairs")
 
 
 def _spanning_member_indices(arr: np.ndarray, p: int) -> list:
-    """Indices of members (canonical order) spanning the set's linear span."""
-    n_members = arr.shape[0]
-    dim = arr.shape[1] * arr.shape[2]
-    rows = np.zeros((0, dim), dtype=np.int64)
-    pivots: list = []
-    reps = []
+    """Indices of members (canonical order) spanning the set's linear span.
+
+    Picking each member that is independent of the ones before it keeps
+    exactly the pivot columns of the (n^2, N) matrix whose columns are the
+    members, so one forward elimination finds them all.
+    """
+    A = arr.reshape(len(arr), -1).T % p
     inv = modp.inverse_table(p)
-    for i in range(n_members):
-        v = arr[i].reshape(dim) % p
-        # eliminate against current rows
-        for row, piv in zip(rows, pivots):
-            if v[piv]:
-                v = (v - v[piv] * row) % p
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
-            continue
-        piv = int(nz[0])
-        v = (v * int(inv[v[piv]])) % p
-        rows = np.vstack([rows, v])
-        pivots.append(piv)
-        reps.append(i)
-        if len(reps) == dim:
+    reps = []
+    for row in range(A.shape[0]):
+        live = A[row:].any(axis=0)
+        if not live.any():
             break
+        c = int(np.argmax(live))
+        piv = row + int(np.argmax(A[row:, c] != 0))
+        A[[row, piv], c:] = A[[piv, row], c:]
+        A[row, c:] = A[row, c:] * inv[A[row, c]] % p
+        A[row + 1 :, c:] = (A[row + 1 :, c:] - A[row + 1 :, c : c + 1] * A[row, c:]) % p
+        reps.append(c)
     return reps
 
 
@@ -592,10 +584,10 @@ def sets_equal(a: AutomorphismSet, b: AutomorphismSet) -> EqualityReport:
     """Canonical-order comparison with up to 5 one-sided witnesses per side."""
     if a.algebra != b.algebra:
         raise ValueError("sets_equal needs sets over the same algebra")
-    keys_a = a.member_keys()
-    keys_b = b.member_keys()
-    if keys_a == keys_b:
+    out_a = a.outside(b)
+    out_b = b.outside(a)
+    if not (out_a.any() or out_b.any()):
         return EqualityReport(True, (), ())
-    only_a = tuple(m for m in a.members if m.key() not in keys_b)[:5]
-    only_b = tuple(m for m in b.members if m.key() not in keys_a)[:5]
+    only_a = tuple(a.members[i] for i in np.flatnonzero(out_a)[:5])
+    only_b = tuple(b.members[i] for i in np.flatnonzero(out_b)[:5])
     return EqualityReport(False, only_a, only_b)

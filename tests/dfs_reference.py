@@ -1,0 +1,88 @@
+"""The recursive generator-image DFS, kept as a reference for the tests.
+
+This is the commuting enumerator as it was before the frontier rewrite:
+one ``solve_affine`` per branch and one ``Subspace.from_vectors`` per
+candidate image to test independence modulo L'.  With
+``prune_second_center=False`` it also drops the rows that confine f(g)
+to the coset g + Z_2(L), so it checks that lemma instead of relying on
+it.  Completed assignments go through the library's own extension filter
+and canonicalisation, so the two enumerators differ only in the search.
+"""
+
+from coclass_lab.linalg import (
+    Matrix,
+    Subspace,
+    basis_vec,
+    kernel,
+    scale_vec,
+    solution_points,
+    solve_affine,
+    zero_vec,
+)
+from coclass_lab.search import BudgetExceededError, _filter_assignments, _finish_set
+
+
+def projected_count(algebra, prune_second_center: bool = True) -> int:
+    return _plan(algebra, prune_second_center)[2]
+
+
+def _plan(algebra, prune_second_center: bool):
+    field = algebra.field
+    gens = algebra.generator_presentation().generators
+    z2 = algebra.second_center()
+    coset_rows = None if z2.is_full() or not prune_second_center else z2.annihilator()
+    level_rows = []
+    projected = 1
+    for t in range(len(gens)):
+        rows = []
+        if coset_rows is not None:
+            rows.extend(coset_rows.rows)
+        for s in (t,) + tuple(range(t)):
+            rows.extend(algebra.ad_matrix(gens[s]).rows)
+        h = Matrix(field, tuple(rows))
+        level_rows.append(h)
+        projected *= field.p ** kernel(h).dim
+    return coset_rows, level_rows, projected
+
+
+def enumerate_commuting(algebra, budget: int, prune_second_center: bool = True):
+    field = algebra.field
+    n = algebra.dim
+    pres = algebra.generator_presentation()
+    gens = pres.generators
+    r = len(gens)
+    coset_rows, level_rows, projected = _plan(algebra, prune_second_center)
+    if projected > budget:
+        raise BudgetExceededError(budget, projected, "reference DFS")
+    gen_vectors = [basis_vec(field, n, g) for g in gens]
+
+    def level_rhs(t: int, images: list) -> tuple:
+        rhs = []
+        if coset_rows is not None:
+            rhs.extend(coset_rows.apply(gen_vectors[t]))
+        rhs.extend(zero_vec(field, n))
+        for s in range(t):
+            b = algebra.bracket(images[s], gen_vectors[t])
+            rhs.extend(scale_vec(field, field.neg(field.one), b))
+        return tuple(rhs)
+
+    assignments = []
+
+    def dfs(t: int, images: list, span: Subspace):
+        if t == r:
+            assignments.append(tuple(images))
+            return
+        sol = solve_affine(level_rows[t], level_rhs(t, images))
+        if sol is None:
+            return
+        for w in solution_points(sol):
+            # generator images must stay independent modulo L'
+            grown = Subspace.from_vectors(field, n, span.basis.rows + (w,))
+            if grown.dim == span.dim:
+                continue
+            images.append(w)
+            dfs(t + 1, images, grown)
+            images.pop()
+
+    dfs(0, [], algebra.derived())
+    return _finish_set(algebra, "commuting", _filter_assignments(algebra, pres, assignments))

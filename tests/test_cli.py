@@ -109,6 +109,15 @@ def test_check_subgroup_witness_output(capsys):
     assert payload["witness"]["vector"] == [1, 0, 0, 0, 0]
 
 
+def test_check_subgroup_counts_composed_pairs(capsys):
+    # a closed set is decided on its 8 spanning members: 8^2 compositions, not 972^2
+    code, out, _ = run(capsys, "--format", "json", "check-subgroup", "heisenberg:1:2", "--p", "3")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["closed"] is True and payload["size"] == 972
+    assert payload["pair_count"] == 64
+
+
 def test_invariants_builtin_json(capsys):
     code, out, _ = run(capsys, "--format", "json", "invariants", "builtin:heisenberg:2:1", "--p", "3")
     assert code == 0

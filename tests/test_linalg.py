@@ -8,6 +8,7 @@ from coclass_lab.fields import FieldSpec
 from coclass_lab.linalg import (
     Matrix,
     Subspace,
+    affine_operators,
     invert,
     is_invertible,
     kernel,
@@ -248,3 +249,34 @@ def test_solve_affine_agrees_with_enumeration_dim3():
                     v = [(x + c * y) % 3 for x, y in zip(v, h)]
                 got.add(tuple(v))
             assert got == expected
+
+
+def _consistent(ops, b) -> bool:
+    # a full-rank system has no consistency rows (an empty Matrix has no width)
+    return not ops.consistency.rows or not any(ops.consistency.apply(b))
+
+
+def test_affine_operators_agree_with_solve_affine():
+    # every 2x3 system over F3 against every right-hand side
+    for rows in product(all_vectors(3, 3), repeat=2):
+        m = Matrix.from_rows(F3, rows)
+        ops = affine_operators(m)
+        for b in all_vectors(3, 2):
+            sol = solve_affine(m, b)
+            assert (sol is not None) == _consistent(ops, b)
+            if sol is not None:
+                assert ops.particular.apply(b) == sol.particular
+                assert ops.homogeneous == sol.homogeneous
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3), min_size=1, max_size=4),
+       st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+def test_affine_operators_over_q(rows, rhs):
+    m = Matrix.from_rows(Q, rows)
+    b = tuple(Fraction(x) for x in rhs[: len(rows)])
+    ops = affine_operators(m)
+    sol = solve_affine(m, b)
+    assert (sol is not None) == _consistent(ops, b)
+    if sol is not None:
+        assert ops.particular.apply(b) == sol.particular

@@ -208,6 +208,14 @@ def test_dim5_not_closed_with_replayable_witness(sets):
     assert any(w.residual)
 
 
+def test_closure_needs_prime_field():
+    from coclass_lab.search import AutomorphismSet
+
+    L = filiform(4, Q)
+    with pytest.raises(ValueError, match="prime"):
+        closure_check(AutomorphismSet(L, "commuting", (LinearMap.identity(L),)))
+
+
 def test_closure_kind_guard():
     central = enumerate_central(filiform(4, F3))
     with pytest.raises(ValueError):
@@ -215,16 +223,21 @@ def test_closure_kind_guard():
 
 
 def test_span_and_pairs_methods_agree(sets):
-    h11 = sets("h11", lambda: heisenberg(1, 1, F3))
-    pairs = closure_check(h11, pair_budget=10**9)
-    span = closure_check(h11, pair_budget=1)
-    assert pairs.method == "pairs" and span.method == "span"
-    assert pairs.closed and span.closed
+    from coclass_lab.search import AutomorphismSet
 
+    h11 = sets("h11", lambda: heisenberg(1, 1, F3))
     dim5 = sets("dim5", lambda: dim5_example(F3))
-    span5 = closure_check(dim5, pair_budget=1)
-    assert not span5.closed
-    assert span5.witness is not None
+    # a hand-built prefix of the dim-5 set that holds its first failing pair
+    prefix = AutomorphismSet(dim5.algebra, "commuting", dim5.members[:120])
+    for aset, closed in ((h11, True), (prefix, False)):
+        span = closure_check(aset)
+        pairs = closure_check(aset, exhaustive=True)
+        assert span.method == "span" and pairs.method == "pairs"
+        assert span.closed == pairs.closed == closed
+        if not closed:
+            assert span.witness.f_index == pairs.witness.f_index
+            assert span.witness.g_index == pairs.witness.g_index
+            assert span.witness.vector == pairs.witness.vector
 
 
 def test_exhaustive_flag_counts_all_pairs(sets):
