@@ -302,7 +302,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (CatalogError, FieldError, NonNilpotentError, ValueError) as exc:
+    except (CatalogError, FieldError, NonNilpotentError, ValueError, OSError) as exc:
         parser.exit(EXIT_USAGE, f"error: {exc}\n")
         return EXIT_USAGE
 

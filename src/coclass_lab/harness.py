@@ -34,7 +34,9 @@ from .search import (
     EqualityReport,
     closure_check,
     enumerate_central,
+    enumerate_central_bruteforce,
     enumerate_commuting,
+    enumerate_commuting_bruteforce,
     gl_order,
     sets_equal,
 )
@@ -260,13 +262,6 @@ def _abelian_summary(algebra: LieAlgebra) -> EnumerationSummary:
     )
 
 
-def enumerate_pair(algebra: LieAlgebra, budget: int):
-    """(commuting set, central set) under one budget; may raise or short-circuit."""
-    commuting = enumerate_commuting(algebra, budget=budget)
-    central = enumerate_central(algebra, budget=budget)
-    return commuting, central
-
-
 def summarize_enumeration(
     algebra: LieAlgebra, commuting: AutomorphismSet, central: AutomorphismSet
 ) -> EnumerationSummary:
@@ -291,21 +286,30 @@ def verify(
     name: str = "",
 ) -> VerdictReport:
     """Profile, predict, and (budget permitting) confront with enumeration."""
+    return _verify(algebra, with_enumeration, budget, name)[0]
+
+
+def _verify(algebra: LieAlgebra, with_enumeration: bool, budget: int, name: str) -> tuple:
+    """verify's report, then the commuting and central sets it enumerated (or None, None)."""
     prof = profile(algebra)
     pred = predict(prof)
+    commuting = central = summary = reason = None
     if not with_enumeration:
-        return VerdictReport(name, prof, pred, None, "enumeration disabled", True)
-    if not algebra.field.is_prime:
-        return VerdictReport(name, prof, pred, None, "enumeration needs a prime field", True)
-    try:
-        commuting, central = enumerate_pair(algebra, budget)
-    except AbelianShortCircuit:
-        summary = _abelian_summary(algebra)
-        return VerdictReport(name, prof, pred, summary, None, _consistency(pred.verdict, summary))
-    except BudgetExceededError as exc:
-        return VerdictReport(name, prof, pred, None, f"unverified: {exc}", True)
-    summary = summarize_enumeration(algebra, commuting, central)
-    return VerdictReport(name, prof, pred, summary, None, _consistency(pred.verdict, summary))
+        reason = "enumeration disabled"
+    elif not algebra.field.is_prime:
+        reason = "enumeration needs a prime field"
+    else:
+        try:
+            commuting = enumerate_commuting(algebra, budget=budget)
+            central = enumerate_central(algebra, budget=budget)
+        except AbelianShortCircuit:
+            summary = _abelian_summary(algebra)
+        except BudgetExceededError as exc:
+            commuting, reason = None, f"unverified: {exc}"
+    if commuting is not None:
+        summary = summarize_enumeration(algebra, commuting, central)
+    consistent = summary is None or _consistency(pred.verdict, summary)
+    return VerdictReport(name, prof, pred, summary, reason, consistent), commuting, central
 
 
 # ---------------------------------------------------------------------------
@@ -639,27 +643,12 @@ def run_suite(p: int = 3, budget: int = SUITE_BUDGET) -> SuiteReport:
     oracle_skipped = []
     for entry in entries:
         alg = entry.algebra
-        prof = profile(alg)
-        pred = predict(prof)
-        try:
-            commuting, central = enumerate_pair(alg, budget)
-        except AbelianShortCircuit:
-            summary = _abelian_summary(alg)
-            verdicts.append(
-                VerdictReport(entry.name, prof, pred, summary, None, _consistency(pred.verdict, summary))
-            )
+        report, commuting, central = _verify(alg, True, budget, entry.name)
+        verdicts.append(report)
+        if commuting is None:
             continue
-        except BudgetExceededError as exc:
-            verdicts.append(VerdictReport(entry.name, prof, pred, None, f"unverified: {exc}", True))
-            continue
-        summary = summarize_enumeration(alg, commuting, central)
-        verdicts.append(
-            VerdictReport(entry.name, prof, pred, summary, None, _consistency(pred.verdict, summary))
-        )
         identity_counts[entry.name] = identity_suite_batch(alg, commuting.member_array())
         if alg.dim <= 3:
-            from .search import enumerate_commuting_bruteforce, enumerate_central_bruteforce
-
             try:
                 brute_c = enumerate_commuting_bruteforce(alg)
                 brute_z = enumerate_central_bruteforce(alg)

@@ -356,6 +356,15 @@ def identity_suite_batch(algebra: LieAlgebra, mats: np.ndarray, chunk: int = 204
     included, where :func:`lemma_identity_suite` lists unordered ones.
     Only zero versus nonzero is comparable between the two.
 
+    The family is decided on the d <= n^2 members whose displacements
+    D = F - I span all of them.  Each residue is linear in D (``bracket_swap``
+    is linear in F and vanishes at F = I, ``center_preserved`` is
+    C_Z F z = C_Z D z as C_Z z = 0, the rest are built from D), so it
+    vanishes on the batch when it vanishes on those members; only a nonzero
+    count sends every member through the sweep, so counts stay exact.  Spanning
+    F would not do: a residue is only affine in F, so on [I, 2I] the member I
+    spans every F and passes while 2I, whose displacement is I, can fail.
+
     Every bracket tensor is built from U[b,i,l,:] = [d_i, e_l] (d_i the
     displacement f(e_i) - e_i) by one more two-operand contraction with
     the structure tensor, each step reduced mod p:
@@ -368,6 +377,15 @@ def identity_suite_batch(algebra: LieAlgebra, mats: np.ndarray, chunk: int = 204
     p = algebra.field.p
     if not p:
         raise ValueError("batch suite needs a prime field")
+    n = algebra.dim
+    displacements = (mats - np.eye(n, dtype=np.int64)).reshape(len(mats), n * n)
+    counts = _identity_counts(algebra, mats[modp.spanning_rows(displacements, p)], chunk)
+    return _identity_counts(algebra, mats, chunk) if any(counts.values()) else counts
+
+
+def _identity_counts(algebra: LieAlgebra, mats: np.ndarray, chunk: int) -> dict:
+    """The chunked sweep of :func:`identity_suite_batch` over every member."""
+    p = algebra.field.p
     T = modp.structure_tensor(algebra)
     n = algebra.dim
     eye = np.eye(n, dtype=np.int64)

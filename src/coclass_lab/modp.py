@@ -50,6 +50,28 @@ def subspace_constraints(s) -> np.ndarray:
     return matrix_to_array(ann)
 
 
+def spanning_rows(rows: np.ndarray, p: int) -> list:
+    """Indices of the rows of an (N, m) array that span its row space mod p.
+
+    Each row that is not a combination of earlier rows is kept: the pivot
+    columns of one forward elimination of the (m, N) transpose.
+    """
+    A = rows.T % p
+    inv = inverse_table(p)
+    picked = []
+    for row in range(A.shape[0]):
+        live = A[row:].any(axis=0)
+        if not live.any():
+            break
+        c = int(np.argmax(live))
+        piv = row + int(np.argmax(A[row:, c] != 0))
+        A[[row, piv], c:] = A[[piv, row], c:]
+        A[row, c:] = A[row, c:] * inv[A[row, c]] % p
+        A[row + 1 :, c:] = (A[row + 1 :, c:] - A[row + 1 :, c : c + 1] * A[row, c:]) % p
+        picked.append(c)
+    return picked
+
+
 def batch_invertible(mats: np.ndarray, p: int) -> np.ndarray:
     """Boolean mask of invertibility for a (B, n, n) batch, Gaussian mod p."""
     A = (mats % p).astype(np.int64).copy()

@@ -31,6 +31,7 @@ no later count can pass it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -88,43 +89,52 @@ def gl_order(p: int, n: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AutomorphismSet:
-    """A finite, canonically ordered set of automorphisms of one algebra."""
+    """A finite, canonically ordered set of automorphisms of one algebra.
+
+    Stored once, as a read-only (B, n, n) int64 array of member matrices,
+    entries in [0, p), sorted in LinearMap.key() order without duplicates.
+    ``members`` builds the LinearMaps from its rows on first access;
+    verdicts build only the maps they return.  == compares members.
+    """
 
     algebra: LieAlgebra
     kind: str  # "commuting" | "central" | "full"
-    members: tuple
-    # the members as a read-only (B, n, n) int64 array, when built from one
-    _array: Optional[np.ndarray] = dataclass_field(default=None, compare=False, repr=False)
+    _array: np.ndarray = dataclass_field(repr=False)
+
+    @cached_property
+    def members(self) -> tuple:
+        return _linear_maps(self.algebra, self._array)
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self._array)
 
     def member_keys(self) -> frozenset:
-        return frozenset(m.key() for m in self.members)
+        return frozenset(map(tuple, self._array.reshape(self.size, -1).tolist()))
 
     def member_array(self) -> np.ndarray:
-        if self._array is not None:
-            return self._array
-        n = self.algebra.dim
-        if not self.members:
-            return np.zeros((0, n, n), dtype=np.int64)
-        return np.array([[list(r) for r in m.matrix.rows] for m in self.members], dtype=np.int64)
-
-    def _sorted_keys(self) -> np.ndarray:
-        keys = _row_keys(self.member_array())
-        # a cached array is canonical (sorted, no duplicates) by construction
-        return keys if self._array is not None else np.unique(keys)
+        return self._array
 
     def outside(self, other: "AutomorphismSet") -> np.ndarray:
         """Mask over this set's members: True where the member is not in other."""
-        return ~_contains_rows(other._sorted_keys(), _row_keys(self.member_array()))
+        return ~_contains_rows(_row_keys(other._array), _row_keys(self._array))
 
     def __contains__(self, f: LinearMap) -> bool:
         query = np.array(f.matrix.rows, dtype=np.int64)[None]
-        return bool(_contains_rows(self._sorted_keys(), _row_keys(query))[0])
+        return bool(_contains_rows(_row_keys(self._array), _row_keys(query))[0])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AutomorphismSet):
+            return NotImplemented
+        same_kind = (self.algebra, self.kind) == (other.algebra, other.kind)
+        return same_kind and np.array_equal(self._array, other._array)
+
+
+def _linear_maps(algebra: LieAlgebra, mats: np.ndarray) -> tuple:
+    """LinearMaps of the rows of a (k, n, n) member array."""
+    return tuple(LinearMap(Matrix(algebra.field, tuple(map(tuple, m)))) for m in mats.tolist())
 
 
 def _row_keys(mats: np.ndarray) -> np.ndarray:
@@ -163,11 +173,7 @@ def _finish_set(algebra: LieAlgebra, kind: str, mats: np.ndarray) -> Automorphis
     if not (invertible.all() and _contains_rows(keys, _row_keys(inverses)).all()):
         raise AssertionError(f"{kind} enumeration is not closed under inverse")
     arr.flags.writeable = False
-    fld = algebra.field
-    members = tuple(
-        LinearMap(Matrix(fld, tuple(tuple(row) for row in mat))) for mat in arr.tolist()
-    )
-    return AutomorphismSet(algebra, kind, members, arr)
+    return AutomorphismSet(algebra, kind, arr)
 
 
 # ---------------------------------------------------------------------------
@@ -406,48 +412,33 @@ def _all_matrices(p: int, n: int, limit: int) -> np.ndarray:
 
 def enumerate_aut_bruteforce(algebra: LieAlgebra, limit: int = BRUTE_FORCE_LIMIT) -> AutomorphismSet:
     """Ground truth: filter all p^(n^2) matrices by the automorphism predicate."""
-    field = algebra.field
-    if not field.is_prime:
+    return _bruteforce(algebra, "full", limit)
+
+
+def enumerate_commuting_bruteforce(algebra: LieAlgebra, limit: int = BRUTE_FORCE_LIMIT) -> AutomorphismSet:
+    return _bruteforce(algebra, "commuting", limit)
+
+
+def enumerate_central_bruteforce(algebra: LieAlgebra, limit: int = BRUTE_FORCE_LIMIT) -> AutomorphismSet:
+    return _bruteforce(algebra, "central", limit)
+
+
+def _bruteforce(algebra: LieAlgebra, kind: str, limit: int) -> AutomorphismSet:
+    """The automorphisms among all p^(n^2) matrices, then the kind's own mask."""
+    if not algebra.field.is_prime:
         raise ValueError("brute force needs a prime field")
-    p = field.p
-    mats = _all_matrices(p, algebra.dim, limit)
-    T = modp.structure_tensor(algebra)
-    mask = modp.batch_invertible(mats, p)
-    mask &= modp.batch_is_homomorphism(mats, T, p)
-    return _finish_set(algebra, "full", mats[mask])
-
-
-def enumerate_commuting_bruteforce(
-    algebra: LieAlgebra, limit: int = BRUTE_FORCE_LIMIT
-) -> AutomorphismSet:
-    field = algebra.field
-    if not field.is_prime:
-        raise ValueError("brute force needs a prime field")
-    p = field.p
-    mats = _all_matrices(p, algebra.dim, limit)
-    T = modp.structure_tensor(algebra)
-    mask = modp.batch_invertible(mats, p)
-    mask &= modp.batch_is_homomorphism(mats, T, p)
-    mask &= modp.batch_is_commuting(mats, T, p)
-    return _finish_set(algebra, "commuting", mats[mask])
-
-
-def enumerate_central_bruteforce(
-    algebra: LieAlgebra, limit: int = BRUTE_FORCE_LIMIT
-) -> AutomorphismSet:
-    field = algebra.field
-    if not field.is_prime:
-        raise ValueError("brute force needs a prime field")
-    p = field.p
-    n = algebra.dim
+    p, n = algebra.field.p, algebra.dim
     mats = _all_matrices(p, n, limit)
     T = modp.structure_tensor(algebra)
+    S = modp.batch_commuting_form(mats, T, p)
     mask = modp.batch_invertible(mats, p)
-    mask &= modp.batch_is_homomorphism(mats, T, p)
-    cz = modp.subspace_constraints(algebra.center())
-    disp = (mats - np.eye(n, dtype=np.int64)) % p
-    mask &= modp.batch_in_subspace(disp, cz, p)
-    return _finish_set(algebra, "central", mats[mask])
+    mask &= modp.homomorphism_mask(mats, S, T, p)
+    if kind == "commuting":
+        mask &= modp.commuting_mask(S, p)
+    elif kind == "central":
+        disp = (mats - np.eye(n, dtype=np.int64)) % p
+        mask &= modp.batch_in_subspace(disp, modp.subspace_constraints(algebra.center()), p)
+    return _finish_set(algebra, kind, mats[mask])
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +464,8 @@ class ClosureVerdict:
     method: str
 
 
-def _make_witness(algebra, members, fi, gi) -> ClosureWitness:
-    f, g = members[fi], members[gi]
+def _make_witness(algebra, arr, fi, gi) -> ClosureWitness:
+    f, g = _linear_maps(algebra, arr[[fi, gi]])
     h = compose(g, f)
     defect = commuting_defect(algebra, h)
     x, residual = commuting_witness_vector(algebra, h, defect)
@@ -508,7 +499,7 @@ def closure_check(aset: AutomorphismSet, exhaustive: bool = False) -> ClosureVer
     algebra = aset.algebra
     if not algebra.field.is_prime:
         raise ValueError("closure check needs a prime field")
-    if not aset.members:
+    if not aset.size:
         return ClosureVerdict(True, None, 0, "pairs")
     if exhaustive:
         return _closure_pairs(aset)
@@ -517,7 +508,7 @@ def closure_check(aset: AutomorphismSet, exhaustive: bool = False) -> ClosureVer
     n = algebra.dim
     T = modp.structure_tensor(algebra)
     arr = aset.member_array()
-    reps = _spanning_member_indices(arr, p)
+    reps = modp.spanning_rows(arr.reshape(len(arr), n * n), p)
     d = len(reps)
     rep_arr = arr[reps]
     comps = np.matmul(rep_arr[None], rep_arr[:, None]) % p  # [a, b] = rep_b o rep_a
@@ -525,49 +516,25 @@ def closure_check(aset: AutomorphismSet, exhaustive: bool = False) -> ClosureVer
     if ok.all():
         return ClosureVerdict(True, None, d * d, "span")
     a = int(np.argmin(ok.all(axis=1)))
-    witness = _make_witness(algebra, aset.members, reps[a], reps[int(np.argmin(ok[a]))])
+    witness = _make_witness(algebra, arr, reps[a], reps[int(np.argmin(ok[a]))])
     return ClosureVerdict(False, witness, d * d, "span")
 
 
 def _closure_pairs(aset: AutomorphismSet) -> ClosureVerdict:
     """Every ordered pair, f outer and g inner in canonical order."""
     algebra = aset.algebra
-    members = aset.members
     p = algebra.field.p
     T = modp.structure_tensor(algebra)
     arr = aset.member_array()
     first = None
-    for fi in range(len(members)):
+    for fi in range(len(arr)):
         ok = modp.batch_is_commuting(np.matmul(arr, arr[fi]) % p, T, p)
         if first is None and not ok.all():
             first = (fi, int(np.argmin(ok)))
-    pair_count = len(members) * len(members)
+    pair_count = len(arr) * len(arr)
     if first is None:
         return ClosureVerdict(True, None, pair_count, "pairs")
-    return ClosureVerdict(False, _make_witness(algebra, members, *first), pair_count, "pairs")
-
-
-def _spanning_member_indices(arr: np.ndarray, p: int) -> list:
-    """Indices of members (canonical order) spanning the set's linear span.
-
-    Picking each member that is independent of the ones before it keeps
-    exactly the pivot columns of the (n^2, N) matrix whose columns are the
-    members, so one forward elimination finds them all.
-    """
-    A = arr.reshape(len(arr), -1).T % p
-    inv = modp.inverse_table(p)
-    reps = []
-    for row in range(A.shape[0]):
-        live = A[row:].any(axis=0)
-        if not live.any():
-            break
-        c = int(np.argmax(live))
-        piv = row + int(np.argmax(A[row:, c] != 0))
-        A[[row, piv], c:] = A[[piv, row], c:]
-        A[row, c:] = A[row, c:] * inv[A[row, c]] % p
-        A[row + 1 :, c:] = (A[row + 1 :, c:] - A[row + 1 :, c : c + 1] * A[row, c:]) % p
-        reps.append(c)
-    return reps
+    return ClosureVerdict(False, _make_witness(algebra, arr, *first), pair_count, "pairs")
 
 
 @dataclass(frozen=True)
@@ -588,6 +555,6 @@ def sets_equal(a: AutomorphismSet, b: AutomorphismSet) -> EqualityReport:
     out_b = b.outside(a)
     if not (out_a.any() or out_b.any()):
         return EqualityReport(True, (), ())
-    only_a = tuple(a.members[i] for i in np.flatnonzero(out_a)[:5])
-    only_b = tuple(b.members[i] for i in np.flatnonzero(out_b)[:5])
+    only_a = _linear_maps(a.algebra, a.member_array()[np.flatnonzero(out_a)[:5]])
+    only_b = _linear_maps(b.algebra, b.member_array()[np.flatnonzero(out_b)[:5]])
     return EqualityReport(False, only_a, only_b)

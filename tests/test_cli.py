@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -163,3 +164,31 @@ def test_bad_flag_budget_usage_error(capsys, raw):
         main(["--budget", raw, "search-commuting", "filiform:4", "--p", "3"])
     assert err.value.code == 2
     assert "--budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "invariants"])
+def test_unreadable_catalog_usage_error(tmp_path, capsys, command):
+    # a missing file for verify, a directory for invariants: exit 2, not a traceback
+    if command == "verify":
+        argv = ["verify", "--catalog", str(tmp_path / "absent.jsonl")]
+    else:
+        argv = ["invariants", str(tmp_path)]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    err_text = capsys.readouterr().err
+    assert err_text.startswith("error: ") and err_text.count("\n") == 1
+
+
+def test_validate_reports_unreadable_file(tmp_path, capsys):
+    code, out, _ = run(capsys, "validate", str(tmp_path / "absent.jsonl"))
+    assert code == 1
+    assert out.startswith("invalid: ")
+
+
+def test_suite_json_matches_golden_copy(capsys):
+    # the benchmark's golden output, read only: the suite must reproduce it byte for byte
+    golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "suite_f3.json"
+    code, out, _ = run(capsys, "--format", "json", "--budget", "20000", "suite")
+    assert code == 0
+    assert out == golden.read_text(encoding="utf-8")

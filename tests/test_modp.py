@@ -123,3 +123,22 @@ def test_identity_suite_batch_matches_unfactored_einsum(p, name):
     if name == "filiform_5":  # class 4: the random part breaks every identity
         assert all(got.values()), got
 
+
+def test_spanning_rows_keeps_first_independent_rows():
+    p = 5
+    a, b, c = np.eye(3, dtype=np.int64)
+    rows = np.array([0 * a, a, 2 * a, b, (a + 4 * b) % p, c, (a + b + c) % p])
+    assert modp.spanning_rows(rows, p) == [1, 3, 5]
+    assert modp.spanning_rows(np.zeros((4, 3), dtype=np.int64), p) == []
+
+
+def test_identity_sweep_spans_displacements_not_maps():
+    # I spans the batch [I, 2I] and passes every identity, but 2I has
+    # displacement I; a sweep that spanned F instead of F - I reports zeros
+    alg = filiform(4, FieldSpec.prime(3))
+    eye = np.eye(4, dtype=np.int64)
+    batch = np.array([eye, 2 * eye])
+    got = identity_suite_batch(alg, batch)
+    assert got == einsum_reference.identity_counts(alg, batch)
+    assert got["double_bracket_factor"] == 3
+    assert identity_suite_batch(alg, batch[:1]) == dict.fromkeys(got, 0)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from coclass_lab.constructions import (
@@ -14,6 +15,7 @@ from coclass_lab.linalg import basis_vec
 from coclass_lab.maps import LinearMap, commuting_defect, compose, inverse, is_commuting
 from coclass_lab.search import (
     AbelianShortCircuit,
+    AutomorphismSet,
     BudgetExceededError,
     closure_check,
     enumerate_aut_bruteforce,
@@ -40,6 +42,14 @@ def sets():
         return cache[key]
 
     return get
+
+
+def hand_built(algebra, maps) -> AutomorphismSet:
+    """A commuting set holding the given maps, sorted into its canonical array."""
+    keys = sorted({m.key() for m in maps})
+    arr = np.array(keys, dtype=np.int64).reshape(len(keys), algebra.dim, algebra.dim)
+    arr.flags.writeable = False
+    return AutomorphismSet(algebra, "commuting", arr)
 
 
 # -- commuting enumeration ------------------------------------------------------
@@ -179,10 +189,8 @@ def test_bruteforce_budget_guard():
 
 
 def test_singleton_identity_closed():
-    from coclass_lab.search import AutomorphismSet
-
     L = filiform(4, F3)
-    aset = AutomorphismSet(L, "commuting", (LinearMap.identity(L),))
+    aset = hand_built(L, [LinearMap.identity(L)])
     verdict = closure_check(aset)
     assert verdict.closed and verdict.witness is None and verdict.pair_count == 1
 
@@ -209,11 +217,9 @@ def test_dim5_not_closed_with_replayable_witness(sets):
 
 
 def test_closure_needs_prime_field():
-    from coclass_lab.search import AutomorphismSet
-
     L = filiform(4, Q)
     with pytest.raises(ValueError, match="prime"):
-        closure_check(AutomorphismSet(L, "commuting", (LinearMap.identity(L),)))
+        closure_check(hand_built(L, [LinearMap.identity(L)]))
 
 
 def test_closure_kind_guard():
@@ -223,12 +229,10 @@ def test_closure_kind_guard():
 
 
 def test_span_and_pairs_methods_agree(sets):
-    from coclass_lab.search import AutomorphismSet
-
     h11 = sets("h11", lambda: heisenberg(1, 1, F3))
     dim5 = sets("dim5", lambda: dim5_example(F3))
     # a hand-built prefix of the dim-5 set that holds its first failing pair
-    prefix = AutomorphismSet(dim5.algebra, "commuting", dim5.members[:120])
+    prefix = hand_built(dim5.algebra, dim5.members[:120])
     for aset, closed in ((h11, True), (prefix, False)):
         span = closure_check(aset)
         pairs = closure_check(aset, exhaustive=True)
@@ -424,9 +428,46 @@ def test_members_sorted_by_key_and_array_cached(sets):
     assert [tuple(row) for row in arr.reshape(len(arr), -1).tolist()] == keys
 
 
-def test_finish_set_sorts_dedups_and_checks_inverses():
-    import numpy as np
+def test_members_built_lazily_in_array_order():
+    aset = enumerate_commuting(heisenberg(1, 2, F3))
+    central = enumerate_central(aset.algebra)
+    closure_check(aset)
+    sets_equal(aset, central)
+    keys = aset.member_keys()
+    assert aset.size == 972 and aset.outside(central).sum() == 972 - central.size
+    assert "members" not in vars(aset)  # no verdict above needed the LinearMaps
+    members = aset.members
+    assert members is aset.members
+    rows = aset.member_array().reshape(aset.size, -1).tolist()
+    assert [list(m.key()) for m in members] == rows
+    assert keys == {m.key() for m in members}
 
+
+def test_set_equality_compares_members():
+    h12 = enumerate_commuting(heisenberg(1, 2, F3))
+    again = hand_built(h12.algebra, reversed(enumerate_commuting(h12.algebra).members))
+    assert again == h12 and again.members == h12.members
+    assert hand_built(h12.algebra, h12.members[1:]) != h12
+
+
+@pytest.mark.parametrize(
+    "name, maker, f_index, g_index, vector",
+    [("dim5", lambda: dim5_example(F3), 0, 81, (1, 0, 0, 0, 0)),
+     ("dim6c1", lambda: dim6_center1(F3), 81, 162, (1, 0, 0, 0, 1, 0))],
+)
+def test_witness_and_equality_examples_are_members(sets, name, maker, f_index, g_index, vector):
+    aset = sets(name, maker)
+    central = sets(name, maker, enumerate_central)
+    w = closure_check(aset).witness
+    assert (w.f_index, w.g_index, w.vector) == (f_index, g_index, vector)
+    assert (w.f, w.g) == (aset.members[f_index], aset.members[g_index])
+    outside = [m for m in aset.members if m not in central]
+    report = sets_equal(aset, central)
+    assert report.only_in_a == tuple(outside[:5]) and report.only_in_b == ()
+    assert sets_equal(central, aset).only_in_b == tuple(outside[:5])
+
+
+def test_finish_set_sorts_dedups_and_checks_inverses():
     from coclass_lab.search import _finish_set
 
     p = 65521
