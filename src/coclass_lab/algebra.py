@@ -5,11 +5,19 @@ index pairs i < j; the (j, i) value is derived by sign and [e_i, e_i] = 0,
 so antisymmetry cannot be violated by construction.  The Jacobi identity
 is the one axiom that needs checking, and :meth:`LieAlgebra.validate`
 reports each failing triple together with its residual vector.
+
+A :class:`LieAlgebra` must not be mutated after construction: it caches a
+per-index bracket table and its lower and upper central series on first
+use.  ``derived``, ``center``, ``second_center``, ``is_nilpotent``,
+``nilpotency_class``, ``coclass``, ``generator_indices`` and both
+``*_central_series`` methods read the cached series, so every invariant of
+one algebra shares one computation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
 from .fields import FieldSpec, Scalar
@@ -113,13 +121,36 @@ class LieAlgebra:
         y = vec(f, y)
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("vector length != algebra dimension")
-        out = [f.zero] * self.dim
+        return self._bracket(x, y)
+
+    @cached_property
+    def _adjacency(self) -> tuple:
+        """For each i, the pairs (j, signed terms of [e_i, e_j]) with a nonzero bracket."""
+        f = self.field
+        adj = [[] for _ in range(self.dim)]
         for (i, j), terms in self.sc.items():
-            coeff = f.sub(f.mul(x[i], y[j]), f.mul(x[j], y[i]))
-            if coeff:
-                for k, c in terms:
-                    out[k] = f.add(out[k], f.mul(coeff, c))
-        return tuple(out)
+            adj[i].append((j, terms))
+            adj[j].append((i, tuple((k, f.neg(c)) for k, c in terms)))
+        return tuple(map(tuple, adj))
+
+    def _bracket(self, x: Vector, y: Vector) -> Vector:
+        """[x, y] for canonical vectors of length dim.
+
+        Walks only x's nonzero coordinates and their nonzero brackets,
+        accumulating exactly and reducing once at the end.
+        """
+        out = [self.field.zero] * self.dim
+        adj = self._adjacency
+        for i, xi in enumerate(x):
+            if xi:
+                for j, terms in adj[i]:
+                    yj = y[j]
+                    if yj:
+                        c = xi * yj
+                        for k, t in terms:
+                            out[k] += c * t
+        p = self.field.p
+        return tuple(v % p for v in out) if p else tuple(out)
 
     def ad_matrix(self, j: int) -> Matrix:
         """Matrix of x -> [x, e_j] acting on coordinates."""
@@ -138,9 +169,9 @@ class LieAlgebra:
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
                 for k in range(j + 1, self.dim):
-                    r = self.bracket(self.bracket_basis(i, j), basis_vec(self.field, self.dim, k))
-                    r = add_vec(self.field, r, self.bracket(self.bracket_basis(j, k), basis_vec(self.field, self.dim, i)))
-                    r = add_vec(self.field, r, self.bracket(self.bracket_basis(k, i), basis_vec(self.field, self.dim, j)))
+                    r = self._bracket(self.bracket_basis(i, j), basis_vec(self.field, self.dim, k))
+                    r = add_vec(self.field, r, self._bracket(self.bracket_basis(j, k), basis_vec(self.field, self.dim, i)))
+                    r = add_vec(self.field, r, self._bracket(self.bracket_basis(k, i), basis_vec(self.field, self.dim, j)))
                     if not is_zero_vec(r):
                         violations.append(JacobiViolation((i, j, k), r))
         return violations
@@ -157,11 +188,13 @@ class LieAlgebra:
         """Span of [x, y] over basis pairs of a x b."""
         if a.ambient_dim != self.dim or b.ambient_dim != self.dim:
             raise ValueError("ambient dimension mismatch")
-        vecs = [self.bracket(x, y) for x in a.basis.rows for y in b.basis.rows]
+        vecs = [self._bracket(x, y) for x in a.basis.rows for y in b.basis.rows]
         return Subspace.from_vectors(self.field, self.dim, vecs)
 
     def derived(self) -> Subspace:
-        return self.bracket_subspaces(self.full_space(), self.full_space())
+        """[L, L]; the lower series stops at L itself when [L, L] = L."""
+        lower = self._lower_series
+        return lower[1] if len(lower) > 1 else lower[0]
 
     def centralizer(self, s: Union[Subspace, Iterable]) -> Subspace:
         """{x : [x, v] = 0 for every v in (a basis of) s}."""
@@ -172,34 +205,40 @@ class LieAlgebra:
         rows = []
         for t in targets:
             # [x, t]_k = sum_i x_i [e_i, t]_k
-            cols = [self.bracket(basis_vec(self.field, self.dim, i), t) for i in range(self.dim)]
+            cols = [self._bracket(basis_vec(self.field, self.dim, i), t) for i in range(self.dim)]
             rows.extend(zip(*cols))
         if not rows:
             return self.full_space()
         return kernel(Matrix(self.field, tuple(rows)))
 
     def center(self) -> Subspace:
-        return self.centralizer(self.full_space())
+        upper = self._upper_series
+        return upper[min(1, len(upper) - 1)]
 
     def second_center(self) -> Subspace:
-        return self._center_preimage(self.center())
+        upper = self._upper_series
+        return upper[min(2, len(upper) - 1)]
 
     def _center_preimage(self, z: Subspace) -> Subspace:
-        """{x : [x, e_j] in z for all j} via stacked membership constraints."""
+        """{x : [x, e_j] in z for all j}: the kernel of c . [e_i, e_j] over constraints c of z."""
         if z.is_full():
             return self.full_space()
-        constraints = z.annihilator()
-        rows = []
-        for j in range(self.dim):
-            adj = self.ad_matrix(j)
-            prod = constraints @ adj
-            rows.extend(prod.rows)
+        f = self.field
+        constraints = z.annihilator().rows
+        # row (c, j), column i holds c . [e_i, e_j]; only nonzero brackets contribute
+        rows = {}
+        for i, pairs in enumerate(self._adjacency):
+            for j, terms in pairs:
+                for ci, c in enumerate(constraints):
+                    value = f.canon(sum(c[k] * t for k, t in terms))
+                    if value:
+                        rows.setdefault((ci, j), [f.zero] * self.dim)[i] = value
         if not rows:
             return self.full_space()
-        return kernel(Matrix(self.field, tuple(rows)))
+        return kernel(Matrix(self.field, tuple(map(tuple, rows.values()))))
 
-    def lower_central_series(self) -> list:
-        """[L, L', L^2, ...] down to the first repeated term."""
+    @cached_property
+    def _lower_series(self) -> tuple:
         series = [self.full_space()]
         while True:
             nxt = self.bracket_subspaces(self.full_space(), series[-1])
@@ -208,10 +247,10 @@ class LieAlgebra:
             series.append(nxt)
             if nxt.is_zero:
                 break
-        return series
+        return tuple(series)
 
-    def upper_central_series(self) -> list:
-        """[0, Z(L), Z_2(L), ...] up to the first repeated term."""
+    @cached_property
+    def _upper_series(self) -> tuple:
         series = [self.zero_space()]
         while True:
             nxt = self._center_preimage(series[-1])
@@ -220,11 +259,19 @@ class LieAlgebra:
             series.append(nxt)
             if nxt.is_full():
                 break
-        return series
+        return tuple(series)
+
+    def lower_central_series(self) -> list:
+        """[L, L', L^2, ...] down to the first repeated term."""
+        return list(self._lower_series)
+
+    def upper_central_series(self) -> list:
+        """[0, Z(L), Z_2(L), ...] up to the first repeated term."""
+        return list(self._upper_series)
 
     @property
     def is_nilpotent(self) -> bool:
-        return self.lower_central_series()[-1].is_zero
+        return self._lower_series[-1].is_zero
 
     @property
     def is_abelian(self) -> bool:
@@ -232,7 +279,7 @@ class LieAlgebra:
 
     def nilpotency_class(self) -> int:
         """Least c with L^c = 0 under the convention L^1 = [L, L]."""
-        series = self.lower_central_series()
+        series = self._lower_series
         if not series[-1].is_zero:
             raise NonNilpotentError("lower central series does not reach 0")
         return len(series) - 1
@@ -245,7 +292,7 @@ class LieAlgebra:
     def check_subalgebra(self, s: Subspace) -> None:
         for x in s.basis.rows:
             for y in s.basis.rows:
-                if not s.contains(self.bracket(x, y)):
+                if not s.contains(self._bracket(x, y)):
                     raise NotSubalgebraError(f"[{x}, {y}] leaves the subspace")
 
     def restrict(self, s: Subspace) -> "LieAlgebra":
@@ -260,7 +307,7 @@ class LieAlgebra:
         sc = {}
         for i in range(len(rows)):
             for j in range(i + 1, len(rows)):
-                w = self.bracket(rows[i], rows[j])
+                w = self._bracket(rows[i], rows[j])
                 terms = [(k, w[pc]) for k, pc in enumerate(pivots) if w[pc]]
                 if terms:
                     sc[(i, j)] = tuple(terms)
@@ -314,7 +361,7 @@ class LieAlgebra:
             added = False
             for s in range(len(values)):
                 for gi, g in enumerate(generators):
-                    w = self.bracket(basis_vec(f, self.dim, g), values[s])
+                    w = self._bracket(basis_vec(f, self.dim, g), values[s])
                     if is_zero_vec(w) or span.contains(w):
                         continue
                     lead = next(x for x in w if x)

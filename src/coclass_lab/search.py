@@ -94,14 +94,22 @@ class AutomorphismSet:
     """A finite, canonically ordered set of automorphisms of one algebra.
 
     Stored once, as a read-only (B, n, n) int64 array of member matrices,
-    entries in [0, p), sorted in LinearMap.key() order without duplicates.
-    ``members`` builds the LinearMaps from its rows on first access;
-    verdicts build only the maps they return.  == compares members.
+    entries in [0, p), sorted in LinearMap.key() order without duplicates,
+    beside the sorted row keys that membership queries search (computed
+    from the array unless the builder hands them over).  ``members``
+    builds the LinearMaps from its rows on first access; verdicts build
+    only the maps they return.  == compares members.
     """
 
     algebra: LieAlgebra
     kind: str  # "commuting" | "central" | "full"
     _array: np.ndarray = dataclass_field(repr=False)
+    _keys: Optional[np.ndarray] = dataclass_field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self._keys is None:
+            object.__setattr__(self, "_keys", _row_keys(self._array, self.algebra.field.p))
+        self._keys.flags.writeable = False
 
     @cached_property
     def members(self) -> tuple:
@@ -119,11 +127,11 @@ class AutomorphismSet:
 
     def outside(self, other: "AutomorphismSet") -> np.ndarray:
         """Mask over this set's members: True where the member is not in other."""
-        return ~_contains_rows(_row_keys(other._array), _row_keys(self._array))
+        return ~_contains_rows(other._keys, self._keys)
 
     def __contains__(self, f: LinearMap) -> bool:
         query = np.array(f.matrix.rows, dtype=np.int64)[None]
-        return bool(_contains_rows(_row_keys(self._array), _row_keys(query))[0])
+        return bool(_contains_rows(self._keys, _row_keys(query, self.algebra.field.p))[0])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AutomorphismSet):
@@ -137,16 +145,23 @@ def _linear_maps(algebra: LieAlgebra, mats: np.ndarray) -> tuple:
     return tuple(LinearMap(Matrix(algebra.field, tuple(map(tuple, m)))) for m in mats.tolist())
 
 
-def _row_keys(mats: np.ndarray) -> np.ndarray:
+def _row_keys(mats: np.ndarray, p: int) -> np.ndarray:
     """One opaque key per matrix whose byte order is the order of LinearMap.key().
 
-    Entries are residues in [0, p), and big-endian bytes of non-negative
-    integers compare like the integers, so comparing the keys compares
-    the flattened entry tuples lexicographically.
+    The flattened entries, residues in [0, p), are packed base p, first
+    entry most significant, into big-endian int64 words of d digits each,
+    d the most with p^d < 2^63.  Big-endian bytes of non-negative integers
+    compare like the integers, so comparing the keys compares the
+    flattened entry tuples lexicographically.
     """
-    n = mats.shape[1]
-    flat = np.ascontiguousarray(mats.reshape(len(mats), n * n), dtype=">i8")
-    return flat.view(np.dtype((np.void, flat.shape[1] * 8))).ravel()
+    flat = mats.reshape(len(mats), mats.shape[1] * mats.shape[2])
+    d = next(d for d in range(63, 0, -1) if p**d < 2**63)
+    words = np.empty((len(mats), -(-flat.shape[1] // d)), dtype=">i8")
+    for w in range(words.shape[1]):
+        digits = flat[:, w * d : (w + 1) * d]
+        powers = np.array([p**e for e in range(digits.shape[1] - 1, -1, -1)], dtype=np.int64)
+        words[:, w] = digits @ powers
+    return words.view(np.dtype((np.void, words.shape[1] * 8))).ravel()
 
 
 def _contains_rows(sorted_keys: np.ndarray, query: np.ndarray) -> np.ndarray:
@@ -165,15 +180,15 @@ def _finish_set(algebra: LieAlgebra, kind: str, mats: np.ndarray) -> Automorphis
     """
     p = algebra.field.p
     n = algebra.dim
-    keys = np.unique(_row_keys(mats))
-    arr = keys.view(">i8").reshape(len(keys), n, n).astype(np.int64)
-    if not _contains_rows(keys, _row_keys(np.eye(n, dtype=np.int64)[None]))[0]:
+    keys, first = np.unique(_row_keys(mats, p), return_index=True)
+    arr = mats[first].astype(np.int64, copy=False)
+    if not _contains_rows(keys, _row_keys(np.eye(n, dtype=np.int64)[None], p))[0]:
         raise AssertionError(f"{kind} enumeration lost the identity map")
     inverses, invertible = modp.batch_inverse(arr, p)
-    if not (invertible.all() and _contains_rows(keys, _row_keys(inverses)).all()):
+    if not (invertible.all() and _contains_rows(keys, _row_keys(inverses, p)).all()):
         raise AssertionError(f"{kind} enumeration is not closed under inverse")
     arr.flags.writeable = False
-    return AutomorphismSet(algebra, kind, arr)
+    return AutomorphismSet(algebra, kind, arr, keys)
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,18 @@ def test_upper_series_reaches_L_in_class_steps():
         assert upper[-1].is_full()
 
 
+def test_returned_series_lists_do_not_alias_the_cache():
+    L = filiform(5, F3)
+    lower = L.lower_central_series()
+    upper = L.upper_central_series()
+    lower.append(L.zero_space())
+    lower[0] = L.zero_space()
+    upper.clear()
+    assert len(L.lower_central_series()) == 5 and L.lower_central_series()[0].is_full()
+    assert len(L.upper_central_series()) == 5 and L.upper_central_series()[0].is_zero
+    assert L.nilpotency_class() == 4 and L.center().dim == 1
+
+
 def test_second_center_sandwich():
     for L in [filiform(6, F3), heisenberg(2, 2, F3), dim5_example(F3)]:
         z, z2 = L.center(), L.second_center()

@@ -1,6 +1,8 @@
 import pytest
 
+from coclass_lab.algebra import LieAlgebra
 from coclass_lab.constructions import (
+    CatalogEntry,
     abelian,
     default_catalog,
     dim5_center2,
@@ -274,6 +276,29 @@ def test_structural_suite_bounds_fire_for_all_dim6_entries():
     report = structural_suite(default_catalog(F3))
     bounds = [c for c in report.checks if c.check == "center_bounds"]
     assert len(bounds) == 3 and all(c.ok for c in bounds)
+
+
+def test_profile_then_structural_suite_compute_each_series_once(monkeypatch):
+    alg = dim6_center1(F3)  # fresh: catalog entries compute their class tags
+    entry = CatalogEntry("dim6_center1", alg)
+    calls = {"bracket_subspaces": 0, "_center_preimage": 0}
+    for name in calls:
+        original = getattr(LieAlgebra, name)
+
+        def counted(self, *args, _original=original, _name=name):
+            if self is alg:
+                calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(LieAlgebra, name, counted)
+    profile(alg)
+    report = structural_suite([entry])
+    assert {c.entry for c in report.checks} == {"dim6_center1"}
+    # one bracket_subspaces per lower step, one preimage per upper step
+    assert calls == {
+        "bracket_subspaces": len(alg.lower_central_series()) - 1,
+        "_center_preimage": len(alg.upper_central_series()) - 1,
+    }
 
 
 # -- suite oracle ---------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from coclass_lab import search
 from coclass_lab.constructions import (
     abelian,
     coclass2_indecomposable,
@@ -74,6 +75,36 @@ def test_dim5_contains_published_pair(sets):
     beta2 = LinearMap.from_image_map(L, {0: [(0, 1), (3, 1)], 2: [(1, -1), (2, -1)], 3: [(3, -1)]})
     assert beta1 in aset
     assert beta2 in aset
+
+
+def test_membership_queries_reuse_the_cached_keys(sets, monkeypatch):
+    L = dim5_example(F3)
+    aset = sets("dim5", lambda: L)
+    built = []
+    original = search._row_keys
+    monkeypatch.setattr(search, "_row_keys", lambda mats, p: built.append(len(mats)) or original(mats, p))
+    queries = list(aset.members[::97]) + [
+        LinearMap.from_image_map(L, {0: [(0, 2)]}),  # not an automorphism
+        LinearMap.from_image_map(L, {0: [(1, 1)], 1: [(0, 1)]}),
+    ]
+    keys = aset.member_keys()
+    assert [f in aset for f in queries] == [f.key() in keys for f in queries]
+    assert built == [1] * len(queries)  # each query keys its own row; the set's keys are cached
+
+
+@pytest.mark.parametrize("p,n", [(3, 6), (5, 6), (65521, 4)])
+def test_row_keys_sort_like_linear_map_keys(p, n):
+    # one packed word at (3, 6); two at (5, 6); six at (65521, 4)
+    rng = np.random.default_rng(p)
+    mats = rng.integers(0, p, size=(400, n, n), dtype=np.int64)
+    mats[:, : n - 1] = mats[rng.integers(0, 3, size=400), : n - 1]  # long shared prefixes
+    mats[:50] = mats[50:100]
+    mats[0] = p - 1
+    keys = search._row_keys(mats, p)
+    order = np.argsort(keys, kind="stable")
+    assert [tuple(m.ravel().tolist()) for m in mats[order]] == sorted(tuple(m.ravel().tolist()) for m in mats)
+    same = keys[:, None] == keys[None, :]
+    assert (same == (mats[:, None] == mats[None, :]).all(axis=(2, 3))).all()
 
 
 def test_dim5_cardinality_regression(sets):
