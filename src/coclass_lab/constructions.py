@@ -178,33 +178,29 @@ def default_catalog(field: FieldSpec) -> list:
     return entries
 
 
-_BUILTIN_HELP = "abelian:N, heisenberg:K:M, filiform:N, dim5"
+# builtin name -> (its integer parameters, constructor taking them and the field)
+_BUILTINS = {
+    "abelian": (("N",), abelian),
+    "heisenberg": (("K", "M"), heisenberg),
+    "filiform": (("N",), filiform),
+    "dim5": ((), dim5_example),
+    "dim5_center2": ((), dim5_center2),
+    "coclass2_indecomposable": ((), coclass2_indecomposable),
+    "dim6_center1": ((), dim6_center1),
+    "dim6_center2": ((), dim6_center2),
+    "dim6_center3": ((), dim6_center3),
+}
+_BUILTIN_HELP = ", ".join(":".join((kind,) + params) for kind, (params, _) in _BUILTINS.items())
 
 
 def builtin(name: str, field: FieldSpec) -> LieAlgebra:
     """Resolve a builtin algebra name like "filiform:5" or "heisenberg:2:1"."""
-    parts = name.split(":")
-    kind = parts[0]
-    try:
-        if kind == "abelian" and len(parts) == 2:
-            return abelian(int(parts[1]), field)
-        if kind == "heisenberg" and len(parts) == 3:
-            return heisenberg(int(parts[1]), int(parts[2]), field)
-        if kind == "filiform" and len(parts) == 2:
-            return filiform(int(parts[1]), field)
-        if kind == "dim5" and len(parts) == 1:
-            return dim5_example(field)
-        by_name = {
-            "dim5_center2": dim5_center2,
-            "coclass2_indecomposable": coclass2_indecomposable,
-            "dim6_center1": dim6_center1,
-            "dim6_center2": dim6_center2,
-            "dim6_center3": dim6_center3,
-        }
-        if kind in by_name and len(parts) == 1:
-            return by_name[kind](field)
-    except ValueError as exc:
-        raise CatalogError(f"bad builtin {name!r}: {exc}") from exc
+    kind, *args = name.split(":")
+    if kind in _BUILTINS and len(args) == len(_BUILTINS[kind][0]):
+        try:
+            return _BUILTINS[kind][1](*map(int, args), field)
+        except ValueError as exc:
+            raise CatalogError(f"bad builtin {name!r}: {exc}") from exc
     raise CatalogError(f"unknown builtin {name!r} (expected {_BUILTIN_HELP})")
 
 

@@ -16,6 +16,9 @@ from functools import lru_cache
 
 import numpy as np
 
+# rows per block that spanning_rows reduces with one matmul
+SPAN_BLOCK = 1024
+
 
 @lru_cache(maxsize=None)
 def inverse_table(p: int) -> np.ndarray:
@@ -53,22 +56,39 @@ def subspace_constraints(s) -> np.ndarray:
 def spanning_rows(rows: np.ndarray, p: int) -> list:
     """Indices of the rows of an (N, m) array that span its row space mod p.
 
-    Each row that is not a combination of earlier rows is kept: the pivot
-    columns of one forward elimination of the (m, N) transpose.
+    Each row that is not a combination of earlier rows is kept.  Rows are
+    streamed in blocks of SPAN_BLOCK against the basis found so far, kept
+    fully reduced (a 1 in each pivot column, 0 in the other pivot columns),
+    so one matmul reduces a whole block against it and a row is dependent
+    exactly when its residue is zero.  Only the first nonzero residue of a
+    block joins the basis at a time; the rest of the block after it is
+    reduced by that one row.  The work is O(N m r) for a span of dimension
+    r, instead of an elimination across all N rows.
     """
-    A = rows.T % p
     inv = inverse_table(p)
+    m = rows.shape[1]
+    basis = np.zeros((0, m), dtype=np.int64)
+    pivots = []
     picked = []
-    for row in range(A.shape[0]):
-        live = A[row:].any(axis=0)
-        if not live.any():
+    for start in range(0, len(rows), SPAN_BLOCK):
+        if len(picked) == m:
             break
-        c = int(np.argmax(live))
-        piv = row + int(np.argmax(A[row:, c] != 0))
-        A[[row, piv], c:] = A[[piv, row], c:]
-        A[row, c:] = A[row, c:] * inv[A[row, c]] % p
-        A[row + 1 :, c:] = (A[row + 1 :, c:] - A[row + 1 :, c : c + 1] * A[row, c:]) % p
-        picked.append(c)
+        R = rows[start : start + SPAN_BLOCK] % p
+        if pivots:
+            R = (R - R[:, pivots] @ basis) % p
+        live = R.any(axis=1)
+        while live.any():
+            i = int(np.argmax(live))
+            c = int(np.argmax(R[i] != 0))
+            v = R[i] * inv[R[i, c]] % p
+            basis = np.concatenate([(basis - basis[:, c : c + 1] * v) % p, v[None]])
+            pivots.append(c)
+            picked.append(start + i)
+            rest = R[i + 1 :]
+            rest -= rest[:, c : c + 1] * v
+            np.remainder(rest, p, out=rest)
+            live[: i + 1] = False
+            live[i + 1 :] = rest.any(axis=1)
     return picked
 
 
@@ -138,11 +158,21 @@ def homomorphism_mask(mats: np.ndarray, S: np.ndarray, T: np.ndarray, p: int) ->
     """batch_is_homomorphism given S = batch_commuting_form(mats, T, p).
 
     [f(e_i), f(e_j)] = sum_m f_mj [f(e_i), e_m] = sum_m S[b,i,m,:] f_mj.
+
+    Both f([e_i, e_j]) and [f(e_i), f(e_j)] are antisymmetric in (i, j), so
+    they agree on every pair once they agree on the pairs i < j (at i = j
+    both vanish).  Those pairs are checked one basis row i at a time, on
+    (B, n - i - 1, n) slices, so no (B, n, n, n) temporary is built.
     """
-    lhs = np.matmul(T, mats.transpose(0, 2, 1)[:, None] % p)  # f([e_i, e_j]), (b,i,j,r)
-    rhs = np.matmul(S.transpose(0, 1, 3, 2), mats[:, None] % p)  # (b,i,r,j)
-    diff = lhs - rhs.transpose(0, 1, 3, 2)
-    return ~np.remainder(diff, p, out=diff).any(axis=(1, 2, 3))
+    n = T.shape[0]
+    F = mats % p
+    Ft = F.transpose(0, 2, 1)
+    ok = np.ones(len(mats), dtype=bool)
+    for i in range(n - 1):
+        lhs = np.matmul(T[i, i + 1 :], Ft)  # f([e_i, e_j]) for j > i, (b, j, r)
+        lhs -= np.matmul(Ft[:, i + 1 :], S[:, i])  # [f(e_i), f(e_j)]
+        ok &= ~np.remainder(lhs, p, out=lhs).any(axis=(1, 2))
+    return ok
 
 
 def commuting_mask(S: np.ndarray, p: int) -> np.ndarray:

@@ -10,8 +10,9 @@ For a commuting automorphism f and generators g_1, ..., g_r:
 
 all of which are necessary conditions, so nothing is pruned that should
 survive; each completed generator assignment is extended to a full map
-through the generator presentation and kept only if the full automorphism
-and commuting checks pass, which restores sufficiency.
+through the generator presentation and kept only if the full homomorphism
+and commuting checks pass, which restores sufficiency (invertibility
+follows, see below).
 
 The search is a level-synchronous frontier expansion.  Level t's
 constraint matrix is the same for every branch and its right-hand side is
@@ -26,6 +27,17 @@ The product of the per-level kernel sizes p^k is therefore an exact upper
 bound on the completed assignments, and so on everything the filter sees;
 enumeration refuses to start when that projection exceeds the budget, and
 no later count can pass it.
+
+The filter tests no invertibility.  A homomorphism f whose generator
+images are independent modulo L' has an image H, a subalgebra, with
+H + L' = L.  If H + L^k = L for some k >= 2 (L^k the lower central
+series, L^2 = L'), then L' = [H + L^k, H + L^k] lies in [H, H] + L^(k+1),
+inside H + L^(k+1), so L = H + L' = H + L^(k+1).  By induction H + L^k = L
+for every k, and L^k = 0 for large k in a nilpotent algebra, so H = L:
+f is onto, hence invertible.  Independence modulo L' is tested on every
+completed assignment before the filter, and ``_finish_set`` still proves
+every member of every set invertible (it inverts each member or its
+inverse), so the argument saves work without being trusted.
 """
 
 from __future__ import annotations
@@ -50,6 +62,8 @@ DEFAULT_BUDGET = 10**8
 BRUTE_FORCE_LIMIT = 250_000
 # rows per array block in the enumerators' hot loops; bounds their memory
 CHUNK = 8192
+# members per block of _finish_set's inverse-closure check
+INVERSE_BLOCK = 2048
 
 
 class BudgetExceededError(RuntimeError):
@@ -177,6 +191,13 @@ def _finish_set(algebra: LieAlgebra, kind: str, mats: np.ndarray) -> Automorphis
 
     Rows are sorted in LinearMap.key() order with duplicates dropped, and
     the set must contain the identity and the inverse of every member.
+
+    Members are inverted in blocks of INVERSE_BLOCK, in canonical order.
+    Once a member f is proven invertible with its inverse g among the
+    members, g needs no inversion of its own: g^-1 = f is a member.  So
+    each block inverts only the members that no earlier inversion has
+    paired, and every member is either inverted or the inverse of an
+    inverted one.
     """
     p = algebra.field.p
     n = algebra.dim
@@ -184,9 +205,14 @@ def _finish_set(algebra: LieAlgebra, kind: str, mats: np.ndarray) -> Automorphis
     arr = mats[first].astype(np.int64, copy=False)
     if not _contains_rows(keys, _row_keys(np.eye(n, dtype=np.int64)[None], p))[0]:
         raise AssertionError(f"{kind} enumeration lost the identity map")
-    inverses, invertible = modp.batch_inverse(arr, p)
-    if not (invertible.all() and _contains_rows(keys, _row_keys(inverses, p)).all()):
-        raise AssertionError(f"{kind} enumeration is not closed under inverse")
+    paired = np.zeros(len(arr), dtype=bool)
+    for start in range(0, len(arr), INVERSE_BLOCK):
+        todo = start + np.flatnonzero(~paired[start : start + INVERSE_BLOCK])
+        inverses, invertible = modp.batch_inverse(arr[todo], p)
+        inverse_keys = _row_keys(inverses, p)
+        if not (invertible.all() and _contains_rows(keys, inverse_keys).all()):
+            raise AssertionError(f"{kind} enumeration is not closed under inverse")
+        paired[np.searchsorted(keys, inverse_keys)] = True
     arr.flags.writeable = False
     return AutomorphismSet(algebra, kind, arr, keys)
 
@@ -237,14 +263,19 @@ def _level(system: Matrix, coset_rhs: np.ndarray, bracket: np.ndarray, t: int, p
     )
 
 
+def _digits(p: int, width: int, start: int, stop: int) -> np.ndarray:
+    """Base-p digit rows of start..stop-1, width digits each, first digit slowest."""
+    idx = np.arange(start, stop, dtype=np.int64)
+    digits = np.empty((len(idx), width), dtype=np.int64)
+    for i in range(width - 1, -1, -1):
+        digits[:, i] = idx % p
+        idx //= p
+    return digits
+
+
 def _span_points(basis: np.ndarray, p: int, start: int, stop: int) -> np.ndarray:
     """Combinations start..stop-1 of the basis rows, first coefficient slowest."""
-    idx = np.arange(start, stop, dtype=np.int64)
-    coeffs = np.empty((len(idx), len(basis)), dtype=np.int64)
-    for i in range(len(basis) - 1, -1, -1):
-        coeffs[:, i] = idx % p
-        idx //= p
-    return coeffs @ basis % p
+    return _digits(p, len(basis), start, stop) @ basis % p
 
 
 def _frontier_blocks(levels: list, p: int, n: int, frontier: np.ndarray):
@@ -289,6 +320,27 @@ def enumerate_commuting(algebra: LieAlgebra, budget: int = DEFAULT_BUDGET) -> Au
     p = field.p
     n = algebra.dim
     pres = algebra.generator_presentation()
+    # generator images must be independent modulo L': their projections
+    # to L/L' (through the annihilator of L') form an invertible r x r matrix
+    to_quotient = modp.subspace_constraints(algebra.derived())  # (r, n)
+    kept = [np.zeros((0, n, n), dtype=np.int64)]
+    for block in _assignment_blocks(algebra, pres, budget):
+        block = block[modp.batch_invertible(block @ to_quotient.T % p, p)]
+        if len(block):
+            kept.append(_filter_assignments(algebra, pres, block))
+    return _finish_set(algebra, "commuting", np.concatenate(kept))
+
+
+def _assignment_blocks(algebra: LieAlgebra, pres, budget: int):
+    """Every consistent generator assignment, as (B, r, n) blocks.
+
+    Raises BudgetExceededError before any block is built when the
+    projected count exceeds the budget; the images are not yet tested
+    for independence modulo L'.
+    """
+    field = algebra.field
+    p = field.p
+    n = algebra.dim
     gens = pres.generators
     r = len(gens)
     z2 = algebra.second_center()
@@ -311,22 +363,16 @@ def enumerate_commuting(algebra: LieAlgebra, budget: int = DEFAULT_BUDGET) -> Au
     levels = [
         _level(systems[t], coset_cols[:, gens[t]], T[:, gens[t], :], t, p) for t in range(r)
     ]
-
-    # generator images must be independent modulo L': their projections
-    # to L/L' (through the annihilator of L') form an invertible r x r matrix
-    to_quotient = modp.subspace_constraints(algebra.derived())  # (r, n)
-    kept = [np.zeros((0, n, n), dtype=np.int64)]
-    for block in _frontier_blocks(levels, p, n, np.zeros((1, 0, n), dtype=np.int64)):
-        block = block[modp.batch_invertible(block @ to_quotient.T % p, p)]
-        if len(block):
-            kept.append(_filter_assignments(algebra, pres, block))
-    return _finish_set(algebra, "commuting", np.concatenate(kept))
+    return _frontier_blocks(levels, p, n, np.zeros((1, 0, n), dtype=np.int64))
 
 
 def _filter_assignments(algebra: LieAlgebra, pres, assignments) -> np.ndarray:
     """Extend (B, r, n) generator assignments to full maps; keep genuine members.
 
-    Returns the kept matrices as a (B, n, n) int64 array.
+    The generator images must be independent modulo L'.  A homomorphism
+    with such images is then invertible (see the module docstring), so
+    the kept maps are the homomorphisms that commute.  Returns them as a
+    (B, n, n) int64 array.
     """
     p = algebra.field.p
     n = algebra.dim
@@ -351,8 +397,7 @@ def _filter_assignments(algebra: LieAlgebra, pres, assignments) -> np.ndarray:
         cols = np.stack(values, axis=2)  # (B, n, steps) images as columns
         mats = np.matmul(cols, binv_np) % p
         S = modp.batch_commuting_form(mats, T, p)
-        mask = modp.batch_invertible(mats, p)
-        mask &= modp.homomorphism_mask(mats, S, T, p)
+        mask = modp.homomorphism_mask(mats, S, T, p)
         mask &= modp.commuting_mask(S, p)
         kept.append(mats[mask])
     return np.concatenate(kept)
@@ -369,6 +414,13 @@ def enumerate_central(algebra: LieAlgebra, budget: int = DEFAULT_BUDGET) -> Auto
     That id + phi is a homomorphism exactly when phi kills L' (given the
     image lies in the center) is not hard to see, and the brute-force
     oracle cross-checks it at small dimensions.
+
+    Each candidate is written phi = U W, with U the n x d matrix of a
+    basis of Z(L) (d = dim Z) and W a d x n coefficient matrix, and its
+    invertibility is tested by Sylvester's identity
+    det(I_n + U W) = det(I_d + W U): a d x d test per candidate instead
+    of an n x n one.  Only candidates that pass are built as n x n maps,
+    and ``_finish_set`` proves them invertible again.
     """
     field = algebra.field
     if not field.is_prime:
@@ -393,19 +445,20 @@ def enumerate_central(algebra: LieAlgebra, budget: int = DEFAULT_BUDGET) -> Auto
     assert minv is not None
     minv_np = modp.matrix_to_array(minv)
     zb = modp.matrix_to_array(center.basis)  # (d, n)
+    # phi = U W with U = zb^T (n x d) and W = coeffs @ minv[:r] (d x n):
+    # coeffs[q, t] is the z_q-coordinate of the image of complement vector t
+    wu = minv_np[:r] @ zb.T % p  # (r, d): W U = coeffs @ wu
+    eye_d = np.eye(d, dtype=np.int64)
 
-    idx = np.arange(count, dtype=np.int64)
-    digits = np.empty((count, d * r), dtype=np.int64)
-    for q in range(d * r):
-        digits[:, q] = idx % p
-        idx //= p
-    coeffs = digits.reshape(count, d, r)
+    eye_n = np.eye(n, dtype=np.int64)
 
-    phi_cols = np.einsum("qn,bqt->bnt", zb, coeffs) % p  # images of complement vectors
-    phi_ext = np.concatenate([phi_cols, np.zeros((count, n, n - r), dtype=np.int64)], axis=2)
-    phi_std = np.matmul(phi_ext, minv_np) % p
-    mats = (phi_std + np.eye(n, dtype=np.int64)) % p
-    return _finish_set(algebra, "central", mats[modp.batch_invertible(mats, p)])
+    kept = [np.zeros((0, n, n), dtype=np.int64)]
+    for start in range(0, count, CHUNK):
+        coeffs = _digits(p, d * r, start, min(count, start + CHUNK)).reshape(-1, d, r)
+        coeffs = coeffs[modp.batch_invertible(np.matmul(coeffs, wu) + eye_d, p)]
+        W = np.matmul(coeffs, minv_np[:r]) % p
+        kept.append((np.matmul(zb.T, W) + eye_n) % p)
+    return _finish_set(algebra, "central", np.concatenate(kept))
 
 
 # ---------------------------------------------------------------------------
@@ -417,12 +470,7 @@ def _all_matrices(p: int, n: int, limit: int) -> np.ndarray:
     count = p ** (n * n)
     if count > limit:
         raise BudgetExceededError(limit, count, f"p^(n^2) = {p}^{n * n}")
-    idx = np.arange(count, dtype=np.int64)
-    digits = np.empty((count, n * n), dtype=np.int64)
-    for q in range(n * n):
-        digits[:, q] = idx % p
-        idx //= p
-    return digits.reshape(count, n, n)
+    return _digits(p, n * n, 0, count).reshape(count, n, n)
 
 
 def enumerate_aut_bruteforce(algebra: LieAlgebra, limit: int = BRUTE_FORCE_LIMIT) -> AutomorphismSet:

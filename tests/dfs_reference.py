@@ -5,10 +5,12 @@ one ``solve_affine`` per branch and one ``Subspace.from_vectors`` per
 candidate image to test independence modulo L'.  With
 ``prune_second_center=False`` it also drops the rows that confine f(g)
 to the coset g + Z_2(L), so it checks that lemma instead of relying on
-it.  Completed assignments go through the library's own extension filter
-and canonicalisation, so the two enumerators differ only in the search.
+it.  Completed assignments go through the reference filter of
+``elimination_reference``, invertibility test included, and then the
+library's canonicalisation, so the two enumerators share no filter.
 """
 
+from elimination_reference import filter_assignments
 from coclass_lab.linalg import (
     Matrix,
     Subspace,
@@ -19,7 +21,7 @@ from coclass_lab.linalg import (
     solve_affine,
     zero_vec,
 )
-from coclass_lab.search import BudgetExceededError, _filter_assignments, _finish_set
+from coclass_lab.search import BudgetExceededError, _finish_set
 
 
 def projected_count(algebra, prune_second_center: bool = True) -> int:
@@ -85,4 +87,4 @@ def enumerate_commuting(algebra, budget: int, prune_second_center: bool = True):
             images.pop()
 
     dfs(0, [], algebra.derived())
-    return _finish_set(algebra, "commuting", _filter_assignments(algebra, pres, assignments))
+    return _finish_set(algebra, "commuting", filter_assignments(algebra, pres, assignments))

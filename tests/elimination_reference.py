@@ -1,0 +1,114 @@
+"""Eliminations the library no longer runs, kept as references for the tests.
+
+* ``spanning_rows``: the pivot columns of one forward elimination of the
+  (m, N) transpose, across all N rows at once.
+* ``homomorphism_mask``: the homomorphism check on all n^2 basis pairs.
+* ``filter_assignments``: the extension filter with its n x n
+  invertibility test, so it keeps invertible & homomorphism & commuting.
+* ``central_candidates``: every candidate id + phi of the central
+  enumerator as an n x n matrix, with the n x n invertibility mask.
+
+The library's streamed span basis, its filter (which relies on the
+generator images being independent modulo L') and its d x d central test
+must agree with these.
+"""
+
+import numpy as np
+
+from coclass_lab import modp
+from coclass_lab.linalg import Matrix, basis_vec, invert
+
+
+def spanning_rows(rows: np.ndarray, p: int) -> list:
+    A = rows.T % p
+    inv = modp.inverse_table(p)
+    picked = []
+    for row in range(A.shape[0]):
+        live = A[row:].any(axis=0)
+        if not live.any():
+            break
+        c = int(np.argmax(live))
+        piv = row + int(np.argmax(A[row:, c] != 0))
+        A[[row, piv], c:] = A[[piv, row], c:]
+        A[row, c:] = A[row, c:] * inv[A[row, c]] % p
+        A[row + 1 :, c:] = (A[row + 1 :, c:] - A[row + 1 :, c : c + 1] * A[row, c:]) % p
+        picked.append(c)
+    return picked
+
+
+def extend_assignments(algebra, pres, assignments) -> np.ndarray:
+    """Full (B, n, n) maps of (B, r, n) generator assignments, through the presentation."""
+    p = algebra.field.p
+    n = algebra.dim
+    arr = np.asarray(assignments, dtype=np.int64).reshape(-1, len(pres.generators), n)
+    T = modp.structure_tensor(algebra)
+    binv = modp.matrix_to_array(invert(pres.basis_matrix))
+    values = []
+    gi = 0
+    for step in pres.steps:
+        if step.kind == "gen":
+            values.append(arr[:, gi, :])
+            gi += 1
+        else:
+            w = np.einsum("bi,bj,ijk->bk", values[step.gen_index], values[step.operand], T) % p
+            values.append(int(step.scale) * w % p)
+    cols = np.stack(values, axis=2) if values else np.zeros((len(arr), n, 0), dtype=np.int64)
+    return np.matmul(cols, binv) % p
+
+
+def homomorphism_mask(mats: np.ndarray, S: np.ndarray, T: np.ndarray, p: int) -> np.ndarray:
+    """f([e_i, e_j]) == [f(e_i), f(e_j)] on all n^2 pairs, through two (B, n, n, n) tensors."""
+    lhs = np.matmul(T, mats.transpose(0, 2, 1)[:, None] % p)  # f([e_i, e_j]), (b,i,j,r)
+    rhs = np.matmul(S.transpose(0, 1, 3, 2), mats[:, None] % p)  # (b,i,r,j)
+    diff = lhs - rhs.transpose(0, 1, 3, 2)
+    return ~np.remainder(diff, p, out=diff).any(axis=(1, 2, 3))
+
+
+def filter_masks(algebra, mats: np.ndarray) -> tuple:
+    """(invertible, homomorphism & commuting) masks over a (B, n, n) batch."""
+    p = algebra.field.p
+    T = modp.structure_tensor(algebra)
+    S = modp.batch_commuting_form(mats, T, p)
+    return (
+        modp.batch_invertible(mats, p),
+        homomorphism_mask(mats, S, T, p) & modp.commuting_mask(S, p),
+    )
+
+
+def filter_assignments(algebra, pres, assignments, chunk: int = 8192) -> np.ndarray:
+    """The kept maps of the full mask: invertible & homomorphism & commuting."""
+    n = algebra.dim
+    arr = np.asarray(assignments, dtype=np.int64).reshape(-1, len(pres.generators), n)
+    kept = [np.zeros((0, n, n), dtype=np.int64)]
+    for start in range(0, len(arr), chunk):
+        mats = extend_assignments(algebra, pres, arr[start : start + chunk])
+        invertible, genuine = filter_masks(algebra, mats)
+        kept.append(mats[invertible & genuine])
+    return np.concatenate(kept)
+
+
+def central_candidates(algebra) -> tuple:
+    """(every candidate id + phi as a (count, n, n) array, its n x n invertibility mask)."""
+    field = algebra.field
+    p = field.p
+    n = algebra.dim
+    center = algebra.center()
+    derived = algebra.derived()
+    comp = algebra.generator_indices()
+    r = len(comp)
+    d = center.dim
+    count = p ** (d * r)
+    cols = [basis_vec(field, n, i) for i in comp] + list(derived.basis.rows)
+    minv_np = modp.matrix_to_array(invert(Matrix(field, tuple(zip(*cols)))))
+    zb = modp.matrix_to_array(center.basis).reshape(d, n)
+
+    idx = np.arange(count, dtype=np.int64)
+    digits = np.empty((count, d * r), dtype=np.int64)
+    for q in range(d * r):
+        digits[:, q] = idx % p
+        idx //= p
+    coeffs = digits.reshape(count, d, r)
+    phi_cols = np.einsum("qn,bqt->bnt", zb, coeffs) % p
+    phi_ext = np.concatenate([phi_cols, np.zeros((count, n, n - r), dtype=np.int64)], axis=2)
+    mats = (np.matmul(phi_ext, minv_np) + np.eye(n, dtype=np.int64)) % p
+    return mats, modp.batch_invertible(mats, p)

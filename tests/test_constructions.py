@@ -160,10 +160,26 @@ def test_builtin_parsing():
 
 
 def test_builtin_unknown_rejected():
-    with pytest.raises(CatalogError):
+    with pytest.raises(CatalogError) as unknown:
         builtin("icosahedron:7", F3)
     with pytest.raises(CatalogError):
         builtin("filiform:not_a_number", F3)
+    # the message names every name builtin() accepts
+    accepted = {
+        "abelian:N": "abelian:3",
+        "heisenberg:K:M": "heisenberg:1:1",
+        "filiform:N": "filiform:4",
+        "dim5": "dim5",
+        "dim5_center2": "dim5_center2",
+        "coclass2_indecomposable": "coclass2_indecomposable",
+        "dim6_center1": "dim6_center1",
+        "dim6_center2": "dim6_center2",
+        "dim6_center3": "dim6_center3",
+    }
+    for shown, example in accepted.items():
+        builtin(example, F3)
+        assert shown in str(unknown.value)
+    assert str(unknown.value).count(",") == len(accepted) - 1
 
 
 # -- catalog file I/O -----------------------------------------------------------

@@ -4,11 +4,20 @@ import numpy as np
 import pytest
 
 import einsum_reference
+import elimination_reference
 from coclass_lab import modp
-from coclass_lab.constructions import dim5_example, filiform, heisenberg
+from coclass_lab.algebra import LieAlgebra
+from coclass_lab.constructions import default_catalog, dim5_example, filiform, heisenberg
 from coclass_lab.fields import FieldSpec
+from coclass_lab.harness import SUITE_BUDGET
 from coclass_lab.linalg import Matrix, invert
 from coclass_lab.maps import LinearMap, commuting_defect, identity_suite_batch, is_automorphism
+from coclass_lab.search import (
+    AbelianShortCircuit,
+    BudgetExceededError,
+    enumerate_central,
+    enumerate_commuting,
+)
 
 PRIMES = (3, 65521)
 
@@ -69,10 +78,28 @@ def test_batch_is_homomorphism_matches_unfactored_einsum(p, name):
     T = modp.structure_tensor(alg)
     got = modp.batch_is_homomorphism(batch, T, p)
     assert got.tolist() == einsum_reference.is_homomorphism(batch, T, p).tolist()
+    S = modp.batch_commuting_form(batch, T, p)
+    assert got.tolist() == elimination_reference.homomorphism_mask(batch, S, T, p).tolist()
     assert got[: len(auts)].all()
     assert not got.all()
     for mat in auts[:3]:
         assert is_automorphism(alg, _as_map(alg.field, mat)).clean
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_homomorphism_mask_checks_every_pair(n):
+    # one bracket [e_i, e_j] = e_k, and f doubles e_k: only the pair (i, j) fails
+    p = 5
+    for i in range(n):
+        for j in range(i + 1, n):
+            k = min(set(range(n)) - {i, j})
+            alg = LieAlgebra(FieldSpec.prime(p), n, {(i, j): ((k, 1),)})
+            T = modp.structure_tensor(alg)
+            f = np.eye(n, dtype=np.int64)
+            f[k, k] = 2
+            mats = np.array([np.eye(n, dtype=np.int64), f])
+            assert modp.batch_is_homomorphism(mats, T, p).tolist() == [True, False], (i, j)
+            assert einsum_reference.is_homomorphism(mats, T, p).tolist() == [True, False]
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -124,12 +151,52 @@ def test_identity_suite_batch_matches_unfactored_einsum(p, name):
         assert all(got.values()), got
 
 
-def test_spanning_rows_keeps_first_independent_rows():
+def _rank_deficient(rng, p: int, count: int, m: int, rank: int) -> np.ndarray:
+    """count rows of width m, random combinations of rank random rows."""
+    coeffs = rng.integers(0, p, size=(count, rank))
+    return coeffs @ rng.integers(0, p, size=(rank, m)) % p
+
+
+def test_spanning_rows_keeps_first_independent_rows(monkeypatch):
     p = 5
     a, b, c = np.eye(3, dtype=np.int64)
     rows = np.array([0 * a, a, 2 * a, b, (a + 4 * b) % p, c, (a + b + c) % p])
     assert modp.spanning_rows(rows, p) == [1, 3, 5]
     assert modp.spanning_rows(np.zeros((4, 3), dtype=np.int64), p) == []
+    assert modp.spanning_rows(np.zeros((0, 3), dtype=np.int64), p) == []
+
+    # the streamed basis picks the rows of the old column elimination
+    rng = np.random.default_rng(5)
+    cases = []
+    for q in (3, 5, 65521):
+        for count, m, rank in ((300, 16, 5), (300, 9, 9), (257, 25, 11), (40, 6, 6), (3, 8, 3)):
+            cases.append((q, _rank_deficient(rng, q, count, m, rank)))
+        cases.append((q, rng.integers(0, q, size=(50, 12))))
+    for q, arr in cases:
+        for block in (1, 7, 64, modp.SPAN_BLOCK):  # 300 and 257 are no multiples of these
+            monkeypatch.setattr(modp, "SPAN_BLOCK", block)
+            assert modp.spanning_rows(arr, q) == elimination_reference.spanning_rows(arr, q)
+
+    # a dependent row just after a block boundary, then a new one
+    monkeypatch.setattr(modp, "SPAN_BLOCK", 2)
+    rows = np.array([a, b, (2 * a + b) % p, c])
+    assert modp.spanning_rows(rows, p) == [0, 1, 3] == elimination_reference.spanning_rows(rows, p)
+    monkeypatch.undo()
+
+    # F and F - I of every F3 catalog set
+    checked = 0
+    for entry in default_catalog(FieldSpec.prime(3)):
+        for enumerate_set in (enumerate_commuting, enumerate_central):
+            try:
+                mats = enumerate_set(entry.algebra, budget=SUITE_BUDGET).member_array()
+            except (AbelianShortCircuit, BudgetExceededError):
+                continue
+            n = entry.algebra.dim
+            for arr in (mats, mats - np.eye(n, dtype=np.int64)):
+                flat = arr.reshape(len(arr), n * n) % 3
+                assert modp.spanning_rows(flat, 3) == elimination_reference.spanning_rows(flat, 3)
+            checked += 1
+    assert checked >= 25
 
 
 def test_identity_sweep_spans_displacements_not_maps():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coclass_lab import search
+from coclass_lab import modp, search
 from coclass_lab.constructions import (
     abelian,
     coclass2_indecomposable,
@@ -514,6 +514,70 @@ def test_finish_set_sorts_dedups_and_checks_inverses():
         _finish_set(L, "commuting", np.array(group[:2], dtype=np.int64))
     with pytest.raises(AssertionError, match="identity"):
         _finish_set(L, "commuting", np.array(group[1:], dtype=np.int64))
+
+
+def _canonical(mats) -> np.ndarray:
+    """(B, n, n) array of the matrices, sorted in LinearMap.key() order."""
+    return np.array(sorted(np.asarray(m).tolist() for m in mats), dtype=np.int64)
+
+
+def _diagonals(p: int, entries) -> list:
+    return [np.diag(d) % p for d in entries]
+
+
+# heisenberg(1, 1) over F7: the cyclic group a -> diag(a, a, a^2) of order 6,
+# in canonical order by a; 2 and 4 are inverse, so are 3 and 5
+P7 = 7
+CYCLIC = [(a, a, a * a % P7) for a in range(1, P7)]
+
+
+def test_finish_set_inverts_one_member_of_each_inverse_pair(monkeypatch):
+    L = heisenberg(1, 1, FieldSpec.prime(P7))
+    inverted = []
+    real = modp.batch_inverse
+
+    def counted(mats, q):
+        inverted.append(len(mats))
+        return real(mats, q)
+
+    monkeypatch.setattr(modp, "batch_inverse", counted)
+    # block 1 or 2: the partners 4 and 5 of 2 and 3 are skipped; a block of
+    # 4 inverts 2, 3 and 4 together, then skips 5; one block inverts all
+    for block, expected in ((1, 4), (2, 4), (4, 5), (search.INVERSE_BLOCK, 6)):
+        monkeypatch.setattr(search, "INVERSE_BLOCK", block)
+        inverted.clear()
+        aset = search._finish_set(L, "commuting", _canonical(_diagonals(P7, CYCLIC)))
+        assert aset.size == 6
+        assert sum(inverted) == expected, block
+
+
+@pytest.mark.parametrize("block", (1, 2, 3, 4, 2048))
+def test_finish_set_still_rejects_broken_sets(monkeypatch, block):
+    monkeypatch.setattr(search, "INVERSE_BLOCK", block)
+    L = heisenberg(1, 1, FieldSpec.prime(P7))
+    group = _diagonals(P7, CYCLIC)
+
+    # a member whose inverse diag(6, 6, 4) is missing, last in canonical order
+    arr = _canonical(group + _diagonals(P7, [(6, 6, 2)]))
+    assert arr[-1].tolist() == np.diag([6, 6, 2]).tolist()
+    with pytest.raises(AssertionError, match="inverse"):
+        search._finish_set(L, "commuting", arr)
+
+    # a singular member, also last
+    singular = np.array([[6, 6, 0], [6, 6, 0], [0, 0, 1]])
+    arr = _canonical(group + [singular])
+    assert arr[-1].tolist() == singular.tolist()
+    with pytest.raises(AssertionError, match="inverse"):
+        search._finish_set(L, "commuting", arr)
+
+    # the partner 5 of 3 is skipped; the member just after it, where a key
+    # search for it lands, is diag(5, 5, 5), whose inverse diag(3, 3, 3) is
+    # absent: it is no partner, so it must still be inverted
+    arr = _canonical(group + _diagonals(P7, [(5, 5, 5)]))
+    rows = [np.diag(m).tolist() for m in arr]
+    assert rows.index([5, 5, 5]) == rows.index([5, 5, 4]) + 1
+    with pytest.raises(AssertionError, match="inverse"):
+        search._finish_set(L, "commuting", arr)
 
 
 @pytest.mark.parametrize("p", (3, 251, 4093, 65521))

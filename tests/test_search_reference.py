@@ -1,23 +1,29 @@
-"""The frontier enumerator and the span closure check against their references.
+"""The enumerators and the span closure check against their references.
 
 The references are the algorithms they replaced: the recursive DFS in
 ``dfs_reference`` (also run without the Z_2 coset rows, as an oracle for
-that pruning lemma) and the ordered all-pairs scan of
-``closure_check(..., exhaustive=True)``.
+that pruning lemma), the ordered all-pairs scan of
+``closure_check(..., exhaustive=True)``, and the n x n invertibility
+tests of ``elimination_reference`` that the filter (by the argument in
+the ``search`` docstring) and the central enumerator (by Sylvester's
+identity) no longer run.
 """
 
 import numpy as np
 import pytest
 
 import dfs_reference
+import elimination_reference
 from coclass_lab import modp, search
-from coclass_lab.constructions import default_catalog
+from coclass_lab.algebra import LieAlgebra
+from coclass_lab.constructions import builtin, default_catalog
 from coclass_lab.fields import FieldSpec
 from coclass_lab.harness import SUITE_BUDGET
 from coclass_lab.search import (
     AbelianShortCircuit,
     BudgetExceededError,
     closure_check,
+    enumerate_central,
     enumerate_commuting,
 )
 
@@ -110,3 +116,120 @@ def test_span_witness_on_large_non_closed_sets(catalog_sets):
         verdict = closure_check(runs[name])
         assert not verdict.closed
         assert _indices(verdict) == _first_failing_pair(runs[name]), name
+
+
+def _two_step(rng, p: int, dim: int) -> LieAlgebra:
+    """[x_i, x_j] = sum_k a_ijk z_k with random a, for 1 to 3 central z_k."""
+    central = int(rng.integers(1, min(3, dim - 2) + 1))
+    free = dim - central
+    sc = {}
+    for i in range(free):
+        for j in range(i + 1, free):
+            terms = tuple((free + k, int(c)) for k, c in enumerate(rng.integers(0, p, central)) if c)
+            if terms:
+                sc[(i, j)] = terms
+    return LieAlgebra(FieldSpec.prime(p), dim, sc)
+
+
+def _projected(alg) -> int:
+    try:
+        enumerate_commuting(alg, budget=0)
+    except BudgetExceededError as exc:
+        return exc.projected
+    except AbelianShortCircuit:
+        return 0
+    return 1
+
+
+def _filter_cases():
+    """(label, algebra): F3 and F5 catalog entries, then seeded random 2-step algebras.
+
+    Over F3 at dimensions 4 to 6 and over F5 at dimensions 4 and 5 (at 6
+    such draws project about 10^7 candidates), the first two draws that
+    are not abelian and project within SUITE_BUDGET are kept.
+    """
+    cases = [
+        (f"{entry.name}/F{p}", entry.algebra)
+        for p in (3, 5)
+        for entry in default_catalog(FieldSpec.prime(p))
+    ]
+    rng = np.random.default_rng(2024)
+    for p, dims in ((3, (4, 5, 6)), (5, (4, 5))):
+        for dim in dims:
+            kept = 0
+            for _ in range(50):
+                alg = _two_step(rng, p, dim)
+                if 1 <= _projected(alg) <= SUITE_BUDGET:
+                    cases.append((f"two_step_{dim}_{kept}/F{p}", alg))
+                    kept += 1
+                    if kept == 2:
+                        break
+    return cases
+
+
+def test_filter_matches_full_mask_on_independent_blocks(monkeypatch):
+    # every block the enumerator hands the filter (completed assignments,
+    # independent modulo L') keeps exactly what the old full mask keeps
+    real = search._filter_assignments
+    checked = []
+    for label, alg in _filter_cases():
+        blocks = []
+
+        def record(algebra, pres, block):
+            kept = real(algebra, pres, block)
+            blocks.append((pres, block, kept))
+            return kept
+
+        with monkeypatch.context() as m:
+            m.setattr(search, "_filter_assignments", record)
+            try:
+                enumerate_commuting(alg, budget=SUITE_BUDGET)
+            except (AbelianShortCircuit, BudgetExceededError):
+                continue
+        for pres, block, kept in blocks:
+            ref = elimination_reference.filter_assignments(alg, pres, block)
+            assert np.array_equal(kept, ref), label
+        checked.append(label)
+    assert sum(label.startswith("two_step") for label in checked) == 10
+    assert len(checked) >= 30, checked
+
+
+def test_filter_needs_independence_modulo_derived():
+    # negative control: without the mask, heisenberg:1:1 over F3 has 27
+    # consistent assignments, all homomorphisms that commute, 9 singular
+    alg = builtin("heisenberg:1:1", FieldSpec.prime(3))
+    pres = alg.generator_presentation()
+    block = np.concatenate(list(search._assignment_blocks(alg, pres, SUITE_BUDGET)))
+    invertible, genuine = elimination_reference.filter_masks(
+        alg, elimination_reference.extend_assignments(alg, pres, block)
+    )
+    assert (len(block), int(genuine.sum()), int((genuine & ~invertible).sum())) == (27, 27, 9)
+    kept = search._filter_assignments(alg, pres, block)
+    assert int((~modp.batch_invertible(kept, 3)).sum()) == 9
+    independent = modp.batch_invertible(block @ modp.subspace_constraints(alg.derived()).T % 3, 3)
+    assert np.array_equal(invertible, independent)
+    assert modp.batch_invertible(search._filter_assignments(alg, pres, block[independent]), 3).all()
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_central_matches_full_invertibility_mask(p):
+    singular_seen = []
+    checked = 0
+    for entry in default_catalog(FieldSpec.prime(p)):
+        alg = entry.algebra
+        try:
+            aset = enumerate_central(alg, budget=SUITE_BUDGET)
+        except BudgetExceededError:
+            continue
+        mats, invertible = elimination_reference.central_candidates(alg)
+        n = alg.dim
+        flat = mats[invertible].reshape(-1, n * n)
+        ref = flat[np.lexsort(flat.T[::-1])].reshape(-1, n, n)  # LinearMap.key() order
+        assert np.array_equal(aset.member_array(), ref), entry.name
+        if not invertible.all():
+            singular_seen.append(entry.name)
+            singular = search._row_keys(mats[~invertible], p)
+            assert not search._contains_rows(aset._keys, singular).any()
+        checked += 1
+    assert checked >= 15
+    assert "filiform_4_plus_abelian_1" in singular_seen
