@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 from .fields import FieldSpec, Scalar
 from .linalg import (
@@ -74,15 +74,12 @@ def _normalize_sc(field: FieldSpec, dim: int, sc) -> dict:
 class LieAlgebra:
     """Finite-dimensional Lie algebra over F_p (p odd) or Q."""
 
-    def __init__(self, field: FieldSpec, dim: int, sc, labels: Optional[Sequence[str]] = None):
+    def __init__(self, field: FieldSpec, dim: int, sc):
         if dim < 1:
             raise ValueError("dimension must be >= 1")
         self.field = field
         self.dim = dim
         self.sc = _normalize_sc(field, dim, dict(sc))
-        if labels is not None and len(labels) != dim:
-            raise ValueError("label count != dimension")
-        self.labels = tuple(labels) if labels is not None else tuple(f"e{i+1}" for i in range(dim))
 
     def __eq__(self, other) -> bool:
         return (
@@ -318,9 +315,6 @@ class LieAlgebra:
             return 0
         return self.restrict(s).nilpotency_class()
 
-    def is_abelian_subspace(self, s: Subspace) -> bool:
-        return self.subalgebra_class(s) <= 1
-
     # -- generator presentation ----------------------------------------------
 
     def generator_indices(self) -> list:
@@ -396,20 +390,3 @@ class GeneratorPresentation:
     steps: tuple
     values: tuple
     basis_matrix: Matrix  # columns are the step values; invertible
-
-    @property
-    def generator_count(self) -> int:
-        return len(self.generators)
-
-    def evaluate(self) -> tuple:
-        """Re-evaluate every step in L (round-trip check helper)."""
-        f = self.algebra.field
-        out = []
-        for step in self.steps:
-            if step.kind == "gen":
-                out.append(basis_vec(f, self.algebra.dim, step.gen_index))
-            else:
-                g = basis_vec(f, self.algebra.dim, self.generators[step.gen_index])
-                w = self.algebra.bracket(g, out[step.operand])
-                out.append(scale_vec(f, step.scale, w))
-        return tuple(out)

@@ -18,6 +18,7 @@ from .harness import (
     SUITE_BUDGET,
     dim5_witness,
     heisenberg_witness,
+    matrix_grid,
     predict,
     profile,
     run_suite,
@@ -70,10 +71,6 @@ def _emit(args, payload: dict, text: str) -> None:
 def _resolve_algebra(spec: str, field: FieldSpec):
     name = spec[len("builtin:") :] if spec.startswith("builtin:") else spec
     return builtin(name, field)
-
-
-def _grid(matrix, field) -> list:
-    return [[field.unparse(x) for x in row] for row in matrix.rows]
 
 
 def _cmd_validate(args) -> int:
@@ -131,8 +128,8 @@ def _cmd_search_commuting(args) -> int:
     payload = {"size": aset.size, "short_circuit": False, "members": None}
     text = f"commuting automorphisms: {aset.size}"
     if args.members:
-        payload["members"] = [_grid(m.matrix, field) for m in aset.members]
-        shown = "\n".join(str(_grid(m.matrix, field)) for m in aset.members)
+        payload["members"] = [matrix_grid(m, field) for m in aset.members]
+        shown = "\n".join(str(matrix_grid(m, field)) for m in aset.members)
         text += "\n" + shown
     _emit(args, payload, text)
     return EXIT_OK
@@ -163,8 +160,8 @@ def _cmd_check_subgroup(args) -> int:
     else:
         w = verdict.witness
         payload["witness"] = {
-            "f": _grid(w.f.matrix, field),
-            "g": _grid(w.g.matrix, field),
+            "f": matrix_grid(w.f, field),
+            "g": matrix_grid(w.g, field),
             "vector": [field.unparse(x) for x in w.vector],
             "bracket_residual": [field.unparse(x) for x in w.residual],
         }
@@ -178,9 +175,9 @@ def _cmd_check_subgroup(args) -> int:
 
 def _witness_text(report) -> str:
     lines = [f"witness {report.family} {report.params or ''} over {report.field}".rstrip()]
-    lines.append(f"  beta1 = {_grid(report.beta1.matrix, report.field)}")
+    lines.append(f"  beta1 = {matrix_grid(report.beta1, report.field)}")
     for name, m in sorted(report.beta2_by_variant.items()):
-        lines.append(f"  beta2[{name}] = {_grid(m.matrix, report.field)}")
+        lines.append(f"  beta2[{name}] = {matrix_grid(m, report.field)}")
     for v in report.variants:
         lines.append(
             f"  [{v.variant}] beta1 commuting: {v.beta1_commuting}; "
@@ -289,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and not args.algebra and not args.catalog:
-        parser.error("verify needs an algebra or --catalog FILE")
+    if args.command == "verify" and bool(args.algebra) == bool(args.catalog):
+        parser.error("verify needs an algebra or --catalog FILE, not both")
     if args.budget is None:
         env = _env_budget(parser)
         if env is not None:

@@ -8,7 +8,10 @@ The catalog file format is line-oriented JSON, one entry per line::
 
 Indices are 0-based and only i < j entries are accepted, so antisymmetry
 is a property of the file format itself.  Scalars are integers (reduced
-mod p) or "num/den" strings over the rationals.
+mod p) or "num/den" strings over the rationals.  A malformed entry (a
+value of the wrong JSON type, booleans included, a missing key or a bad
+scalar literal) raises CatalogError, which load_catalog prefixes with
+the file and line.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .algebra import LieAlgebra
-from .fields import FieldSpec
+from .fields import FieldError, FieldSpec
 
 
 class CatalogError(ValueError):
@@ -35,7 +38,7 @@ def abelian(n: int, field: FieldSpec) -> LieAlgebra:
     """All brackets zero; class 1, coclass n - 1."""
     if n < 1:
         raise ValueError("abelian(n) needs n >= 1")
-    return LieAlgebra(field, n, {}, labels=[f"e{i+1}" for i in range(n)])
+    return LieAlgebra(field, n, {})
 
 
 def heisenberg(k: int, m: int, field: FieldSpec) -> LieAlgebra:
@@ -44,8 +47,7 @@ def heisenberg(k: int, m: int, field: FieldSpec) -> LieAlgebra:
         raise ValueError("heisenberg(k, m) needs k >= 1 and m >= 1")
     dim = 2 * k + m
     sc = {(2 * i, 2 * i + 1): ((2 * k, 1),) for i in range(k)}
-    labels = [f"u{i+1}" for i in range(2 * k)] + [f"z{j+1}" for j in range(m)]
-    return LieAlgebra(field, dim, sc, labels=labels)
+    return LieAlgebra(field, dim, sc)
 
 
 def filiform(n: int, field: FieldSpec) -> LieAlgebra:
@@ -55,14 +57,13 @@ def filiform(n: int, field: FieldSpec) -> LieAlgebra:
     sc = {(0, 1): ((2, 1),)}
     for i in range(2, n - 1):
         sc[(0, i)] = ((i + 1, 1),)
-    labels = ["u", "v"] + [f"v{i}" for i in range(1, n - 1)]
-    return LieAlgebra(field, n, sc, labels=labels)
+    return LieAlgebra(field, n, sc)
 
 
 def dim5_example(field: FieldSpec) -> LieAlgebra:
     """Five-dimensional algebra with [x1, x2] = x5 = [x3, x4], all else zero."""
     sc = {(0, 1): ((4, 1),), (2, 3): ((4, 1),)}
-    return LieAlgebra(field, 5, sc, labels=[f"x{i+1}" for i in range(5)])
+    return LieAlgebra(field, 5, sc)
 
 
 def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
@@ -73,17 +74,13 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
     sc = dict(a.sc)
     for (i, j), terms in b.sc.items():
         sc[(i + off, j + off)] = tuple((k + off, c) for k, c in terms)
-    left, right = list(a.labels), list(b.labels)
-    if set(left) & set(right):
-        left = [f"l.{s}" for s in left]
-        right = [f"r.{s}" for s in right]
-    return LieAlgebra(a.field, a.dim + b.dim, sc, labels=left + right)
+    return LieAlgebra(a.field, a.dim + b.dim, sc)
 
 
-def from_bracket_table(field: FieldSpec, dim: int, table, labels=None) -> LieAlgebra:
+def from_bracket_table(field: FieldSpec, dim: int, table) -> LieAlgebra:
     """Algebra from [(i, j, [(k, c), ...]), ...] rows (0-based, i < j)."""
     sc = {(i, j): tuple(terms) for i, j, terms in table}
-    return LieAlgebra(field, dim, sc, labels=labels)
+    return LieAlgebra(field, dim, sc)
 
 
 def dim5_center2(field: FieldSpec) -> LieAlgebra:
@@ -111,8 +108,7 @@ def dim6_center1(field: FieldSpec) -> LieAlgebra:
     span{x3, x4, x5, x6} is NOT abelian, and dim L' = dim - 4.
     """
     return from_bracket_table(
-        field, 6, [(0, 1, [(2, 1)]), (0, 2, [(5, 1)]), (3, 4, [(5, 1)])],
-        labels=[f"x{i+1}" for i in range(6)],
+        field, 6, [(0, 1, [(2, 1)]), (0, 2, [(5, 1)]), (3, 4, [(5, 1)])]
     )
 
 
@@ -205,13 +201,11 @@ def builtin(name: str, field: FieldSpec) -> LieAlgebra:
 
 
 def _field_from_json(obj) -> FieldSpec:
-    from .fields import FieldError
-
     if obj == "rational":
         return FieldSpec.rational()
     if isinstance(obj, dict) and set(obj) == {"prime"}:
         try:
-            return FieldSpec.prime(obj["prime"])
+            return FieldSpec.prime(_checked(obj["prime"], int, "prime"))
         except FieldError as exc:
             raise CatalogError(str(exc)) from exc
     raise CatalogError(f"bad field spec {obj!r}")
@@ -221,31 +215,58 @@ def _field_to_json(field: FieldSpec):
     return {"prime": field.p} if field.is_prime else "rational"
 
 
-def entry_from_json(obj: dict) -> CatalogEntry:
+def _checked(value, kind: type, what: str):
+    """value when it is a JSON value of the given kind, else a CatalogError.
+
+    JSON true and false are not integers here, although bool subclasses int.
+    """
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        names = {dict: "an object", list: "a list", int: "an integer", str: "a string"}
+        raise CatalogError(f"{what} must be {names[kind]}, got {json.dumps(value)}")
+    return value
+
+
+def _scalar(field: FieldSpec, value):
+    """A scalar literal parsed into the field: an integer or a "num/den" string."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise CatalogError(f"bad scalar literal {json.dumps(value)}")
+    try:
+        return field.parse(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise CatalogError(f"bad scalar literal {json.dumps(value)}: {exc}") from exc
+
+
+def entry_from_json(obj) -> CatalogEntry:
+    _checked(obj, dict, "entry")
     for key in ("name", "field", "dim", "brackets"):
         if key not in obj:
             raise CatalogError(f"missing key {key!r}")
+    name = _checked(obj["name"], str, "name")
     field = _field_from_json(obj["field"])
-    dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    dim = _checked(obj["dim"], int, "dim")
+    if dim < 1:
         raise CatalogError(f"bad dimension {dim!r}")
     sc = {}
-    for block in obj["brackets"]:
-        i, j = block.get("i"), block.get("j")
-        if not (isinstance(i, int) and isinstance(j, int)):
-            raise CatalogError(f"bad bracket indices in {block!r}")
+    for block in _checked(obj["brackets"], list, "brackets"):
+        _checked(block, dict, "bracket block")
+        i, j = (_checked(block.get(key), int, f"bracket index {key}") for key in "ij")
         if i >= j:
             raise CatalogError(f"bracket indices need i < j, got ({i}, {j})")
         if (i, j) in sc:
             raise CatalogError(f"duplicate bracket block ({i}, {j})")
-        terms = [(t["k"], field.parse(t["c"])) for t in block.get("terms", ())]
+        terms = []
+        for term in _checked(block.get("terms", []), list, "terms"):
+            _checked(term, dict, "term")
+            if "k" not in term or "c" not in term:
+                raise CatalogError(f"term {json.dumps(term)} needs keys 'k' and 'c'")
+            terms.append((_checked(term["k"], int, "term index k"), _scalar(field, term["c"])))
         sc[(i, j)] = tuple(terms)
     try:
         algebra = LieAlgebra(field, dim, sc)
     except ValueError as exc:
         raise CatalogError(str(exc)) from exc
-    tags = tuple(obj.get("tags", ()))
-    return CatalogEntry(obj["name"], algebra, tags)
+    tags = tuple(_checked(obj.get("tags", []), list, "tags"))
+    return CatalogEntry(name, algebra, tags)
 
 
 def entry_to_json(entry: CatalogEntry) -> dict:

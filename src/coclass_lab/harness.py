@@ -21,6 +21,7 @@ from .linalg import basis_vec, is_zero_vec
 from .maps import (
     LinearMap,
     commuting_defect,
+    commuting_witness_vector,
     compose,
     identity_suite_batch,
     is_automorphism,
@@ -196,8 +197,8 @@ class EnumerationSummary:
         if self.closure is not None and self.closure.witness is not None:
             w = self.closure.witness
             witness = {
-                "f": _matrix_grid(w.f, field),
-                "g": _matrix_grid(w.g, field),
+                "f": matrix_grid(w.f, field),
+                "g": matrix_grid(w.g, field),
                 "f_index": w.f_index,
                 "g_index": w.g_index,
                 "vector": [field.unparse(x) for x in w.vector],
@@ -214,7 +215,8 @@ class EnumerationSummary:
         }
 
 
-def _matrix_grid(f: LinearMap, field: FieldSpec) -> list:
+def matrix_grid(f: LinearMap, field: FieldSpec) -> list:
+    """The map's matrix row by row, each entry in its catalog-file form."""
     return [[field.unparse(x) for x in row] for row in f.matrix.rows]
 
 
@@ -279,24 +281,17 @@ def summarize_enumeration(
     )
 
 
-def verify(
-    algebra: LieAlgebra,
-    with_enumeration: bool = True,
-    budget: int = SUITE_BUDGET,
-    name: str = "",
-) -> VerdictReport:
+def verify(algebra: LieAlgebra, budget: int = SUITE_BUDGET, name: str = "") -> VerdictReport:
     """Profile, predict, and (budget permitting) confront with enumeration."""
-    return _verify(algebra, with_enumeration, budget, name)[0]
+    return _verify(algebra, budget, name)[0]
 
 
-def _verify(algebra: LieAlgebra, with_enumeration: bool, budget: int, name: str) -> tuple:
+def _verify(algebra: LieAlgebra, budget: int, name: str) -> tuple:
     """verify's report, then the commuting and central sets it enumerated (or None, None)."""
     prof = profile(algebra)
     pred = predict(prof)
     commuting = central = summary = reason = None
-    if not with_enumeration:
-        reason = "enumeration disabled"
-    elif not algebra.field.is_prime:
+    if not algebra.field.is_prime:
         reason = "enumeration needs a prime field"
     else:
         try:
@@ -386,9 +381,9 @@ class WitnessReport:
             "params": self.params,
             "field": str(self.field),
             "variants": [v.as_dict(self.field) for v in self.variants],
-            "beta1": _matrix_grid(self.beta1, self.field),
+            "beta1": matrix_grid(self.beta1, self.field),
             "beta2": {
-                k: _matrix_grid(v, self.field) for k, v in sorted(self.beta2_by_variant.items())
+                k: matrix_grid(v, self.field) for k, v in sorted(self.beta2_by_variant.items())
             },
             "ok": self.ok,
         }
@@ -405,8 +400,6 @@ def _variant_report(algebra: LieAlgebra, beta1: LinearMap, beta2: LinearMap, var
     elif not is_zero_vec(bracket):
         defect_input, defect_bracket = x, bracket
     else:
-        from .maps import commuting_witness_vector
-
         xw, res = commuting_witness_vector(algebra, comp, comp_defect)
         defect_input, defect_bracket = xw, algebra.bracket(xw, comp.apply(xw))
     return VariantReport(
@@ -643,7 +636,7 @@ def run_suite(p: int = 3, budget: int = SUITE_BUDGET) -> SuiteReport:
     oracle_skipped = []
     for entry in entries:
         alg = entry.algebra
-        report, commuting, central = _verify(alg, True, budget, entry.name)
+        report, commuting, central = _verify(alg, budget, entry.name)
         verdicts.append(report)
         if commuting is None:
             continue

@@ -274,39 +274,13 @@ def kernel(m: Matrix) -> Subspace:
 
 
 @dataclass(frozen=True)
-class AffineSolution:
-    """Full solution set of m x = b: one particular point plus the kernel."""
-
-    particular: Vector
-    homogeneous: Subspace
-
-
-def solve_affine(m: Matrix, b: Vector) -> Optional[AffineSolution]:
-    """Solve m x = b; None when inconsistent."""
-    f = m.field
-    b = vec(f, b)
-    if len(b) != m.nrows:
-        raise ValueError("rhs length != row count")
-    n = m.ncols
-    aug = [list(row) + [rhs] for row, rhs in zip(m.rows, b)]
-    if not aug:
-        return AffineSolution(zero_vec(f, n), Subspace.full(f, n))
-    rows, pivots = _rref_rows(f, aug)
-    if n in pivots:  # pivot in the augmented column
-        return None
-    x = [f.zero] * n
-    for r, pc in enumerate(pivots):
-        x[pc] = rows[r][n]
-    return AffineSolution(tuple(x), kernel(m))
-
-
-@dataclass(frozen=True)
 class AffineOperators:
     """Right-hand-side independent solution of m x = b.
 
     b is consistent exactly when ``consistency`` b = 0, and then
-    ``particular`` b is the point :func:`solve_affine` returns; the full
-    solution set is that point plus ``homogeneous``.
+    ``particular`` b is one solution; the full solution set is that point
+    plus ``homogeneous``.  They are tested against the per-right-hand-side
+    solver kept in ``tests/dfs_reference.py``.
     """
 
     consistency: Matrix  # (nrows - rank) x nrows
@@ -343,18 +317,3 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     if not constraints.rows:
         return Subspace.full(a.field, a.ambient_dim)
     return kernel(constraints)
-
-
-def solution_points(sol: AffineSolution):
-    """Iterate the full affine solution set (prime fields), deterministic order."""
-    f = sol.homogeneous.field
-    if not f.is_prime:
-        raise ValueError("point enumeration needs a finite field")
-    base = sol.particular
-    rows = sol.homogeneous.basis.rows
-    for coeffs in product(range(f.p), repeat=len(rows)):
-        v = base
-        for c, row in zip(coeffs, rows):
-            if c:
-                v = add_vec(f, v, scale_vec(f, c, row))
-        yield v

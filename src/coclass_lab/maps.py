@@ -32,6 +32,7 @@ from .linalg import (
     invert,
     is_invertible,
     is_zero_vec,
+    kernel,
     sub_vec,
     vec,
 )
@@ -145,8 +146,6 @@ def is_automorphism(algebra: LieAlgebra, f: LinearMap) -> DefectReport:
     if not hom.clean:
         return hom
     if not is_invertible(f.matrix):
-        from .linalg import kernel
-
         witness = kernel(f.matrix).basis.rows[0]
         return DefectReport(NOT_INVERTIBLE, (((), witness),))
     return DefectReport(None)
@@ -235,104 +234,6 @@ IDENTITY_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class IdentitySuiteReport:
-    violations: dict
-
-    @property
-    def passed(self) -> bool:
-        return all(not v for v in self.violations.values())
-
-    def __str__(self) -> str:
-        if self.passed:
-            return "all identities hold"
-        bad = {k: len(v) for k, v in self.violations.items() if v}
-        return f"identity violations: {bad}"
-
-
-def lemma_identity_suite(algebra: LieAlgebra, f: LinearMap) -> IdentitySuiteReport:
-    """Check the full identity family satisfied by commuting automorphisms.
-
-    Precondition: f must be a commuting automorphism (raises otherwise).
-    All identities are multilinear or bilinearizable in the quantified
-    vectors, so basis tuples suffice; the one quadratic slot (y in the
-    double-bracket identity) is checked together with its polarized
-    cross terms, same decomposition as the commuting predicate.
-    """
-    if not is_commuting(algebra, f):
-        raise ValueError("identity suite requires a commuting automorphism")
-    fld = algebra.field
-    n = algebra.dim
-    basis = [basis_vec(fld, n, i) for i in range(n)]
-    images = [f.image_of_basis(i) for i in range(n)]
-    disp = [sub_vec(fld, images[i], basis[i]) for i in range(n)]
-    pair_brackets = [[algebra.bracket_basis(j, k) for k in range(n)] for j in range(n)]
-    center = algebra.center()
-    second = algebra.second_center()
-    two = fld.add(fld.one, fld.one)
-
-    v = {name: [] for name in IDENTITY_NAMES}
-
-    for i in range(n):
-        for j in range(n):
-            lhs = algebra.bracket(images[i], basis[j])
-            rhs = algebra.bracket(basis[i], images[j])
-            r = sub_vec(fld, lhs, rhs)
-            if not is_zero_vec(r):
-                v["bracket_swap"].append(((i, j), r))
-            lhs = algebra.bracket(disp[i], basis[j])
-            rhs = algebra.bracket(basis[i], disp[j])
-            r = sub_vec(fld, lhs, rhs)
-            if not is_zero_vec(r):
-                v["displacement_swap"].append(((i, j), r))
-
-    for z in center.basis.rows:
-        img = f.apply(z)
-        if not center.contains(img):
-            v["center_preserved"].append(((), img))
-
-    # double bracket in y with polarization: Y[j, j2, i] = [e_j, [e_j2, d_i]]
-    for i in range(n):
-        inner = [algebra.bracket(basis[j2], disp[i]) for j2 in range(n)]
-        for j in range(n):
-            diag = algebra.bracket(basis[j], inner[j])
-            if not is_zero_vec(diag):
-                v["double_bracket_vanishes"].append(((i, j, j), diag))
-            for j2 in range(j + 1, n):
-                cross = add_vec(
-                    fld,
-                    algebra.bracket(basis[j], inner[j2]),
-                    algebra.bracket(basis[j2], inner[j]),
-                )
-                if not is_zero_vec(cross):
-                    v["double_bracket_vanishes"].append(((i, j, j2), cross))
-
-    for i in range(n):
-        lhs_row = [
-            [algebra.bracket(disp[i], pair_brackets[j][k]) for k in range(n)] for j in range(n)
-        ]
-        for j in range(n):
-            for k in range(n):
-                lhs = lhs_row[j][k]
-                swapped = algebra.bracket(disp[j], pair_brackets[i][k])
-                r = sub_vec(fld, lhs, swapped)
-                if not is_zero_vec(r):
-                    v["displacement_bracket_swap"].append(((i, j, k), r))
-                inner = algebra.bracket(basis[j], disp[i])
-                rhs = algebra.bracket(basis[k], inner)
-                r = sub_vec(fld, lhs, tuple(fld.mul(two, x) for x in rhs))
-                if not is_zero_vec(r):
-                    v["double_bracket_factor"].append(((i, j, k), r))
-                if not is_zero_vec(lhs):
-                    v["displacement_kills_brackets"].append(((i, j, k), lhs))
-
-    for i in range(n):
-        if not second.contains(disp[i]):
-            v["displacement_in_second_center"].append(((i,), disp[i]))
-
-    return IdentitySuiteReport({name: tuple(v[name]) for name in IDENTITY_NAMES})
-
-
 def _count_nonzero_residues(a: np.ndarray, p: int) -> int:
     """Index tuples (all axes but the last) whose residue vector mod p is nonzero.
 
@@ -345,16 +246,18 @@ def _count_nonzero_residues(a: np.ndarray, p: int) -> int:
 def identity_suite_batch(algebra: LieAlgebra, mats: np.ndarray, chunk: int = 2048) -> dict:
     """Violation counts of the identity family over a (B, n, n) member batch.
 
-    Same mathematics as :func:`lemma_identity_suite`, vectorized for
-    prime fields so the suite can sweep every enumerated commuting
-    automorphism of a catalog algebra.  Returns {identity name: count}.
+    Vectorized for prime fields, so the suite can sweep every enumerated
+    commuting automorphism of a catalog algebra.  Returns {identity name:
+    count}.  It is tested against the pure-Python single-map report in
+    ``tests/identity_reference.py``, which lists one witness per failing
+    basis tuple and also runs over Q.
 
     A count is the number of (member, basis tuple) pairs that fail, so it
     is zero exactly when the single-map report is clean, but otherwise
     need not equal the length of that report's witness list:
     ``double_bracket_vanishes`` counts ordered pairs (j, j2), diagonal
-    included, where :func:`lemma_identity_suite` lists unordered ones.
-    Only zero versus nonzero is comparable between the two.
+    included, where the reference lists unordered ones.  Only zero versus
+    nonzero is comparable between the two.
 
     The family is decided on the d <= n^2 members whose displacements
     D = F - I span all of them.  Each residue is linear in D (``bracket_swap``

@@ -535,16 +535,16 @@ def _make_witness(algebra, arr, fi, gi) -> ClosureWitness:
     return ClosureWitness(f, g, fi, gi, x, residual)
 
 
-def closure_check(aset: AutomorphismSet, exhaustive: bool = False) -> ClosureVerdict:
+def closure_check(aset: AutomorphismSet) -> ClosureVerdict:
     """Decide whether the commuting set is closed under composition.
 
     The witness, when there is one, is the first ordered pair (f, g) in
     canonical member order whose composition g o f does not commute.
 
-    By default both come from the d <= n^2 members that span the set's
-    linear span, picked greedily in canonical order (each member that is
-    not a combination of the ones before it).  The commuting defect of
-    g o f is linear in g and linear in f, so:
+    Both come from the d <= n^2 members that span the set's linear span,
+    picked greedily in canonical order (each member that is not a
+    combination of the ones before it).  The commuting defect of g o f is
+    linear in g and linear in f, so:
 
       * the set is closed exactly when all d^2 ordered pairs of
         representatives compose to commuting maps;
@@ -553,19 +553,15 @@ def closure_check(aset: AutomorphismSet, exhaustive: bool = False) -> ClosureVer
         Likewise its g is a representative, so the witness is the first
         failing pair of the d x d check.
 
-    ``pair_count`` is the number of compositions tested, d^2.
-    ``exhaustive=True`` is the plain ordered scan over all N^2 pairs
-    instead, the reference the span method is tested against.
+    ``pair_count`` is the number of compositions tested, d^2.  The plain
+    ordered scan over all N^2 pairs that this is tested against is
+    ``closure_scan`` in ``tests/closure_reference.py``.
     """
     if aset.kind != "commuting":
         raise ValueError("closure_check applies to commuting sets")
     algebra = aset.algebra
     if not algebra.field.is_prime:
         raise ValueError("closure check needs a prime field")
-    if not aset.size:
-        return ClosureVerdict(True, None, 0, "pairs")
-    if exhaustive:
-        return _closure_pairs(aset)
 
     p = algebra.field.p
     n = algebra.dim
@@ -581,23 +577,6 @@ def closure_check(aset: AutomorphismSet, exhaustive: bool = False) -> ClosureVer
     a = int(np.argmin(ok.all(axis=1)))
     witness = _make_witness(algebra, arr, reps[a], reps[int(np.argmin(ok[a]))])
     return ClosureVerdict(False, witness, d * d, "span")
-
-
-def _closure_pairs(aset: AutomorphismSet) -> ClosureVerdict:
-    """Every ordered pair, f outer and g inner in canonical order."""
-    algebra = aset.algebra
-    p = algebra.field.p
-    T = modp.structure_tensor(algebra)
-    arr = aset.member_array()
-    first = None
-    for fi in range(len(arr)):
-        ok = modp.batch_is_commuting(np.matmul(arr, arr[fi]) % p, T, p)
-        if first is None and not ok.all():
-            first = (fi, int(np.argmin(ok)))
-    pair_count = len(arr) * len(arr)
-    if first is None:
-        return ClosureVerdict(True, None, pair_count, "pairs")
-    return ClosureVerdict(False, _make_witness(algebra, arr, *first), pair_count, "pairs")
 
 
 @dataclass(frozen=True)

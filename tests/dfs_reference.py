@@ -1,8 +1,9 @@
 """The recursive generator-image DFS, kept as a reference for the tests.
 
 This is the commuting enumerator as it was before the frontier rewrite:
-one ``solve_affine`` per branch and one ``Subspace.from_vectors`` per
-candidate image to test independence modulo L'.  With
+one ``solve_affine`` (kept here, beside the point iterator it feeds) per
+branch and one ``Subspace.from_vectors`` per candidate image to test
+independence modulo L'.  With
 ``prune_second_center=False`` it also drops the rows that confine f(g)
 to the coset g + Z_2(L), so it checks that lemma instead of relying on
 it.  Completed assignments go through the reference filter of
@@ -10,18 +11,70 @@ it.  Completed assignments go through the reference filter of
 library's canonicalisation, so the two enumerators share no filter.
 """
 
+from dataclasses import dataclass
+from itertools import product
+from typing import Optional
+
 from elimination_reference import filter_assignments
 from coclass_lab.linalg import (
     Matrix,
     Subspace,
+    Vector,
+    _rref_rows,
+    add_vec,
     basis_vec,
     kernel,
     scale_vec,
-    solution_points,
-    solve_affine,
+    vec,
     zero_vec,
 )
 from coclass_lab.search import BudgetExceededError, _finish_set
+
+
+@dataclass(frozen=True)
+class AffineSolution:
+    """Full solution set of m x = b: one particular point plus the kernel."""
+
+    particular: Vector
+    homogeneous: Subspace
+
+
+def solve_affine(m: Matrix, b: Vector) -> Optional[AffineSolution]:
+    """Solve m x = b by one elimination of (m | b); None when inconsistent.
+
+    ``linalg.affine_operators`` solves for every right-hand side at once;
+    this per-right-hand-side solver is what the tests compare it with.
+    """
+    f = m.field
+    b = vec(f, b)
+    if len(b) != m.nrows:
+        raise ValueError("rhs length != row count")
+    n = m.ncols
+    aug = [list(row) + [rhs] for row, rhs in zip(m.rows, b)]
+    if not aug:
+        return AffineSolution(zero_vec(f, n), Subspace.full(f, n))
+    rows, pivots = _rref_rows(f, aug)
+    if n in pivots:  # pivot in the augmented column
+        return None
+    x = [f.zero] * n
+    for r, pc in enumerate(pivots):
+        x[pc] = rows[r][n]
+    return AffineSolution(tuple(x), kernel(m))
+
+
+def solution_points(sol: AffineSolution):
+    """Iterate the full affine solution set (prime fields), deterministic order."""
+    f = sol.homogeneous.field
+    if not f.is_prime:
+        raise ValueError("point enumeration needs a finite field")
+    base = sol.particular
+    rows = sol.homogeneous.basis.rows
+    for coeffs in product(range(f.p), repeat=len(rows)):
+        v = base
+        for c, row in zip(coeffs, rows):
+            if c:
+                v = add_vec(f, v, scale_vec(f, c, row))
+        yield v
 
 
 def projected_count(algebra, prune_second_center: bool = True) -> int:

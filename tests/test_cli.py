@@ -134,6 +134,16 @@ def test_verify_requires_target(capsys):
     assert err.value.code == 2
 
 
+def test_verify_rejects_algebra_with_catalog(tmp_path, capsys):
+    # the algebra would be ignored without a word, so the pair is a usage error
+    path = tmp_path / "one.jsonl"
+    save_catalog(default_catalog(F3)[:1], path)
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "filiform:4", "--catalog", str(path)])
+    assert err.value.code == 2
+    assert "not both" in capsys.readouterr().err
+
+
 def test_env_budget_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("COCLASS_LAB_BUDGET", "10")
     code, _, err = run(capsys, "search-commuting", "heisenberg:2:1", "--p", "3")
@@ -178,6 +188,44 @@ def test_unreadable_catalog_usage_error(tmp_path, capsys, command):
     assert err.value.code == 2
     err_text = capsys.readouterr().err
     assert err_text.startswith("error: ") and err_text.count("\n") == 1
+
+
+_ENTRY = '"name": "x", "field": {"prime": 3}, "dim": 3'
+_TERM = '"brackets": [{"i": 0, "j": 1, "terms": [%s]}]'
+# one malformed line per case: the shape, key or literal that is wrong
+_MALFORMED = {
+    "entry_not_object": "5",
+    "brackets_not_list": "{" + _ENTRY + ', "brackets": {}}',
+    "block_not_object": "{" + _ENTRY + ', "brackets": [[0, 1]]}',
+    "term_without_k": "{" + _ENTRY + ", " + _TERM % '{"c": 1}' + "}",
+    "term_without_c": "{" + _ENTRY + ", " + _TERM % '{"k": 2}' + "}",
+    "k_not_integer": "{" + _ENTRY + ", " + _TERM % '{"k": "2", "c": 1}' + "}",
+    "i_boolean": "{" + _ENTRY + ', "brackets": [{"i": false, "j": 1, "terms": []}]}',
+    "dim_boolean": '{"name": "x", "field": {"prime": 3}, "dim": true, "brackets": []}',
+    "prime_not_integer": '{"name": "x", "field": {"prime": "3"}, "dim": 2, "brackets": []}',
+    "name_not_string": '{"name": 7, "field": {"prime": 3}, "dim": 2, "brackets": []}',
+    "tags_not_list": '{"name": "x", "field": {"prime": 3}, "dim": 2, "brackets": [], "tags": "t"}',
+    "zero_denominator": '{"name": "x", "field": "rational", "dim": 3, '
+    + _TERM % '{"k": 2, "c": "1/0"}' + "}",
+    "scalar_not_number": "{" + _ENTRY + ", " + _TERM % '{"k": 2, "c": "zz"}' + "}",
+    "scalar_float": "{" + _ENTRY + ", " + _TERM % '{"k": 2, "c": 1.5}' + "}",
+}
+
+
+@pytest.mark.parametrize("line", list(_MALFORMED.values()), ids=list(_MALFORMED))
+def test_malformed_catalog_entry_named_by_location(tmp_path, capsys, line):
+    # validate reports the file and line and exits 1; a command that needs
+    # the catalog exits 2; neither ends in a traceback
+    path = tmp_path / "bad.jsonl"
+    path.write_text(line + "\n")
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 1
+    assert out.startswith(f"invalid: {path}:1: ")
+    for argv in (["verify", "--catalog", str(path)], ["invariants", str(path)]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:1: ")
 
 
 def test_validate_reports_unreadable_file(tmp_path, capsys):

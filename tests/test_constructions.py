@@ -129,6 +129,22 @@ def test_direct_sum_center_is_sum_of_centers():
     assert L.center() == Subspace.from_vectors(F3, L.dim, za + zb)
 
 
+def test_direct_sum_block_diagonal_table():
+    # the second summand's brackets shift by the first summand's dimension
+    a, b = filiform(4, F3), heisenberg(1, 1, F3)
+    assert direct_sum(a, b).sc == {
+        (0, 1): ((2, 1),),
+        (0, 2): ((3, 1),),
+        (4, 5): ((6, 1),),
+    }
+    assert direct_sum(a, a).sc == {
+        (0, 1): ((2, 1),),
+        (0, 2): ((3, 1),),
+        (4, 5): ((6, 1),),
+        (4, 6): ((7, 1),),
+    }
+
+
 def test_direct_sum_field_mismatch():
     with pytest.raises(ValueError):
         direct_sum(abelian(1, F3), abelian(1, F5))

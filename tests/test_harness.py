@@ -173,11 +173,6 @@ def test_verify_budget_exceeded_flags_unverified():
     assert report.consistent  # vacuously
 
 
-def test_verify_without_enumeration():
-    report = verify(filiform(4, F3), with_enumeration=False)
-    assert report.enumeration is None and report.consistent
-
-
 def test_verify_rational_field_skips_enumeration():
     report = verify(dim5_example(FieldSpec.rational()))
     assert report.enumeration is None

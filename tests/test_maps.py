@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from identity_reference import lemma_identity_suite
 from coclass_lab.constructions import dim5_example, filiform, heisenberg
 from coclass_lab.fields import FieldSpec
 from coclass_lab.linalg import Matrix, basis_vec
@@ -18,7 +19,6 @@ from coclass_lab.maps import (
     is_central,
     is_commuting,
     is_homomorphism,
-    lemma_identity_suite,
 )
 
 F3 = FieldSpec.prime(3)
@@ -214,6 +214,19 @@ def test_batch_suite_agrees_with_single_map_reports():
     assert sum(counts.values()) == 0
     for f in aset.members[:25]:
         assert lemma_identity_suite(L, f).passed
+
+
+def test_batch_suite_agrees_with_single_map_on_witness_maps():
+    # per identity, a nonzero batch count exactly where the report lists witnesses
+    for field in (F3, F5):
+        L = dim5_example(field)
+        for f in (dim5_beta1(L), dim5_beta2(L)):
+            arr = np.array([[list(r) for r in f.matrix.rows]], dtype=np.int64)
+            counts = identity_suite_batch(L, arr)
+            report = lemma_identity_suite(L, f)
+            assert {k: bool(c) for k, c in counts.items()} == {
+                k: bool(v) for k, v in report.violations.items()
+            }
 
 
 def test_batch_suite_detects_violations_for_non_commuting_map():

@@ -2,11 +2,10 @@
 
 The references are the algorithms they replaced: the recursive DFS in
 ``dfs_reference`` (also run without the Z_2 coset rows, as an oracle for
-that pruning lemma), the ordered all-pairs scan of
-``closure_check(..., exhaustive=True)``, and the n x n invertibility
-tests of ``elimination_reference`` that the filter (by the argument in
-the ``search`` docstring) and the central enumerator (by Sylvester's
-identity) no longer run.
+that pruning lemma), the ordered all-pairs scan in ``closure_reference``,
+and the n x n invertibility tests of ``elimination_reference`` that the
+filter (by the argument in the ``search`` docstring) and the central
+enumerator (by Sylvester's identity) no longer run.
 """
 
 import numpy as np
@@ -14,6 +13,7 @@ import pytest
 
 import dfs_reference
 import elimination_reference
+from closure_reference import closure_scan
 from coclass_lab import modp, search
 from coclass_lab.algebra import LieAlgebra
 from coclass_lab.constructions import builtin, default_catalog
@@ -83,18 +83,6 @@ def _indices(verdict):
     return None if verdict.witness is None else (verdict.witness.f_index, verdict.witness.g_index)
 
 
-def _first_failing_pair(aset):
-    """The witness indices of exhaustive=True: its ordered scan, stopped at the first failing row."""
-    p = aset.algebra.field.p
-    T = modp.structure_tensor(aset.algebra)
-    arr = aset.member_array()
-    for fi in range(len(arr)):
-        ok = modp.batch_is_commuting(np.matmul(arr, arr[fi]) % p, T, p)
-        if not ok.all():
-            return fi, int(np.argmin(ok))
-    return None
-
-
 def test_span_closure_matches_ordered_scan(catalog_sets):
     not_closed = []
     for p, runs in catalog_sets.items():
@@ -102,7 +90,7 @@ def test_span_closure_matches_ordered_scan(catalog_sets):
             if aset.size**2 > 10**6:
                 continue
             fast = closure_check(aset)
-            ref = closure_check(aset, exhaustive=True)
+            ref = closure_scan(aset)
             assert (fast.closed, _indices(fast)) == (ref.closed, _indices(ref)), (p, name)
             if not ref.closed:
                 not_closed.append(name)
@@ -110,12 +98,13 @@ def test_span_closure_matches_ordered_scan(catalog_sets):
 
 
 def test_span_witness_on_large_non_closed_sets(catalog_sets):
-    # 13,284 members each: the full exhaustive scan would compose 1.8e8 pairs
+    # 13,284 members each: a scan to the last row would compose 1.8e8
+    # pairs, but the scan stops at the first failing row
     runs = {name: aset for name, _, aset in catalog_sets[3]}
     for name in ("dim5_example", "heisenberg_2_1"):
         verdict = closure_check(runs[name])
         assert not verdict.closed
-        assert _indices(verdict) == _first_failing_pair(runs[name]), name
+        assert _indices(verdict) == _indices(closure_scan(runs[name])), name
 
 
 def _two_step(rng, p: int, dim: int) -> LieAlgebra:
