@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable, Optional, Union
 
 from .fields import FieldSpec, Scalar
@@ -25,7 +26,6 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
-    add_vec,
     basis_vec,
     is_zero_vec,
     kernel,
@@ -160,17 +160,22 @@ class LieAlgebra:
         """Jacobi residuals [[x,y],z] + [[y,z],x] + [[z,x],y] over basis triples.
 
         Antisymmetry holds by the storage convention, so an empty list
-        means the table is a genuine Lie algebra.
+        means the table is a genuine Lie algebra.  Each residual walks the
+        nonzero brackets of the per-index table, sums the three terms and
+        reduces once.
         """
+        table = [dict(pairs) for pairs in self._adjacency]
+        p = self.field.p
         violations = []
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                for k in range(j + 1, self.dim):
-                    r = self._bracket(self.bracket_basis(i, j), basis_vec(self.field, self.dim, k))
-                    r = add_vec(self.field, r, self._bracket(self.bracket_basis(j, k), basis_vec(self.field, self.dim, i)))
-                    r = add_vec(self.field, r, self._bracket(self.bracket_basis(k, i), basis_vec(self.field, self.dim, j)))
-                    if not is_zero_vec(r):
-                        violations.append(JacobiViolation((i, j, k), r))
+        for i, j, k in combinations(range(self.dim), 3):
+            out = [self.field.zero] * self.dim
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                for m, x in table[a].get(b, ()):
+                    for l, y in table[m].get(c, ()):
+                        out[l] += x * y
+            r = tuple(v % p for v in out) if p else tuple(out)
+            if any(r):
+                violations.append(JacobiViolation((i, j, k), r))
         return violations
 
     # -- subspace machinery -------------------------------------------------
@@ -286,34 +291,19 @@ class LieAlgebra:
 
     # -- subalgebras ---------------------------------------------------------
 
-    def check_subalgebra(self, s: Subspace) -> None:
-        for x in s.basis.rows:
-            for y in s.basis.rows:
-                if not s.contains(self._bracket(x, y)):
-                    raise NotSubalgebraError(f"[{x}, {y}] leaves the subspace")
-
-    def restrict(self, s: Subspace) -> "LieAlgebra":
-        """The bracket of s in its own basis coordinates (s must be closed)."""
-        self.check_subalgebra(s)
-        f = self.field
-        rows = s.basis.rows
-        if not rows:
-            return LieAlgebra(f, 1, {})
-        # coordinates w.r.t. the rref basis: read off pivot positions
-        pivots = [next(c for c, xv in enumerate(row) if xv) for row in rows]
-        sc = {}
-        for i in range(len(rows)):
-            for j in range(i + 1, len(rows)):
-                w = self._bracket(rows[i], rows[j])
-                terms = [(k, w[pc]) for k, pc in enumerate(pivots) if w[pc]]
-                if terms:
-                    sc[(i, j)] = tuple(terms)
-        return LieAlgebra(f, len(rows), sc)
-
     def subalgebra_class(self, s: Subspace) -> int:
-        if s.is_zero:
-            return 0
-        return self.restrict(s).nilpotency_class()
+        """Nilpotency class of the subalgebra s, from s, [s, s], [s, [s, s]], ... in L."""
+        if s.is_full():
+            return self.nilpotency_class()
+        term, steps = s, 0
+        while not term.is_zero:
+            nxt = self.bracket_subspaces(s, term)
+            if steps == 0 and not s.contains_subspace(nxt):
+                raise NotSubalgebraError("[s, s] leaves the subspace")
+            if nxt == term:
+                raise NonNilpotentError("lower central series of the subalgebra does not reach 0")
+            term, steps = nxt, steps + 1
+        return steps
 
     # -- generator presentation ----------------------------------------------
 

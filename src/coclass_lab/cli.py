@@ -101,13 +101,22 @@ def _profile_text(payload: dict) -> str:
     return f"{payload['name']}: {fields}\n  prediction: {pred['verdict']} [{pred['rule']}] {pred['description']}"
 
 
-def _cmd_invariants(args) -> int:
-    field = FieldSpec.prime(args.p)
+def _catalog_file(args):
+    """The catalog file that verify or invariants reads, or None for a builtin."""
+    if args.command == "verify":
+        return args.catalog
     if os.path.exists(args.target) and not args.target.startswith("builtin:"):
-        entries = load_catalog(args.target)
+        return args.target
+    return None
+
+
+def _cmd_invariants(args) -> int:
+    path = _catalog_file(args)
+    if path:
+        entries = load_catalog(path)
         payloads = [_profile_payload(e.name, e.algebra) for e in entries]
     else:
-        algebra = _resolve_algebra(args.target, field)
+        algebra = _resolve_algebra(args.target, FieldSpec.prime(args.p))
         payloads = [_profile_payload(args.target, algebra)]
     _emit(args, {"profiles": payloads}, "\n".join(_profile_text(p) for p in payloads))
     return EXIT_OK
@@ -244,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("invariants", help="structural profile of a file or builtin")
     s.add_argument("target", help="catalog file or builtin:NAME")
-    s.add_argument("--p", type=int, default=3)
+    s.add_argument("--p", type=int, default=None, help="builtin names only (default 3)")
     s.set_defaults(func=_cmd_invariants)
 
     s = sub.add_parser("search-commuting", help="enumerate the commuting automorphisms")
@@ -273,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("verify", help="prediction vs enumeration verdicts")
     s.add_argument("algebra", nargs="?")
     s.add_argument("--catalog", help="verify every entry of a catalog file")
-    s.add_argument("--p", type=int, default=3)
+    s.add_argument("--p", type=int, default=None, help="builtin names only (default 3)")
     s.set_defaults(func=_cmd_verify)
 
     s = sub.add_parser("suite", help="the full acceptance battery")
@@ -288,6 +297,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "verify" and bool(args.algebra) == bool(args.catalog):
         parser.error("verify needs an algebra or --catalog FILE, not both")
+    if args.command in ("verify", "invariants"):
+        if args.p is not None and _catalog_file(args):
+            parser.error("--p applies to builtin names only; a catalog file's entries keep their own field")
+        args.p = 3 if args.p is None else args.p
     if args.budget is None:
         env = _env_budget(parser)
         if env is not None:

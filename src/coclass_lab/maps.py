@@ -42,6 +42,9 @@ NOT_INVERTIBLE = "not_invertible"
 NOT_COMMUTING = "not_commuting"
 NOT_CENTRAL = "not_central"
 
+# members per block of the identity sweep; bounds its (B, n, n, n, n) tensors
+IDENTITY_BLOCK = 2048
+
 
 @dataclass(frozen=True)
 class LinearMap:
@@ -243,7 +246,7 @@ def _count_nonzero_residues(a: np.ndarray, p: int) -> int:
     return int(np.count_nonzero(a.any(axis=-1)))
 
 
-def identity_suite_batch(algebra: LieAlgebra, mats: np.ndarray, chunk: int = 2048) -> dict:
+def identity_suite_batch(algebra: LieAlgebra, mats: np.ndarray) -> dict:
     """Violation counts of the identity family over a (B, n, n) member batch.
 
     Vectorized for prime fields, so the suite can sweep every enumerated
@@ -282,12 +285,12 @@ def identity_suite_batch(algebra: LieAlgebra, mats: np.ndarray, chunk: int = 204
         raise ValueError("batch suite needs a prime field")
     n = algebra.dim
     displacements = (mats - np.eye(n, dtype=np.int64)).reshape(len(mats), n * n)
-    counts = _identity_counts(algebra, mats[modp.spanning_rows(displacements, p)], chunk)
-    return _identity_counts(algebra, mats, chunk) if any(counts.values()) else counts
+    counts = _identity_counts(algebra, mats[modp.spanning_rows(displacements, p)])
+    return _identity_counts(algebra, mats) if any(counts.values()) else counts
 
 
-def _identity_counts(algebra: LieAlgebra, mats: np.ndarray, chunk: int) -> dict:
-    """The chunked sweep of :func:`identity_suite_batch` over every member."""
+def _identity_counts(algebra: LieAlgebra, mats: np.ndarray) -> dict:
+    """The sweep of :func:`identity_suite_batch` over every member, IDENTITY_BLOCK at a time."""
     p = algebra.field.p
     T = modp.structure_tensor(algebra)
     n = algebra.dim
@@ -298,8 +301,8 @@ def _identity_counts(algebra: LieAlgebra, mats: np.ndarray, chunk: int) -> dict:
     cz2 = modp.subspace_constraints(algebra.second_center())
     zbasis = modp.matrix_to_array(algebra.center().basis) if algebra.center().dim else None
     counts = {name: 0 for name in IDENTITY_NAMES}
-    for start in range(0, mats.shape[0], chunk):
-        F = mats[start : start + chunk] % p
+    for start in range(0, mats.shape[0], IDENTITY_BLOCK):
+        F = mats[start : start + IDENTITY_BLOCK] % p
         D = (F - eye) % p
         B = F.shape[0]
         # [f(e_i), e_j] - [e_i, f(e_j)] = S[i,j] + S[j,i] with S[i,j] = [f(e_i), e_j]

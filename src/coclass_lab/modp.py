@@ -154,17 +154,19 @@ def batch_commuting_form(mats: np.ndarray, T: np.ndarray, p: int) -> np.ndarray:
     return np.remainder(S, p, out=S).reshape(-1, n, n, n)
 
 
-def homomorphism_mask(mats: np.ndarray, S: np.ndarray, T: np.ndarray, p: int) -> np.ndarray:
-    """batch_is_homomorphism given S = batch_commuting_form(mats, T, p).
+def batch_is_homomorphism(mats: np.ndarray, T: np.ndarray, p: int) -> np.ndarray:
+    """Mask of f([e_i,e_j]) == [f(e_i), f(e_j)] over all basis pairs.
 
+    With S = batch_commuting_form(mats, T, p),
     [f(e_i), f(e_j)] = sum_m f_mj [f(e_i), e_m] = sum_m S[b,i,m,:] f_mj.
 
     Both f([e_i, e_j]) and [f(e_i), f(e_j)] are antisymmetric in (i, j), so
     they agree on every pair once they agree on the pairs i < j (at i = j
     both vanish).  Those pairs are checked one basis row i at a time, on
-    (B, n - i - 1, n) slices, so no (B, n, n, n) temporary is built.
+    (B, n - i - 1, n) slices, so no (B, n, n, n) temporary is built beside S.
     """
     n = T.shape[0]
+    S = batch_commuting_form(mats, T, p)
     F = mats % p
     Ft = F.transpose(0, 2, 1)
     ok = np.ones(len(mats), dtype=bool)
@@ -175,20 +177,12 @@ def homomorphism_mask(mats: np.ndarray, S: np.ndarray, T: np.ndarray, p: int) ->
     return ok
 
 
-def commuting_mask(S: np.ndarray, p: int) -> np.ndarray:
-    """batch_is_commuting given S = batch_commuting_form(mats, T, p)."""
+def batch_is_commuting(mats: np.ndarray, T: np.ndarray, p: int) -> np.ndarray:
+    """Mask of [f(e_i), e_j] + [f(e_j), e_i] == 0 over all basis pairs."""
+    S = batch_commuting_form(mats, T, p)
     sym = S + S.transpose(0, 2, 1, 3)
     # for odd p the symmetrized condition subsumes the diagonal [f(e_i), e_i] = 0
     return ~np.remainder(sym, p, out=sym).any(axis=(1, 2, 3))
-
-
-def batch_is_homomorphism(mats: np.ndarray, T: np.ndarray, p: int) -> np.ndarray:
-    """Mask of f([e_i,e_j]) == [f(e_i), f(e_j)] over all basis pairs."""
-    return homomorphism_mask(mats, batch_commuting_form(mats, T, p), T, p)
-
-
-def batch_is_commuting(mats: np.ndarray, T: np.ndarray, p: int) -> np.ndarray:
-    return commuting_mask(batch_commuting_form(mats, T, p), p)
 
 
 def batch_in_subspace(columns: np.ndarray, constraints: np.ndarray, p: int) -> np.ndarray:

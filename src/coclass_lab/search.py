@@ -10,9 +10,9 @@ For a commuting automorphism f and generators g_1, ..., g_r:
 
 all of which are necessary conditions, so nothing is pruned that should
 survive; each completed generator assignment is extended to a full map
-through the generator presentation and kept only if the full homomorphism
-and commuting checks pass, which restores sufficiency (invertibility
-follows, see below).
+through the generator presentation and kept only if it is a
+homomorphism.  That restores sufficiency: such a homomorphism commutes
+and is invertible, by the two arguments below.
 
 The search is a level-synchronous frontier expansion.  Level t's
 constraint matrix is the same for every branch and its right-hand side is
@@ -28,9 +28,21 @@ bound on the completed assignments, and so on everything the filter sees;
 enumeration refuses to start when that projection exceeds the budget, and
 no later count can pass it.
 
-The filter tests no invertibility.  A homomorphism f whose generator
-images are independent modulo L' has an image H, a subalgebra, with
-H + L' = L.  If H + L^k = L for some k >= 2 (L^k the lower central
+The filter tests no commuting.  Write f = I + D and B(x, y) = [Dx, y] +
+[Dy, x], symmetric and bilinear; as B(x, x) = 2 [f(x), x] and p is odd,
+f commutes exactly when B = 0.  The level rows give D(g_t) in Z_2 and
+B(g_s, g_t) = 0 for s <= t.  If f is a homomorphism, D[x, y] =
+[Dx, y] + [x, Dy] + [Dx, Dy]; induction over the presentation's bracket
+steps then puts D(L) in Z_2, as [Z_2, L] lies in Z, and the same identity
+puts D(L') in Z.  For z in Z_2, [z, [a, b]] = [[z, a], b] + [a, [z, b]] = 0
+(Jacobi, with [z, a] and [z, b] central), so [Z_2, L'] = 0 and
+B(x, [a, b]) = [Dx, [a, b]] + [D[a, b], x] = 0.  So B vanishes on
+generator pairs and on L x L', hence on L = span(g_t) + L': f commutes.
+The brute-force oracle keeps its own commuting mask.
+
+The filter tests no invertibility either.  A homomorphism f whose
+generator images are independent modulo L' has an image H, a subalgebra,
+with H + L' = L.  If H + L^k = L for some k >= 2 (L^k the lower central
 series, L^2 = L'), then L' = [H + L^k, H + L^k] lies in [H, H] + L^(k+1),
 inside H + L^(k+1), so L = H + L' = H + L^(k+1).  By induction H + L^k = L
 for every k, and L^k = 0 for large k in a nilpotent algebra, so H = L:
@@ -367,40 +379,32 @@ def _assignment_blocks(algebra: LieAlgebra, pres, budget: int):
 
 
 def _filter_assignments(algebra: LieAlgebra, pres, assignments) -> np.ndarray:
-    """Extend (B, r, n) generator assignments to full maps; keep genuine members.
+    """Extend (B, r, n) generator assignments to full maps; keep the homomorphisms.
 
-    The generator images must be independent modulo L'.  A homomorphism
-    with such images is then invertible (see the module docstring), so
-    the kept maps are the homomorphisms that commute.  Returns them as a
-    (B, n, n) int64 array.
+    The block must come from ``_assignment_blocks`` (at most CHUNK rows,
+    consistent with every level's rows) with generator images independent
+    modulo L'.  Such homomorphisms commute and are invertible (see the
+    module docstring).  Returns them as a (B, n, n) int64 array.
     """
     p = algebra.field.p
     n = algebra.dim
-    arr = np.asarray(assignments, dtype=np.int64).reshape(-1, len(pres.generators), n)
+    block = np.asarray(assignments, dtype=np.int64).reshape(-1, len(pres.generators), n)
     T = modp.structure_tensor(algebra)
-    binv = invert(pres.basis_matrix)
-    assert binv is not None
-    binv_np = modp.matrix_to_array(binv)
-
-    kept = [np.zeros((0, n, n), dtype=np.int64)]
-    for start in range(0, arr.shape[0], CHUNK):
-        block = arr[start : start + CHUNK]
-        values = []
-        gi = 0
-        for step in pres.steps:
-            if step.kind == "gen":
-                values.append(block[:, gi, :])
-                gi += 1
-            else:
-                w = np.einsum("bi,bj,ijk->bk", values[step.gen_index], values[step.operand], T)
-                values.append((int(step.scale) * (w % p)) % p)
-        cols = np.stack(values, axis=2)  # (B, n, steps) images as columns
-        mats = np.matmul(cols, binv_np) % p
-        S = modp.batch_commuting_form(mats, T, p)
-        mask = modp.homomorphism_mask(mats, S, T, p)
-        mask &= modp.commuting_mask(S, p)
-        kept.append(mats[mask])
-    return np.concatenate(kept)
+    T_i_jk = T.reshape(n, n * n)
+    values = []
+    gi = 0
+    for step in pres.steps:
+        if step.kind == "gen":
+            values.append(block[:, gi, :])
+            gi += 1
+        else:
+            # [x, y]: x @ T gives the rows [x, e_j], then y combines them
+            ad_x = (values[step.gen_index] @ T_i_jk % p).reshape(-1, n, n)
+            w = np.matmul(values[step.operand][:, None, :], ad_x)[:, 0, :] % p
+            values.append(int(step.scale) * w % p)
+    cols = np.stack(values, axis=2)  # (B, n, steps) images as columns
+    mats = np.matmul(cols, modp.matrix_to_array(invert(pres.basis_matrix))) % p
+    return mats[modp.batch_is_homomorphism(mats, T, p)]
 
 
 # ---------------------------------------------------------------------------
@@ -466,42 +470,37 @@ def enumerate_central(algebra: LieAlgebra, budget: int = DEFAULT_BUDGET) -> Auto
 # ---------------------------------------------------------------------------
 
 
-def _all_matrices(p: int, n: int, limit: int) -> np.ndarray:
-    count = p ** (n * n)
-    if count > limit:
-        raise BudgetExceededError(limit, count, f"p^(n^2) = {p}^{n * n}")
-    return _digits(p, n * n, 0, count).reshape(count, n, n)
-
-
-def enumerate_aut_bruteforce(algebra: LieAlgebra, limit: int = BRUTE_FORCE_LIMIT) -> AutomorphismSet:
+def enumerate_aut_bruteforce(algebra: LieAlgebra) -> AutomorphismSet:
     """Ground truth: filter all p^(n^2) matrices by the automorphism predicate."""
-    return _bruteforce(algebra, "full", limit)
+    return _bruteforce(algebra, "full")
 
 
-def enumerate_commuting_bruteforce(algebra: LieAlgebra, limit: int = BRUTE_FORCE_LIMIT) -> AutomorphismSet:
-    return _bruteforce(algebra, "commuting", limit)
+def enumerate_commuting_bruteforce(algebra: LieAlgebra) -> AutomorphismSet:
+    return _bruteforce(algebra, "commuting")
 
 
-def enumerate_central_bruteforce(algebra: LieAlgebra, limit: int = BRUTE_FORCE_LIMIT) -> AutomorphismSet:
-    return _bruteforce(algebra, "central", limit)
+def enumerate_central_bruteforce(algebra: LieAlgebra) -> AutomorphismSet:
+    return _bruteforce(algebra, "central")
 
 
-def _bruteforce(algebra: LieAlgebra, kind: str, limit: int) -> AutomorphismSet:
-    """The automorphisms among all p^(n^2) matrices, then the kind's own mask."""
+def _bruteforce(algebra: LieAlgebra, kind: str) -> AutomorphismSet:
+    """The automorphisms among all p^(n^2) <= BRUTE_FORCE_LIMIT matrices, then the kind's own mask."""
     if not algebra.field.is_prime:
         raise ValueError("brute force needs a prime field")
     p, n = algebra.field.p, algebra.dim
-    mats = _all_matrices(p, n, limit)
+    count = p ** (n * n)
+    if count > BRUTE_FORCE_LIMIT:
+        raise BudgetExceededError(BRUTE_FORCE_LIMIT, count, f"p^(n^2) = {p}^{n * n}")
+    mats = _digits(p, n * n, 0, count).reshape(count, n, n)
     T = modp.structure_tensor(algebra)
-    S = modp.batch_commuting_form(mats, T, p)
-    mask = modp.batch_invertible(mats, p)
-    mask &= modp.homomorphism_mask(mats, S, T, p)
+    mats = mats[modp.batch_invertible(mats, p)]
+    mats = mats[modp.batch_is_homomorphism(mats, T, p)]
     if kind == "commuting":
-        mask &= modp.commuting_mask(S, p)
+        mats = mats[modp.batch_is_commuting(mats, T, p)]
     elif kind == "central":
         disp = (mats - np.eye(n, dtype=np.int64)) % p
-        mask &= modp.batch_in_subspace(disp, modp.subspace_constraints(algebra.center()), p)
-    return _finish_set(algebra, kind, mats[mask])
+        mats = mats[modp.batch_in_subspace(disp, modp.subspace_constraints(algebra.center()), p)]
+    return _finish_set(algebra, kind, mats)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,14 @@ and reads every invariant from its cached central series.  These are the
 definitions it replaced: the bracket as a loop over the whole structure
 table, L' as the span of all basis brackets, Z(L) as the centralizer of
 L, Z_2(L) as the preimage of Z(L) under every ad e_j, and the two series
-as iterations of those.  The tests require the library to agree with them.
+as iterations of those.  Beside them: the Jacobi check on dense basis
+vectors, and the subalgebra s rebuilt as an algebra of its own
+(``restrict``), whose class ``LieAlgebra.subalgebra_class`` now computes
+inside L.  The tests require the library to agree with them.
 """
 
-from coclass_lab.linalg import Matrix, Subspace, basis_vec, kernel, vec
+from coclass_lab.algebra import JacobiViolation, LieAlgebra, NotSubalgebraError
+from coclass_lab.linalg import Matrix, Subspace, add_vec, basis_vec, is_zero_vec, kernel, vec
 
 
 def bracket(alg, x, y) -> tuple:
@@ -88,3 +92,44 @@ def upper_central_series(alg) -> list:
         if nxt.is_full():
             break
     return series
+
+
+def validate(alg) -> list:
+    """Jacobi residuals over basis triples, from dense bracket_basis and basis_vec tuples."""
+    f, n = alg.field, alg.dim
+    violations = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                r = alg._bracket(alg.bracket_basis(i, j), basis_vec(f, n, k))
+                r = add_vec(f, r, alg._bracket(alg.bracket_basis(j, k), basis_vec(f, n, i)))
+                r = add_vec(f, r, alg._bracket(alg.bracket_basis(k, i), basis_vec(f, n, j)))
+                if not is_zero_vec(r):
+                    violations.append(JacobiViolation((i, j, k), r))
+    return violations
+
+
+def check_subalgebra(alg, s: Subspace) -> None:
+    for x in s.basis.rows:
+        for y in s.basis.rows:
+            if not s.contains(alg._bracket(x, y)):
+                raise NotSubalgebraError(f"[{x}, {y}] leaves the subspace")
+
+
+def restrict(alg, s: Subspace) -> LieAlgebra:
+    """The bracket of s in its own basis coordinates (s must be closed)."""
+    check_subalgebra(alg, s)
+    f = alg.field
+    rows = s.basis.rows
+    if not rows:
+        return LieAlgebra(f, 1, {})
+    # coordinates w.r.t. the rref basis: read off pivot positions
+    pivots = [next(c for c, xv in enumerate(row) if xv) for row in rows]
+    sc = {}
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            w = alg._bracket(rows[i], rows[j])
+            terms = [(k, w[pc]) for k, pc in enumerate(pivots) if w[pc]]
+            if terms:
+                sc[(i, j)] = tuple(terms)
+    return LieAlgebra(f, len(rows), sc)

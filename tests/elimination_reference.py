@@ -4,13 +4,14 @@
   (m, N) transpose, across all N rows at once.
 * ``homomorphism_mask``: the homomorphism check on all n^2 basis pairs.
 * ``filter_assignments``: the extension filter with its n x n
-  invertibility test, so it keeps invertible & homomorphism & commuting.
+  invertibility test and its commuting mask, so it keeps invertible &
+  homomorphism & commuting.
 * ``central_candidates``: every candidate id + phi of the central
   enumerator as an n x n matrix, with the n x n invertibility mask.
 
 The library's streamed span basis, its filter (which relies on the
-generator images being independent modulo L') and its d x d central test
-must agree with these.
+generator images being independent modulo L' and on the level rows) and
+its d x d central test must agree with these.
 """
 
 import numpy as np
@@ -71,7 +72,7 @@ def filter_masks(algebra, mats: np.ndarray) -> tuple:
     S = modp.batch_commuting_form(mats, T, p)
     return (
         modp.batch_invertible(mats, p),
-        homomorphism_mask(mats, S, T, p) & modp.commuting_mask(S, p),
+        homomorphism_mask(mats, S, T, p) & modp.batch_is_commuting(mats, T, p),
     )
 
 

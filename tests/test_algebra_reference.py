@@ -1,17 +1,19 @@
-"""The per-index bracket and the cached series against the dense definitions."""
+"""The per-index bracket, the cached series, the Jacobi check and the subalgebra
+class against the dense definitions."""
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import algebra_reference as ref
-from coclass_lab.algebra import LieAlgebra, NonNilpotentError
-from coclass_lab.constructions import default_catalog, filiform, heisenberg
+from coclass_lab.algebra import LieAlgebra, NonNilpotentError, NotSubalgebraError
+from coclass_lab.constructions import default_catalog, filiform, heisenberg, load_catalog
 from coclass_lab.fields import FieldSpec
-from coclass_lab.linalg import basis_vec, vec
+from coclass_lab.linalg import Subspace, basis_vec, vec
 
 F3 = FieldSpec.prime(3)
 F5 = FieldSpec.prime(5)
@@ -121,3 +123,63 @@ def test_private_bracket_equals_dense_loop(data):
     x = vec(f, data.draw(st.lists(entry, min_size=alg.dim, max_size=alg.dim)))
     y = vec(f, data.draw(st.lists(entry, min_size=alg.dim, max_size=alg.dim)))
     assert alg._bracket(x, y) == ref.bracket(alg, x, y)
+
+
+DATA = Path(__file__).resolve().parents[1] / "src" / "coclass_lab" / "data"
+
+
+def random_tables(seed: int, count: int) -> list:
+    """Random structure tables of dimension 3-6 over F5 and Q; most fail Jacobi."""
+    rng = random.Random(f"jacobi/{seed}")
+    out = []
+    for t in range(count):
+        field = F5 if t % 2 else Q
+        dim = rng.randrange(3, 7)
+        sc = {}
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                if rng.random() < 0.4:
+                    sc[(i, j)] = tuple((k, rng.randrange(1, 5)) for k in rng.sample(range(dim), 2))
+        out.append(LieAlgebra(field, dim, sc))
+    return out
+
+
+def test_validate_matches_dense_loop():
+    # same triples, same order, same residuals as the dense Jacobi loop
+    catalogs = [e.algebra for path in sorted(DATA.iterdir()) for e in load_catalog(path)]
+    tables = [alg for _, alg in CASES] + catalogs + random_tables(0, 40)
+    failing = 0
+    for alg in tables:
+        got = alg.validate()
+        assert got == ref.validate(alg), alg
+        failing += bool(got)
+    broken = LieAlgebra(F3, 3, {(0, 1): ((2, 1),), (0, 2): ((0, 1),)})
+    assert broken.validate() == ref.validate(broken) != []
+    assert failing >= 20
+
+
+@pytest.mark.parametrize("field", (F3, F5), ids=str)
+def test_subalgebra_class_matches_restricted_algebra(field):
+    for entry in default_catalog(field):
+        alg = entry.algebra
+        for s in (alg.center(), alg.second_center(), alg.derived(), alg.full_space()):
+            want = 0 if s.is_zero else ref.restrict(alg, s).nilpotency_class()
+            assert alg.subalgebra_class(s) == want, entry.name
+
+
+def test_subalgebra_class_rejects_like_restricted_algebra():
+    # span(e1, e2) of [e1, e2] = e2, [e1, e3] = e3 is closed but not nilpotent
+    alg = LieAlgebra(F3, 3, {(0, 1): ((1, 1),), (0, 2): ((2, 1),)})
+    closed = Subspace.from_vectors(F3, 3, [(1, 0, 0), (0, 1, 0)])
+    for s in (closed, alg.full_space()):
+        with pytest.raises(NonNilpotentError):
+            ref.restrict(alg, s).nilpotency_class()
+        with pytest.raises(NonNilpotentError):
+            alg.subalgebra_class(s)
+    # [u, v] = v1 leaves span(u, v)
+    L = filiform(4, F3)
+    s = Subspace.from_vectors(F3, 4, [(1, 0, 0, 0), (0, 1, 0, 0)])
+    with pytest.raises(NotSubalgebraError):
+        ref.restrict(L, s)
+    with pytest.raises(NotSubalgebraError):
+        L.subalgebra_class(s)

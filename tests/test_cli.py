@@ -240,3 +240,59 @@ def test_suite_json_matches_golden_copy(capsys):
     code, out, _ = run(capsys, "--format", "json", "--budget", "20000", "suite")
     assert code == 0
     assert out == golden.read_text(encoding="utf-8")
+
+
+def test_suite_f5_json_matches_golden_copy(capsys):
+    # written by `--format json suite --p 5` before the filter dropped its commuting mask
+    golden = Path(__file__).resolve().parent / "golden" / "suite_f5.json"
+    code, out, _ = run(capsys, "--format", "json", "suite", "--p", "5")
+    assert code == 0
+    assert out == golden.read_text(encoding="utf-8")
+
+
+def _filiform4_file(tmp_path):
+    path = tmp_path / "filiform4.jsonl"
+    save_catalog([e for e in default_catalog(F3) if e.name == "filiform_4"], path)
+    return path
+
+
+@pytest.mark.parametrize("command", ["verify", "invariants"])
+@pytest.mark.parametrize("p", ["3", "5"])
+def test_p_with_catalog_file_usage_error(tmp_path, capsys, command, p):
+    # a file's entries carry their own field, so an explicit --p would be ignored
+    path = str(_filiform4_file(tmp_path))
+    argv = ["verify", "--catalog", path] if command == "verify" else ["invariants", path]
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--p", p])
+    assert err.value.code == 2
+    assert "--p applies to builtin names only" in capsys.readouterr().err
+
+
+def _member_counts(out: str) -> list:
+    return [r["enumeration"]["commuting_size"] for r in json.loads(out)["reports"]]
+
+
+def test_catalog_file_without_p_keeps_its_field(tmp_path, capsys):
+    path = str(_filiform4_file(tmp_path))
+    code, out, _ = run(capsys, "--format", "json", "verify", "--catalog", path)
+    assert code == 0
+    assert _member_counts(out) == [9]
+    _, builtin_out, _ = run(capsys, "--format", "json", "verify", "filiform:4", "--p", "5")
+    assert _member_counts(builtin_out) == [25]
+    code, out, _ = run(capsys, "--format", "json", "invariants", path)
+    assert code == 0
+    _, builtin_out, _ = run(capsys, "--format", "json", "invariants", "builtin:filiform:4", "--p", "3")
+    profiles, builtin_profiles = json.loads(out)["profiles"], json.loads(builtin_out)["profiles"]
+    assert [p["name"] for p in profiles] == ["filiform_4"]
+    assert profiles[0]["profile"] == builtin_profiles[0]["profile"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "filiform:4"], ["invariants", "builtin:heisenberg:2:1"]],
+    ids=["verify", "invariants"],
+)
+def test_builtin_without_p_uses_f3(capsys, argv):
+    default = run(capsys, "--format", "json", *argv)
+    assert default == run(capsys, "--format", "json", *argv, "--p", "3")
+    assert default[0] == 0

@@ -5,7 +5,7 @@ import pytest
 
 import einsum_reference
 import elimination_reference
-from coclass_lab import modp
+from coclass_lab import maps, modp
 from coclass_lab.algebra import LieAlgebra
 from coclass_lab.constructions import default_catalog, dim5_example, filiform, heisenberg
 from coclass_lab.fields import FieldSpec
@@ -141,10 +141,11 @@ def test_batch_inverse_matches_exact_invert(p):
 
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("name", ["heisenberg_1_1", "filiform_5", "dim5_example"])
-def test_identity_suite_batch_matches_unfactored_einsum(p, name):
+def test_identity_suite_batch_matches_unfactored_einsum(p, name, monkeypatch):
+    monkeypatch.setattr(maps, "IDENTITY_BLOCK", 64)
     rng = np.random.default_rng(2 * p + len(name))
     alg, _, batch = _mixed_batch(name, p, rng)
-    got = identity_suite_batch(alg, batch, chunk=64)
+    got = identity_suite_batch(alg, batch)
     assert got == einsum_reference.identity_counts(alg, batch)
     assert got["bracket_swap"] > 0
     if name == "filiform_5":  # class 4: the random part breaks every identity

@@ -217,6 +217,20 @@ def test_bruteforce_budget_guard():
         enumerate_aut_bruteforce(abelian(4, F3))  # 3^16 matrices
 
 
+@pytest.mark.parametrize(
+    "oracle", [enumerate_aut_bruteforce, enumerate_commuting_bruteforce, enumerate_central_bruteforce]
+)
+def test_bruteforce_reads_limit_at_call_time(monkeypatch, oracle):
+    # 3^4 = 81 matrices: refused under a limit of 80, enumerated at 81
+    L = abelian(2, F3)
+    monkeypatch.setattr(search, "BRUTE_FORCE_LIMIT", 80)
+    with pytest.raises(BudgetExceededError) as err:
+        oracle(L)
+    assert (err.value.budget, err.value.projected) == (80, 81)
+    monkeypatch.setattr(search, "BRUTE_FORCE_LIMIT", 81)
+    assert oracle(L).size == 48
+
+
 # -- closure ------------------------------------------------------------------------
 
 

@@ -3,9 +3,10 @@
 The references are the algorithms they replaced: the recursive DFS in
 ``dfs_reference`` (also run without the Z_2 coset rows, as an oracle for
 that pruning lemma), the ordered all-pairs scan in ``closure_reference``,
-and the n x n invertibility tests of ``elimination_reference`` that the
-filter (by the argument in the ``search`` docstring) and the central
-enumerator (by Sylvester's identity) no longer run.
+and the n x n invertibility tests and commuting mask of
+``elimination_reference`` that the filter (by the arguments in the
+``search`` docstring) and the central enumerator (by Sylvester's
+identity) no longer run.
 """
 
 import numpy as np
@@ -55,8 +56,14 @@ def test_frontier_matches_dfs_reference(catalog_sets, p):
 
 
 def test_frontier_blocks_narrower_than_a_level(catalog_sets, monkeypatch):
-    # with blocks below a level's p^k kernel points, the points are sliced
+    # with blocks below a level's p^k kernel points, the points are sliced;
+    # the filter, which runs no chunk loop of its own, sees at most CHUNK rows
     monkeypatch.setattr(search, "CHUNK", 7)
+    real = search._filter_assignments
+    rows = []
+    monkeypatch.setattr(
+        search, "_filter_assignments", lambda alg, pres, block: rows.append(len(block)) or real(alg, pres, block)
+    )
     checked = 0
     for name, alg, aset in catalog_sets[3]:
         if name in ("heisenberg_1_2", "dim6_center1"):
@@ -64,6 +71,7 @@ def test_frontier_blocks_narrower_than_a_level(catalog_sets, monkeypatch):
             assert np.array_equal(again.member_array(), aset.member_array()), name
             checked += 1
     assert checked == 2
+    assert rows and max(rows) <= 7
 
 
 def test_second_center_pruning_against_ablated_reference(catalog_sets):
@@ -198,6 +206,23 @@ def test_filter_needs_independence_modulo_derived():
     independent = modp.batch_invertible(block @ modp.subspace_constraints(alg.derived()).T % 3, 3)
     assert np.array_equal(invertible, independent)
     assert modp.batch_invertible(search._filter_assignments(alg, pres, block[independent]), 3).all()
+
+
+def test_filter_keeps_homomorphisms_that_do_not_commute():
+    # negative control for the commuting argument: on heisenberg:1:1 over F3
+    # the swap u <-> v, z -> -z is a homomorphism that does not commute; the
+    # filter keeps it, so only the level rows, which never yield it, keep it out
+    alg = builtin("heisenberg:1:1", FieldSpec.prime(3))
+    pres = alg.generator_presentation()
+    swap = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 2]])
+    T = modp.structure_tensor(alg)
+    assert modp.batch_is_homomorphism(swap[None], T, 3).all()
+    assert not modp.batch_is_commuting(swap[None], T, 3).any()
+    kept = search._filter_assignments(alg, pres, [((0, 1, 0), (1, 0, 0))])
+    assert kept.tolist() == [swap.tolist()]
+    block = np.concatenate(list(search._assignment_blocks(alg, pres, SUITE_BUDGET)))
+    assert not (block == swap.T[None, :2]).all(axis=(1, 2)).any()
+    assert swap.tolist() not in enumerate_commuting(alg).member_array().tolist()
 
 
 @pytest.mark.parametrize("p", (3, 5, 7))
