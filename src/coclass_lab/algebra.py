@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from .fields import FieldSpec, Scalar
 from .linalg import (
@@ -197,21 +197,6 @@ class LieAlgebra:
         """[L, L]; the lower series stops at L itself when [L, L] = L."""
         lower = self._lower_series
         return lower[1] if len(lower) > 1 else lower[0]
-
-    def centralizer(self, s: Union[Subspace, Iterable]) -> Subspace:
-        """{x : [x, v] = 0 for every v in (a basis of) s}."""
-        if isinstance(s, Subspace):
-            targets = list(s.basis.rows)
-        else:
-            targets = [vec(self.field, s)]
-        rows = []
-        for t in targets:
-            # [x, t]_k = sum_i x_i [e_i, t]_k
-            cols = [self._bracket(basis_vec(self.field, self.dim, i), t) for i in range(self.dim)]
-            rows.extend(zip(*cols))
-        if not rows:
-            return self.full_space()
-        return kernel(Matrix(self.field, tuple(rows)))
 
     def center(self) -> Subspace:
         upper = self._upper_series

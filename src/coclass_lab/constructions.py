@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dataclass_field
-from pathlib import Path
 from typing import Iterable
 
 from .algebra import LieAlgebra
@@ -313,11 +312,3 @@ def save_catalog(entries: Iterable[CatalogEntry], path) -> None:
         for entry in entries:
             handle.write(json.dumps(entry_to_json(entry), sort_keys=True))
             handle.write("\n")
-
-
-def shipped_data_path(name: str) -> Path:
-    """Path of a catalog file shipped inside the package."""
-    path = Path(__file__).parent / "data" / name
-    if not path.exists():
-        raise FileNotFoundError(f"no shipped data file {name!r}")
-    return path

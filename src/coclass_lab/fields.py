@@ -104,9 +104,6 @@ class FieldSpec:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p) if self.is_prime else 1 / a
 
-    def div(self, a: Scalar, b: Scalar) -> Scalar:
-        return self.mul(a, self.inv(b))
-
     def parse(self, text) -> Scalar:
         """Scalar from catalog-file form: int, or "num/den" for rationals."""
         if isinstance(text, int):

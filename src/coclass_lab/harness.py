@@ -17,7 +17,6 @@ from typing import Optional
 from .algebra import LieAlgebra, NonNilpotentError
 from .constructions import default_catalog, dim5_example, heisenberg
 from .fields import FieldSpec
-from .linalg import basis_vec, is_zero_vec
 from .maps import (
     LinearMap,
     commuting_defect,
@@ -264,9 +263,7 @@ def _abelian_summary(algebra: LieAlgebra) -> EnumerationSummary:
     )
 
 
-def summarize_enumeration(
-    algebra: LieAlgebra, commuting: AutomorphismSet, central: AutomorphismSet
-) -> EnumerationSummary:
+def summarize_enumeration(commuting: AutomorphismSet, central: AutomorphismSet) -> EnumerationSummary:
     closure = closure_check(commuting)
     equality = sets_equal(commuting, central)
     central_in = not central.outside(commuting).any()
@@ -302,7 +299,7 @@ def _verify(algebra: LieAlgebra, budget: int, name: str) -> tuple:
         except BudgetExceededError as exc:
             commuting, reason = None, f"unverified: {exc}"
     if commuting is not None:
-        summary = summarize_enumeration(algebra, commuting, central)
+        summary = summarize_enumeration(commuting, central)
     consistent = summary is None or _consistency(pred.verdict, summary)
     return VerdictReport(name, prof, pred, summary, reason, consistent), commuting, central
 
@@ -393,20 +390,17 @@ def _variant_report(algebra: LieAlgebra, beta1: LinearMap, beta2: LinearMap, var
     comp = compose(beta1, beta2)  # beta2 first
     comp_defect = commuting_defect(algebra, comp)
     comp_ok = is_automorphism(algebra, comp).clean and comp_defect.clean
-    x = basis_vec(algebra.field, algebra.dim, 0)
-    bracket = algebra.bracket(x, comp.apply(x))
     if comp_ok:
         defect_input = defect_bracket = None
-    elif not is_zero_vec(bracket):
-        defect_input, defect_bracket = x, bracket
     else:
-        xw, res = commuting_witness_vector(algebra, comp, comp_defect)
-        defect_input, defect_bracket = xw, algebra.bracket(xw, comp.apply(xw))
+        defect_input, _ = commuting_witness_vector(algebra, comp, comp_defect)
+        defect_bracket = algebra.bracket(defect_input, comp.apply(defect_input))
+    beta2_automorphism = is_automorphism(algebra, beta2).clean
     return VariantReport(
         variant=variant,
         beta1_commuting=is_commuting(algebra, beta1),
-        beta2_automorphism=is_automorphism(algebra, beta2).clean,
-        beta2_commuting=is_commuting(algebra, beta2),
+        beta2_automorphism=beta2_automorphism,
+        beta2_commuting=beta2_automorphism and commuting_defect(algebra, beta2).clean,
         composition_commuting=comp_ok,
         defect_input=defect_input,
         defect_bracket=defect_bracket,

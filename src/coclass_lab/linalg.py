@@ -13,7 +13,6 @@ asymptotics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Optional, Sequence
 
 from .fields import FieldSpec, Scalar
@@ -61,10 +60,6 @@ class Matrix:
             width = len(self.rows[0])
             if any(len(r) != width for r in self.rows):
                 raise ValueError("ragged rows")
-
-    @staticmethod
-    def from_rows(field: FieldSpec, rows: Iterable[Iterable]) -> "Matrix":
-        return Matrix(field, tuple(vec(field, r) for r in rows))
 
     @staticmethod
     def identity(field: FieldSpec, n: int) -> "Matrix":
@@ -243,19 +238,6 @@ class Subspace:
         ker = kernel(self.basis)
         return ker.basis if ker.dim else Matrix(f, ())
 
-    def enumerate_vectors(self):
-        """All vectors (prime fields only) - oracle-scale helper."""
-        f = self.field
-        if not f.is_prime:
-            raise ValueError("enumeration needs a finite field")
-        rows = self.basis.rows
-        for coeffs in product(range(f.p), repeat=len(rows)):
-            v = zero_vec(f, self.ambient_dim)
-            for c, row in zip(coeffs, rows):
-                if c:
-                    v = add_vec(f, v, scale_vec(f, c, row))
-            yield v
-
 
 def kernel(m: Matrix) -> Subspace:
     """Solution space {x : m x = 0}, canonical basis."""
@@ -271,49 +253,3 @@ def kernel(m: Matrix) -> Subspace:
             v[pc] = f.neg(rows[r][fc])
         basis.append(tuple(v))
     return Subspace.from_vectors(f, n, basis)
-
-
-@dataclass(frozen=True)
-class AffineOperators:
-    """Right-hand-side independent solution of m x = b.
-
-    b is consistent exactly when ``consistency`` b = 0, and then
-    ``particular`` b is one solution; the full solution set is that point
-    plus ``homogeneous``.  They are tested against the per-right-hand-side
-    solver kept in ``tests/dfs_reference.py``.
-    """
-
-    consistency: Matrix  # (nrows - rank) x nrows
-    particular: Matrix  # ncols x nrows
-    homogeneous: Subspace
-
-
-def affine_operators(m: Matrix) -> AffineOperators:
-    """One Gauss-Jordan pass over (m | I) yields every operator at once."""
-    f = m.field
-    nrows, n = m.nrows, m.ncols
-    aug = [list(row) + list(basis_vec(f, nrows, i)) for i, row in enumerate(m.rows)]
-    rows, pivots = _rref_rows(f, aug)
-    rank = sum(1 for c in pivots if c < n)
-    # rows below the rank vanish on m, so their right halves span the left kernel
-    consistency = tuple(tuple(r[n:]) for r in rows[rank:])
-    particular = [zero_vec(f, nrows)] * n
-    for r, pc in enumerate(pivots[:rank]):
-        particular[pc] = tuple(rows[r][n:])
-    return AffineOperators(Matrix(f, consistency), Matrix(f, tuple(particular)), kernel(m))
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    return Subspace.from_vectors(a.field, a.ambient_dim, a.basis.rows + b.basis.rows)
-
-
-def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection via the kernel of the stacked constraint system."""
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    constraints = Matrix(a.field, a.annihilator().rows + b.annihilator().rows)
-    if not constraints.rows:
-        return Subspace.full(a.field, a.ambient_dim)
-    return kernel(constraints)

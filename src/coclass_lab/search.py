@@ -1,32 +1,34 @@
 """Exact enumeration of commuting and central automorphisms over F_p.
 
-The commuting enumerator searches generator images with affine
-constraint propagation instead of brute force over p^(n^2) matrices.
-For a commuting automorphism f and generators g_1, ..., g_r:
+The commuting enumerator solves for generator images instead of
+searching all p^(n^2) matrices.  For a commuting automorphism f and
+generators g_1, ..., g_r, the level rows say:
 
   * f(g_t) lies in the coset g_t + Z_2(L)  (skipped when Z_2 = L),
   * [f(g_t), g_t] = 0,
   * [f(g_t), g_s] + [f(g_s), g_t] = 0 for every earlier generator g_s,
 
 all of which are necessary conditions, so nothing is pruned that should
-survive; each completed generator assignment is extended to a full map
-through the generator presentation and kept only if it is a
+survive; each generator assignment that satisfies them is extended to a
+full map through the generator presentation and kept only if it is a
 homomorphism.  That restores sufficiency: such a homomorphism commutes
 and is invertible, by the two arguments below.
 
-The search is a level-synchronous frontier expansion.  Level t's
-constraint matrix is the same for every branch and its right-hand side is
-linear in the earlier images, so it is row-reduced once into a
-consistency operator, a particular-solution operator and a kernel basis;
-a level is then one matmul over a (B, t, n) int64 frontier, a consistency
-mask and a broadcast add of the p^k kernel points.  The frontier streams
-depth first in blocks of at most CHUNK rows.  Independence of the images
-modulo L' is tested once, on completed assignments.
+The level rows are linear in the images jointly.  Write f(g_t) = g_t +
+z_t; then C f(g_t) = C g_t becomes C z_t = 0 (C the coset rows),
+[f(g_t), g_t] = 0 becomes [z_t, g_t] = 0, and in [f(g_t), g_s] +
+[f(g_s), g_t] the terms [g_t, g_s] + [g_s, g_t] cancel, leaving
+[z_t, g_s] + [z_s, g_t] = 0.  So the assignments are exactly g + V, V
+the kernel of one homogeneous system over z = (z_0, ..., z_{r-1}), and
+they are drawn as points of V in blocks of at most CHUNK rows.
+Independence of the images modulo L' is tested on each block.
 
-The product of the per-level kernel sizes p^k is therefore an exact upper
-bound on the completed assignments, and so on everything the filter sees;
-enumeration refuses to start when that projection exceeds the budget, and
-no later count can pass it.
+The budget is checked before V is computed.  Given the earlier images,
+f(g_t) ranges over a coset of the kernel of level t's rows, of size p^k,
+so the product of these p^k is an upper bound on the p^(dim V)
+assignments, and so on everything the filter sees; enumeration refuses
+to start when that projection exceeds the budget, and no later count can
+pass it.
 
 The filter tests no commuting.  Write f = I + D and B(x, y) = [Dx, y] +
 [Dy, x], symmetric and bilinear; as B(x, x) = 2 [f(x), x] and p is odd,
@@ -62,7 +64,7 @@ import numpy as np
 
 from . import modp
 from .algebra import LieAlgebra, NonNilpotentError
-from .linalg import Matrix, affine_operators, basis_vec, invert, kernel
+from .linalg import Matrix, basis_vec, invert, kernel
 from .maps import (
     LinearMap,
     commuting_defect,
@@ -234,47 +236,6 @@ def _finish_set(algebra: LieAlgebra, kind: str, mats: np.ndarray) -> Automorphis
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Level:
-    """Branch-independent solution of one level's system, as int64 arrays.
-
-    For a frontier whose rows flatten the images f(g_0), ..., f(g_{t-1}),
-    ``images @ linear + offset`` is (consistency residual | particular
-    point) of the level's system; a row is consistent when the residual
-    vanishes, and its solutions are the particular point plus every
-    combination of ``kernel``.
-    """
-
-    linear: np.ndarray  # (t * n, q + n)
-    offset: np.ndarray  # (q + n,)
-    checks: int  # q, the number of consistency rows
-    kernel: np.ndarray  # (k, n)
-
-
-def _level(system: Matrix, coset_rhs: np.ndarray, bracket: np.ndarray, t: int, p: int) -> _Level:
-    """Row-reduce level t's system once and fold its right-hand side in.
-
-    The right-hand side is the constant ``coset_rhs`` on the coset rows,
-    zero on the [w, g_t] rows, and -[f(g_s), g_t] on the rows for each
-    earlier generator g_s, which is linear in the earlier images:
-    [f(g_s), g_t] = f(g_s) @ bracket with bracket = T[:, g_t, :].
-    """
-    ops = affine_operators(system)
-    m, n = system.nrows, system.ncols
-    c = len(coset_rhs)
-    K = np.array(ops.consistency.rows, dtype=np.int64).reshape(-1, m)
-    P = np.array(ops.particular.rows, dtype=np.int64).reshape(n, m)
-    KP = np.concatenate([K, P])  # (q + n, m)
-    neg = -bracket % p
-    linear = [neg @ KP[:, c + n * (s + 1) : c + n * (s + 2)].T % p for s in range(t)]
-    return _Level(
-        np.concatenate(linear) if linear else np.zeros((0, len(KP)), dtype=np.int64),
-        KP[:, :c] @ coset_rhs % p,
-        len(K),
-        np.array(ops.homogeneous.basis.rows, dtype=np.int64).reshape(-1, n),
-    )
-
-
 def _digits(p: int, width: int, start: int, stop: int) -> np.ndarray:
     """Base-p digit rows of start..stop-1, width digits each, first digit slowest."""
     idx = np.arange(start, stop, dtype=np.int64)
@@ -288,35 +249,6 @@ def _digits(p: int, width: int, start: int, stop: int) -> np.ndarray:
 def _span_points(basis: np.ndarray, p: int, start: int, stop: int) -> np.ndarray:
     """Combinations start..stop-1 of the basis rows, first coefficient slowest."""
     return _digits(p, len(basis), start, stop) @ basis % p
-
-
-def _frontier_blocks(levels: list, p: int, n: int, frontier: np.ndarray):
-    """Every consistent generator assignment, as (B, r, n) blocks of at most CHUNK rows.
-
-    Each level maps a (B, t, n) frontier to its (B', t + 1, n) children
-    with one matmul, a consistency mask and a broadcast add of the kernel
-    points; blocks go depth first, so only one block per level is alive.
-    """
-    t = frontier.shape[1]
-    if t == len(levels):
-        yield frontier
-        return
-    lv = levels[t]
-    solved = (frontier.reshape(len(frontier), t * n) @ lv.linear + lv.offset) % p
-    consistent = ~solved[:, : lv.checks].any(axis=1)
-    frontier = frontier[consistent]
-    particular = solved[consistent, lv.checks :]
-    width = p ** len(lv.kernel)
-    for q0 in range(0, width, CHUNK):
-        points = _span_points(lv.kernel, p, q0, min(width, q0 + CHUNK))
-        step = max(1, CHUNK // len(points))
-        for b0 in range(0, len(frontier), step):
-            parents = frontier[b0 : b0 + step]
-            images = (particular[b0 : b0 + step, None, :] + points[None]) % p
-            children = np.concatenate(
-                [np.repeat(parents, len(points), axis=0), images.reshape(-1, 1, n)], axis=1
-            )
-            yield from _frontier_blocks(levels, p, n, children)
 
 
 def enumerate_commuting(algebra: LieAlgebra, budget: int = DEFAULT_BUDGET) -> AutomorphismSet:
@@ -344,11 +276,15 @@ def enumerate_commuting(algebra: LieAlgebra, budget: int = DEFAULT_BUDGET) -> Au
 
 
 def _assignment_blocks(algebra: LieAlgebra, pres, budget: int):
-    """Every consistent generator assignment, as (B, r, n) blocks.
+    """Every generator assignment that satisfies the level rows, as (B, r, n) blocks.
 
-    Raises BudgetExceededError before any block is built when the
-    projected count exceeds the budget; the images are not yet tested
-    for independence modulo L'.
+    The assignments are g + V (module docstring), exactly p^(dim V) of
+    them, in blocks of at most CHUNK rows.  BudgetExceededError is raised
+    before V is computed when the projection, the product of the
+    per-level kernel sizes, exceeds the budget; it is an upper bound on
+    p^(dim V), not the count (dim6_center1 over F3 projects 3^9 and has
+    3^7 assignments).  The images are not yet tested for independence
+    modulo L'.
     """
     field = algebra.field
     p = field.p
@@ -358,10 +294,8 @@ def _assignment_blocks(algebra: LieAlgebra, pres, budget: int):
     z2 = algebra.second_center()
     coset_rows = () if z2.is_full() else z2.annihilator().rows
     ad = [algebra.ad_matrix(g).rows for g in gens]
-    # level t solves for w = f(g_t): C w = C g_t on the coset rows C, then
-    # [w, g_t] = 0, then [w, g_s] = -[f(g_s), g_t] for each s < t
-    systems = [Matrix(field, coset_rows + ad[t] + sum(ad[:t], ())) for t in range(r)]
-    widths = [kernel(h).dim for h in systems]
+    # level t's rows on w = f(g_t): the coset rows C, [w, g_t], and [w, g_s] for each s < t
+    widths = [kernel(Matrix(field, coset_rows + ad[t] + sum(ad[:t], ()))).dim for t in range(r)]
 
     projected = 1
     for k in widths:
@@ -370,19 +304,32 @@ def _assignment_blocks(algebra: LieAlgebra, pres, budget: int):
         shown = " x ".join(f"p^{k}" for k in widths)
         raise BudgetExceededError(budget, projected, f"level widths {shown}")
 
-    T = modp.structure_tensor(algebra)
-    coset_cols = np.array(coset_rows, dtype=np.int64).reshape(-1, n)
-    levels = [
-        _level(systems[t], coset_cols[:, gens[t]], T[:, gens[t], :], t, p) for t in range(r)
-    ]
-    return _frontier_blocks(levels, p, n, np.zeros((1, 0, n), dtype=np.int64))
+    zero = (field.zero,) * n
+
+    def placed(parts: dict) -> tuple:
+        """One row of the joint system: parts[u] acts on z_u."""
+        return sum((parts.get(u, zero) for u in range(r)), ())
+
+    # block t: C z_t = 0, ad(g_t) z_t = 0, ad(g_s) z_t + ad(g_t) z_s = 0 for s < t
+    system = []
+    for t in range(r):
+        system += [placed({t: row}) for row in coset_rows + ad[t]]
+        for s in range(t):
+            system += [placed({t: a, s: b}) for a, b in zip(ad[s], ad[t])]
+    V = np.array(kernel(Matrix(field, tuple(system))).basis.rows, dtype=np.int64).reshape(-1, r * n)
+    g = np.eye(n, dtype=np.int64)[list(gens)]
+    count = p ** len(V)
+    return (
+        (g + _span_points(V, p, start, min(count, start + CHUNK)).reshape(-1, r, n)) % p
+        for start in range(0, count, CHUNK)
+    )
 
 
 def _filter_assignments(algebra: LieAlgebra, pres, assignments) -> np.ndarray:
     """Extend (B, r, n) generator assignments to full maps; keep the homomorphisms.
 
     The block must come from ``_assignment_blocks`` (at most CHUNK rows,
-    consistent with every level's rows) with generator images independent
+    satisfying every level's rows) with generator images independent
     modulo L'.  Such homomorphisms commute and are invertible (see the
     module docstring).  Returns them as a (B, n, n) int64 array.
     """

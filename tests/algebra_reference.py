@@ -8,11 +8,26 @@ L, Z_2(L) as the preimage of Z(L) under every ad e_j, and the two series
 as iterations of those.  Beside them: the Jacobi check on dense basis
 vectors, and the subalgebra s rebuilt as an algebra of its own
 (``restrict``), whose class ``LieAlgebra.subalgebra_class`` now computes
-inside L.  The tests require the library to agree with them.
+inside L, and ``span_vectors``, a subspace listed vector by vector.  The
+tests require the library to agree with them.
 """
+
+from itertools import product
 
 from coclass_lab.algebra import JacobiViolation, LieAlgebra, NotSubalgebraError
 from coclass_lab.linalg import Matrix, Subspace, add_vec, basis_vec, is_zero_vec, kernel, vec
+
+
+def span_vectors(s: Subspace) -> set:
+    """Every vector of a subspace over F_p: each combination of its basis rows."""
+    f = s.field
+    vectors = set()
+    for coeffs in product(range(f.p), repeat=s.dim):
+        v = [f.zero] * s.ambient_dim
+        for c, row in zip(coeffs, s.basis.rows):
+            v = [f.add(x, f.mul(c, y)) for x, y in zip(v, row)]
+        vectors.add(tuple(v))
+    return vectors
 
 
 def bracket(alg, x, y) -> tuple:

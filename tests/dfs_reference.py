@@ -3,7 +3,9 @@
 This is the commuting enumerator as it was before the frontier rewrite:
 one ``solve_affine`` (kept here, beside the point iterator it feeds) per
 branch and one ``Subspace.from_vectors`` per candidate image to test
-independence modulo L'.  With
+independence modulo L'.  The library now draws the assignments from one
+kernel over all generator images at once; this searches them one level
+and one branch at a time, so the two share no solver.  With
 ``prune_second_center=False`` it also drops the rows that confine f(g)
 to the coset g + Z_2(L), so it checks that lemma instead of relying on
 it.  Completed assignments go through the reference filter of
@@ -40,11 +42,7 @@ class AffineSolution:
 
 
 def solve_affine(m: Matrix, b: Vector) -> Optional[AffineSolution]:
-    """Solve m x = b by one elimination of (m | b); None when inconsistent.
-
-    ``linalg.affine_operators`` solves for every right-hand side at once;
-    this per-right-hand-side solver is what the tests compare it with.
-    """
+    """Solve m x = b by one elimination of (m | b); None when inconsistent."""
     f = m.field
     b = vec(f, b)
     if len(b) != m.nrows:

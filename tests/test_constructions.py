@@ -1,7 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
+import coclass_lab
 from coclass_lab.constructions import (
     CatalogEntry,
     CatalogError,
@@ -19,7 +21,6 @@ from coclass_lab.constructions import (
     heisenberg,
     load_catalog,
     save_catalog,
-    shipped_data_path,
 )
 from coclass_lab.fields import FieldSpec
 from coclass_lab.linalg import Subspace
@@ -27,6 +28,7 @@ from coclass_lab.linalg import Subspace
 F3 = FieldSpec.prime(3)
 F5 = FieldSpec.prime(5)
 Q = FieldSpec.rational()
+DATA = Path(coclass_lab.__file__).parent / "data"
 
 
 # -- families -----------------------------------------------------------------
@@ -227,7 +229,7 @@ def test_catalog_round_trip(tmp_path):
 
 
 def test_shipped_dim6_catalog():
-    entries = load_catalog(shipped_data_path("coclass3_dim6.json"))
+    entries = load_catalog(DATA / "coclass3_dim6.json")
     assert len(entries) >= 3
     for entry in entries:
         computed = entry.algebra.coclass()
@@ -237,7 +239,7 @@ def test_shipped_dim6_catalog():
 
 
 def test_shipped_full_catalog_matches_builders():
-    entries = load_catalog(shipped_data_path("catalog.jsonl"))
+    entries = load_catalog(DATA / "catalog.jsonl")
     built = default_catalog(F3)
     assert [e.name for e in entries] == [e.name for e in built]
     assert all(a.algebra == b.algebra for a, b in zip(entries, built))

@@ -52,7 +52,7 @@ def test_identity_is_clean_everything():
 def test_scalar_double_not_homomorphism_over_f5():
     # f = 2*id sends [u1,u2] = z1 to 2 z1 but [2u1, 2u2] = 4 z1
     L = heisenberg(2, 1, F5)
-    f = LinearMap(Matrix.from_rows(F5, [[2 if i == j else 0 for j in range(5)] for i in range(5)]))
+    f = LinearMap(Matrix(F5, tuple(tuple(2 if i == j else 0 for j in range(5)) for i in range(5))))
     report = is_homomorphism(L, f)
     assert report.kind == NOT_HOMOMORPHISM
     assert ((0, 1), (0, 0, 0, 0, 3)) in report.witnesses  # 2z1 - 4z1 = -2z1 = 3z1

@@ -17,7 +17,7 @@ import elimination_reference
 from closure_reference import closure_scan
 from coclass_lab import modp, search
 from coclass_lab.algebra import LieAlgebra
-from coclass_lab.constructions import builtin, default_catalog
+from coclass_lab.constructions import builtin, default_catalog, heisenberg
 from coclass_lab.fields import FieldSpec
 from coclass_lab.harness import SUITE_BUDGET
 from coclass_lab.search import (
@@ -55,8 +55,8 @@ def test_frontier_matches_dfs_reference(catalog_sets, p):
         assert np.array_equal(aset.member_array(), ref.member_array()), name
 
 
-def test_frontier_blocks_narrower_than_a_level(catalog_sets, monkeypatch):
-    # with blocks below a level's p^k kernel points, the points are sliced;
+def test_assignment_blocks_narrower_than_chunk(catalog_sets, monkeypatch):
+    # with blocks below the p^(dim V) kernel points, the points are sliced;
     # the filter, which runs no chunk loop of its own, sees at most CHUNK rows
     monkeypatch.setattr(search, "CHUNK", 7)
     real = search._filter_assignments
@@ -72,6 +72,32 @@ def test_frontier_blocks_narrower_than_a_level(catalog_sets, monkeypatch):
             checked += 1
     assert checked == 2
     assert rows and max(rows) <= 7
+
+
+def test_refusal_computes_only_the_level_kernels(monkeypatch):
+    # the budget check reads the r per-level kernels; the joint system's
+    # kernel is never computed for a refused algebra
+    alg = heisenberg(2, 2, FieldSpec.prime(3))
+    calls = []
+    real = search.kernel
+    monkeypatch.setattr(search, "kernel", lambda m: calls.append(m.ncols) or real(m))
+    with pytest.raises(BudgetExceededError):
+        enumerate_commuting(alg, budget=0)
+    r = len(alg.generator_presentation().generators)
+    assert calls == [alg.dim] * r
+
+
+def test_assignments_are_the_joint_kernel_below_the_projection():
+    # dim6_center1 over F3: the level widths give 3^(3+3+2+1), an upper
+    # bound; the joint kernel holds 3^7 distinct assignments
+    alg = builtin("dim6_center1", FieldSpec.prime(3))
+    with pytest.raises(BudgetExceededError) as refusal:
+        enumerate_commuting(alg, budget=0)
+    assert refusal.value.projected == 3**9 == dfs_reference.projected_count(alg)
+    pres = alg.generator_presentation()
+    block = np.concatenate(list(search._assignment_blocks(alg, pres, SUITE_BUDGET)))
+    assert block.shape == (3**7, len(pres.generators), alg.dim)
+    assert len(np.unique(block.reshape(len(block), -1), axis=0)) == 3**7
 
 
 def test_second_center_pruning_against_ablated_reference(catalog_sets):
