@@ -19,17 +19,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .fields import FieldSpec, Scalar
+from .fields import FieldSpec
 from .linalg import (
     Matrix,
     Subspace,
     Vector,
     basis_vec,
-    is_zero_vec,
+    invert,
     kernel,
-    scale_vec,
     vec,
     zero_vec,
 )
@@ -295,73 +294,54 @@ class LieAlgebra:
     def generator_indices(self) -> list:
         """Lexicographically first basis indices independent modulo L'.
 
-        Their basis vectors lift a basis of L/L'.
+        They are the pivot columns of the reduced annihilator
+        Λ = ``derived().annihilator()``, whose kernel is L'.  Column i of Λ
+        is Λ e_i, and it is a combination of the columns before it exactly
+        when e_i lies in L' + span(e_0, ..., e_{i-1}); so the pivots are
+        the greedy picks, and their basis vectors lift a basis of L/L'.
+        Λ is the identity on these columns and kills L', so its rows are
+        the L/L' coordinates with respect to the generators.
         """
-        f = self.field
-        span = self.derived()
-        out = []
-        for i in range(self.dim):
-            if span.is_full():
-                break
-            grown = Subspace.from_vectors(f, self.dim, span.basis.rows + (basis_vec(f, self.dim, i),))
-            if grown.dim > span.dim:
-                out.append(i)
-                span = grown
-        return out
+        return [next(i for i, x in enumerate(row) if x) for row in self.derived().annihilator().rows]
 
     def generator_presentation(self) -> "GeneratorPresentation":
         """Express a basis of L as bracket words in lifts of a basis of L/L'.
 
-        Generators are the lexicographically first basis vectors that are
-        independent modulo L'; the rest of the basis is filled in greedily
-        by bracketing already-expressed values with generators.  Each new
-        value is rescaled to make its leading coordinate 1, so on tables
-        whose brackets hit single basis vectors every expression evaluates
-        to a standard basis vector exactly.
+        The values start as the generators g_0, ..., g_{r-1}, the basis
+        vectors of ``generator_indices``.  One forward pass over the
+        growing value list then tries [g_t, values[s]] for each s in turn
+        and each t, and appends it as the step (t, s) when it leaves the
+        span of the values so far, until they span L.  ``basis_inverse``
+        inverts the matrix whose columns are the values, so a map with
+        those value images is (images as columns) @ basis_inverse.
         """
         if not self.is_nilpotent:
             raise NonNilpotentError("presentations require a nilpotent algebra")
         f = self.field
-        generators = self.generator_indices()
-        steps = [PresentationStep("gen", g, None, f.one) for g in generators]
-        values = [basis_vec(f, self.dim, g) for g in generators]
-        span = Subspace.from_vectors(f, self.dim, values)
-        while span.dim < self.dim:
-            added = False
-            for s in range(len(values)):
-                for gi, g in enumerate(generators):
-                    w = self._bracket(basis_vec(f, self.dim, g), values[s])
-                    if is_zero_vec(w) or span.contains(w):
-                        continue
-                    lead = next(x for x in w if x)
-                    scale = f.inv(lead)
-                    steps.append(PresentationStep("bracket", gi, s, scale))
-                    values.append(scale_vec(f, scale, w))
-                    span = Subspace.from_vectors(f, self.dim, values)
-                    added = True
-                    break
-                if added:
-                    break
-            if not added:
+        n = self.dim
+        generators = tuple(self.generator_indices())
+        values = [basis_vec(f, n, g) for g in generators]
+        span = Subspace.from_vectors(f, n, values)
+        steps = []
+        s = 0
+        while not span.is_full():
+            if s == len(values):
                 raise AssertionError("generator extension stalled before spanning L")
-        basis_matrix = Matrix(f, tuple(zip(*values)))  # columns = derived basis
-        return GeneratorPresentation(self, tuple(generators), tuple(steps), tuple(values), basis_matrix)
-
-
-@dataclass(frozen=True)
-class PresentationStep:
-    """Either the t-th generator, or scale * [generator, earlier value]."""
-
-    kind: str  # "gen" | "bracket"
-    gen_index: int
-    operand: Optional[int]
-    scale: Scalar
+            for t in range(len(generators)):
+                w = self._bracket(values[t], values[s])
+                if not span.contains(w):
+                    steps.append((t, s))
+                    values.append(w)
+                    span = Subspace.from_vectors(f, n, span.basis.rows + (w,))
+            s += 1
+        return GeneratorPresentation(generators, tuple(steps), invert(Matrix(f, tuple(zip(*values)))))
 
 
 @dataclass(frozen=True)
 class GeneratorPresentation:
-    algebra: LieAlgebra
+    """Generators, bracket steps (t, s): the next value is [g_t, values[s]], and the
+    inverse of the matrix whose columns are the values (generators first)."""
+
     generators: tuple
     steps: tuple
-    values: tuple
-    basis_matrix: Matrix  # columns are the step values; invertible
+    basis_inverse: Matrix

@@ -266,13 +266,12 @@ def _abelian_summary(algebra: LieAlgebra) -> EnumerationSummary:
 def summarize_enumeration(commuting: AutomorphismSet, central: AutomorphismSet) -> EnumerationSummary:
     closure = closure_check(commuting)
     equality = sets_equal(commuting, central)
-    central_in = not central.outside(commuting).any()
     return EnumerationSummary(
         commuting_size=commuting.size,
         central_size=central.size,
         closed=closure.closed,
         equal=equality.equal,
-        central_in_commuting=central_in,
+        central_in_commuting=not equality.only_in_b,
         closure=closure,
         equality=equality,
     )
@@ -390,9 +389,8 @@ def _variant_report(algebra: LieAlgebra, beta1: LinearMap, beta2: LinearMap, var
     comp = compose(beta1, beta2)  # beta2 first
     comp_defect = commuting_defect(algebra, comp)
     comp_ok = is_automorphism(algebra, comp).clean and comp_defect.clean
-    if comp_ok:
-        defect_input = defect_bracket = None
-    else:
+    defect_input = defect_bracket = None
+    if not comp_defect.clean:  # a composition that is no automorphism may still commute
         defect_input, _ = commuting_witness_vector(algebra, comp, comp_defect)
         defect_bracket = algebra.bracket(defect_input, comp.apply(defect_input))
     beta2_automorphism = is_automorphism(algebra, beta2).clean

@@ -40,10 +40,6 @@ def sub_vec(field: FieldSpec, a: Vector, b: Vector) -> Vector:
     return tuple(field.sub(x, y) for x, y in zip(a, b))
 
 
-def scale_vec(field: FieldSpec, c: Scalar, a: Vector) -> Vector:
-    return tuple(field.mul(c, x) for x in a)
-
-
 def is_zero_vec(a: Vector) -> bool:
     return not any(a)
 
@@ -101,9 +97,6 @@ class Matrix:
         cols = other.transpose().rows
         return Matrix(f, tuple(tuple(_dot(f, r, c) for c in cols) for r in self.rows))
 
-    def stack(self, other: "Matrix") -> "Matrix":
-        return Matrix(self.field, self.rows + other.rows)
-
 
 def _dot(field: FieldSpec, a: Sequence, b: Sequence) -> Scalar:
     acc = field.zero
@@ -136,12 +129,6 @@ def _rref_rows(field: FieldSpec, rows: list) -> tuple[list, list]:
         if r == nrows:
             break
     return rows, pivots
-
-
-def rref(m: Matrix) -> Matrix:
-    """Unique reduced row-echelon form; row space preserved."""
-    rows, _ = _rref_rows(m.field, list(m.rows))
-    return Matrix(m.field, tuple(tuple(r) for r in rows))
 
 
 def rank(m: Matrix) -> int:

@@ -305,11 +305,12 @@ def _identity_counts(algebra: LieAlgebra, mats: np.ndarray) -> dict:
         F = mats[start : start + IDENTITY_BLOCK] % p
         D = (F - eye) % p
         B = F.shape[0]
-        # [f(e_i), e_j] - [e_i, f(e_j)] = S[i,j] + S[j,i] with S[i,j] = [f(e_i), e_j]
-        S = modp.batch_commuting_form(F, T, p)
-        counts["bracket_swap"] += _count_nonzero_residues(S + S.transpose(0, 2, 1, 3), p)
+        # bracket_swap's residue S + S^T, S[i,j] = [f(e_i), e_j], is U + U^T, U[i,j] = [d_i, e_j]:
+        # S - U = [e_i, e_j] is antisymmetric, so both identities get one count
         U = modp.batch_commuting_form(D, T, p)
-        counts["displacement_swap"] += _count_nonzero_residues(U + U.transpose(0, 2, 1, 3), p)
+        swap = _count_nonzero_residues(U + U.transpose(0, 2, 1, 3), p)
+        counts["bracket_swap"] += swap
+        counts["displacement_swap"] += swap
         if zbasis is not None and cz.shape[0]:
             imgs = np.einsum("brl,zl->brz", F, zbasis)
             res = np.einsum("cn,bnz->bcz", cz, imgs) % p

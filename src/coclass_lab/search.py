@@ -21,11 +21,14 @@ z_t; then C f(g_t) = C g_t becomes C z_t = 0 (C the coset rows),
 [z_t, g_s] + [z_s, g_t] = 0.  So the assignments are exactly g + V, V
 the kernel of one homogeneous system over z = (z_0, ..., z_{r-1}), and
 they are drawn as points of V in blocks of at most CHUNK rows.
-Independence of the images modulo L' is tested on each block.
+Independence of the images modulo L' is tested on each block: Λ, the
+reduced annihilator of L', maps them to their L/L' coordinates
+(``LieAlgebra.generator_indices``), which must be invertible.
 
-The budget is checked before V is computed.  Given the earlier images,
-f(g_t) ranges over a coset of the kernel of level t's rows, of size p^k,
-so the product of these p^k is an upper bound on the p^(dim V)
+The budget is checked first, before V or the generator presentation is
+built, so a refusal costs only the per-level kernels.  Given the earlier
+images, f(g_t) ranges over a coset of the kernel of level t's rows, of
+size p^k, so the product of these p^k is an upper bound on the p^(dim V)
 assignments, and so on everything the filter sees; enumeration refuses
 to start when that projection exceeds the budget, and no later count can
 pass it.
@@ -64,7 +67,7 @@ import numpy as np
 
 from . import modp
 from .algebra import LieAlgebra, NonNilpotentError
-from .linalg import Matrix, basis_vec, invert, kernel
+from .linalg import Matrix, kernel
 from .maps import (
     LinearMap,
     commuting_defect,
@@ -263,19 +266,20 @@ def enumerate_commuting(algebra: LieAlgebra, budget: int = DEFAULT_BUDGET) -> Au
 
     p = field.p
     n = algebra.dim
+    blocks = _assignment_blocks(algebra, budget)  # refuses before the presentation is built
     pres = algebra.generator_presentation()
-    # generator images must be independent modulo L': their projections
-    # to L/L' (through the annihilator of L') form an invertible r x r matrix
-    to_quotient = modp.subspace_constraints(algebra.derived())  # (r, n)
+    # generator images must be independent modulo L': their L/L' coordinates
+    # (through Λ, the reduced annihilator of L') form an invertible r x r matrix
+    quotient = modp.subspace_constraints(algebra.derived())  # Λ, (r, n)
     kept = [np.zeros((0, n, n), dtype=np.int64)]
-    for block in _assignment_blocks(algebra, pres, budget):
-        block = block[modp.batch_invertible(block @ to_quotient.T % p, p)]
+    for block in blocks:
+        block = block[modp.batch_invertible(block @ quotient.T % p, p)]
         if len(block):
             kept.append(_filter_assignments(algebra, pres, block))
     return _finish_set(algebra, "commuting", np.concatenate(kept))
 
 
-def _assignment_blocks(algebra: LieAlgebra, pres, budget: int):
+def _assignment_blocks(algebra: LieAlgebra, budget: int):
     """Every generator assignment that satisfies the level rows, as (B, r, n) blocks.
 
     The assignments are g + V (module docstring), exactly p^(dim V) of
@@ -289,7 +293,7 @@ def _assignment_blocks(algebra: LieAlgebra, pres, budget: int):
     field = algebra.field
     p = field.p
     n = algebra.dim
-    gens = pres.generators
+    gens = algebra.generator_indices()
     r = len(gens)
     z2 = algebra.second_center()
     coset_rows = () if z2.is_full() else z2.annihilator().rows
@@ -317,7 +321,7 @@ def _assignment_blocks(algebra: LieAlgebra, pres, budget: int):
         for s in range(t):
             system += [placed({t: a, s: b}) for a, b in zip(ad[s], ad[t])]
     V = np.array(kernel(Matrix(field, tuple(system))).basis.rows, dtype=np.int64).reshape(-1, r * n)
-    g = np.eye(n, dtype=np.int64)[list(gens)]
+    g = np.eye(n, dtype=np.int64)[gens]
     count = p ** len(V)
     return (
         (g + _span_points(V, p, start, min(count, start + CHUNK)).reshape(-1, r, n)) % p
@@ -338,19 +342,13 @@ def _filter_assignments(algebra: LieAlgebra, pres, assignments) -> np.ndarray:
     block = np.asarray(assignments, dtype=np.int64).reshape(-1, len(pres.generators), n)
     T = modp.structure_tensor(algebra)
     T_i_jk = T.reshape(n, n * n)
-    values = []
-    gi = 0
-    for step in pres.steps:
-        if step.kind == "gen":
-            values.append(block[:, gi, :])
-            gi += 1
-        else:
-            # [x, y]: x @ T gives the rows [x, e_j], then y combines them
-            ad_x = (values[step.gen_index] @ T_i_jk % p).reshape(-1, n, n)
-            w = np.matmul(values[step.operand][:, None, :], ad_x)[:, 0, :] % p
-            values.append(int(step.scale) * w % p)
-    cols = np.stack(values, axis=2)  # (B, n, steps) images as columns
-    mats = np.matmul(cols, modp.matrix_to_array(invert(pres.basis_matrix))) % p
+    values = list(block.transpose(1, 0, 2))
+    for t, s in pres.steps:
+        # [x, y]: x @ T gives the rows [x, e_j], then y combines them
+        ad_x = (values[t] @ T_i_jk % p).reshape(-1, n, n)
+        values.append(np.matmul(values[s][:, None, :], ad_x)[:, 0, :] % p)
+    cols = np.stack(values, axis=2)  # (B, n, n) value images as columns
+    mats = np.matmul(cols, modp.matrix_to_array(pres.basis_inverse)) % p
     return mats[modp.batch_is_homomorphism(mats, T, p)]
 
 
@@ -367,7 +365,10 @@ def enumerate_central(algebra: LieAlgebra, budget: int = DEFAULT_BUDGET) -> Auto
     oracle cross-checks it at small dimensions.
 
     Each candidate is written phi = U W, with U the n x d matrix of a
-    basis of Z(L) (d = dim Z) and W a d x n coefficient matrix, and its
+    basis of Z(L) (d = dim Z) and W = coeffs . Λ (d x n): coeffs[q, t] is
+    the z_q-coordinate of phi(g_t), and Λ, the reduced annihilator of L',
+    gives L/L' coordinates (``LieAlgebra.generator_indices``).  So phi
+    kills L' and needs no presentation: non-nilpotent algebras work too.  Its
     invertibility is tested by Sylvester's identity
     det(I_n + U W) = det(I_d + W U): a d x d test per candidate instead
     of an n x n one.  Only candidates that pass are built as n x n maps,
@@ -379,9 +380,8 @@ def enumerate_central(algebra: LieAlgebra, budget: int = DEFAULT_BUDGET) -> Auto
     p = field.p
     n = algebra.dim
     center = algebra.center()
-    derived = algebra.derived()
-    comp = algebra.generator_indices()
-    r = len(comp)
+    quotient = modp.subspace_constraints(algebra.derived())  # Λ, (r, n)
+    r = len(quotient)
     d = center.dim
     count = p ** (d * r)
     if count > budget:
@@ -389,25 +389,16 @@ def enumerate_central(algebra: LieAlgebra, budget: int = DEFAULT_BUDGET) -> Auto
     if d == 0 or r == 0:
         return _finish_set(algebra, "central", np.eye(n, dtype=np.int64)[None])
 
-    # transition from (complement | derived-basis) coordinates to standard ones
-    cols = [basis_vec(field, n, i) for i in comp] + list(derived.basis.rows)
-    M = Matrix(field, tuple(zip(*cols)))
-    minv = invert(M)
-    assert minv is not None
-    minv_np = modp.matrix_to_array(minv)
-    zb = modp.matrix_to_array(center.basis)  # (d, n)
-    # phi = U W with U = zb^T (n x d) and W = coeffs @ minv[:r] (d x n):
-    # coeffs[q, t] is the z_q-coordinate of the image of complement vector t
-    wu = minv_np[:r] @ zb.T % p  # (r, d): W U = coeffs @ wu
+    zb = modp.matrix_to_array(center.basis)  # (d, n), U = zb^T
+    wu = quotient @ zb.T % p  # (r, d): W U = coeffs @ wu
     eye_d = np.eye(d, dtype=np.int64)
-
     eye_n = np.eye(n, dtype=np.int64)
 
     kept = [np.zeros((0, n, n), dtype=np.int64)]
     for start in range(0, count, CHUNK):
         coeffs = _digits(p, d * r, start, min(count, start + CHUNK)).reshape(-1, d, r)
         coeffs = coeffs[modp.batch_invertible(np.matmul(coeffs, wu) + eye_d, p)]
-        W = np.matmul(coeffs, minv_np[:r]) % p
+        W = np.matmul(coeffs, quotient) % p
         kept.append((np.matmul(zb.T, W) + eye_n) % p)
     return _finish_set(algebra, "central", np.concatenate(kept))
 

@@ -5,7 +5,8 @@ and reads every invariant from its cached central series.  These are the
 definitions it replaced: the bracket as a loop over the whole structure
 table, L' as the span of all basis brackets, Z(L) as the centralizer of
 L, Z_2(L) as the preimage of Z(L) under every ad e_j, and the two series
-as iterations of those.  Beside them: the Jacobi check on dense basis
+as iterations of those, and the generators of L/L' grown one basis
+vector at a time.  Beside them: the Jacobi check on dense basis
 vectors, and the subalgebra s rebuilt as an algebra of its own
 (``restrict``), whose class ``LieAlgebra.subalgebra_class`` now computes
 inside L, and ``span_vectors``, a subspace listed vector by vector.  The
@@ -107,6 +108,21 @@ def upper_central_series(alg) -> list:
         if nxt.is_full():
             break
     return series
+
+
+def generator_indices(alg) -> list:
+    """Each i with e_i outside L' + span of the indices kept before it."""
+    f, n = alg.field, alg.dim
+    span = derived(alg)
+    out = []
+    for i in range(n):
+        if span.is_full():
+            break
+        grown = Subspace.from_vectors(f, n, span.basis.rows + (basis_vec(f, n, i),))
+        if grown.dim > span.dim:
+            out.append(i)
+            span = grown
+    return out
 
 
 def validate(alg) -> list:

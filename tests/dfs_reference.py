@@ -26,11 +26,14 @@ from coclass_lab.linalg import (
     add_vec,
     basis_vec,
     kernel,
-    scale_vec,
     vec,
     zero_vec,
 )
 from coclass_lab.search import BudgetExceededError, _finish_set
+
+
+def scale_vec(field, c, a) -> Vector:
+    return tuple(field.mul(c, x) for x in a)
 
 
 @dataclass(frozen=True)

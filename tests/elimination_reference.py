@@ -7,7 +7,9 @@
   invertibility test and its commuting mask, so it keeps invertible &
   homomorphism & commuting.
 * ``central_candidates``: every candidate id + phi of the central
-  enumerator as an n x n matrix, with the n x n invertibility mask.
+  enumerator as an n x n matrix, with the n x n invertibility mask,
+  built through the (generators | basis of L') transition matrix that
+  the library replaced by the reduced annihilator of L'.
 
 The library's streamed span basis, its filter (which relies on the
 generator images being independent modulo L' and on the level rows) and
@@ -43,18 +45,11 @@ def extend_assignments(algebra, pres, assignments) -> np.ndarray:
     n = algebra.dim
     arr = np.asarray(assignments, dtype=np.int64).reshape(-1, len(pres.generators), n)
     T = modp.structure_tensor(algebra)
-    binv = modp.matrix_to_array(invert(pres.basis_matrix))
-    values = []
-    gi = 0
-    for step in pres.steps:
-        if step.kind == "gen":
-            values.append(arr[:, gi, :])
-            gi += 1
-        else:
-            w = np.einsum("bi,bj,ijk->bk", values[step.gen_index], values[step.operand], T) % p
-            values.append(int(step.scale) * w % p)
+    values = [arr[:, t, :] for t in range(len(pres.generators))]
+    for t, s in pres.steps:
+        values.append(np.einsum("bi,bj,ijk->bk", values[t], values[s], T) % p)
     cols = np.stack(values, axis=2) if values else np.zeros((len(arr), n, 0), dtype=np.int64)
-    return np.matmul(cols, binv) % p
+    return np.matmul(cols, modp.matrix_to_array(pres.basis_inverse)) % p
 
 
 def homomorphism_mask(mats: np.ndarray, S: np.ndarray, T: np.ndarray, p: int) -> np.ndarray:

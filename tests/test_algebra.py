@@ -12,7 +12,7 @@ from coclass_lab.constructions import (
     heisenberg,
 )
 from coclass_lab.fields import FieldSpec
-from coclass_lab.linalg import Subspace, basis_vec, scale_vec
+from coclass_lab.linalg import Matrix, Subspace, basis_vec
 
 F3 = FieldSpec.prime(3)
 F5 = FieldSpec.prime(5)
@@ -239,7 +239,7 @@ def test_presentation_filiform4():
 def test_presentation_abelian_all_generators():
     P = abelian(4, F3).generator_presentation()
     assert P.generators == (0, 1, 2, 3)
-    assert all(s.kind == "gen" for s in P.steps)
+    assert P.steps == ()
 
 
 def test_presentation_heisenberg21():
@@ -247,8 +247,7 @@ def test_presentation_heisenberg21():
     P = L.generator_presentation()
     assert P.generators == (0, 1, 2, 3)
     assert len(P.generators) == L.dim - L.derived().dim
-    bracket_steps = [s for s in P.steps if s.kind == "bracket"]
-    assert len(bracket_steps) == 1  # z1 = [u1, u2]
+    assert P.steps == ((1, 0),)  # [u2, u1] = -z1
 
 
 @pytest.mark.parametrize(
@@ -265,20 +264,13 @@ def test_presentation_round_trip_reproduces_basis(make):
     L = make()
     P = L.generator_presentation()
     n = L.dim
-    # re-evaluate every step in L: a generator, or scale * [generator, earlier value]
-    values = []
-    for step in P.steps:
-        if step.kind == "gen":
-            values.append(basis_vec(L.field, n, step.gen_index))
-        else:
-            w = L.bracket(basis_vec(L.field, n, P.generators[step.gen_index]), values[step.operand])
-            values.append(scale_vec(L.field, step.scale, w))
-    expected = tuple(basis_vec(L.field, n, i) for i in range(n))
-    assert tuple(sorted(values)) == tuple(sorted(expected))
-    # change of basis matrix is a permutation of the identity here
-    from coclass_lab.linalg import invert
-
-    assert invert(P.basis_matrix) is not None
+    # re-evaluate the values in L: the generators, then [g_t, values[s]] per step
+    values = [basis_vec(L.field, n, g) for g in P.generators]
+    for t, s in P.steps:
+        values.append(L.bracket(values[t], values[s]))
+    assert len(values) == n
+    # the values are raw brackets, not unit vectors; basis_inverse undoes them
+    assert Matrix(L.field, tuple(zip(*values))) @ P.basis_inverse == Matrix.identity(L.field, n)
 
 
 def test_center_and_centralizer_exhaustive_at_dim3():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import algebra_reference as ref
 from coclass_lab.algebra import LieAlgebra, NonNilpotentError, NotSubalgebraError
-from coclass_lab.constructions import default_catalog, filiform, heisenberg, load_catalog
+from coclass_lab.constructions import abelian, default_catalog, filiform, heisenberg, load_catalog
 from coclass_lab.fields import FieldSpec
 from coclass_lab.linalg import Subspace, basis_vec, vec
 
@@ -100,12 +100,30 @@ def test_solvable_non_nilpotent_invariants():
         L.nilpotency_class()
 
 
+def sl2(field: FieldSpec) -> LieAlgebra:
+    """[h, e] = 2e, [h, f] = -2f, [e, f] = h, so [L, L] = L in odd characteristic and over Q."""
+    return LieAlgebra(field, 3, {(0, 1): ((1, 2),), (0, 2): ((2, -2),), (1, 2): ((0, 1),)})
+
+
 def test_perfect_algebra_derived_is_whole_algebra():
-    # sl_2 over F_5: [h, e] = 2e, [h, f] = -2f, [e, f] = h, so [L, L] = L
-    sl2 = LieAlgebra(F5, 3, {(0, 1): ((1, 2),), (0, 2): ((2, -2),), (1, 2): ((0, 1),)})
-    assert sl2.validate() == []
-    assert sl2.derived() == ref.derived(sl2) == sl2.full_space()
-    assert sl2.lower_central_series() == ref.lower_central_series(sl2) == [sl2.full_space()]
+    L = sl2(F5)
+    assert L.validate() == []
+    assert L.derived() == ref.derived(L) == L.full_space()
+    assert L.lower_central_series() == ref.lower_central_series(L) == [L.full_space()]
+
+
+@pytest.mark.parametrize("field", (F3, F5, FieldSpec.prime(7), BIG, Q), ids=str)
+def test_generator_indices_match_greedy_loop(field):
+    # the pivots of the reduced annihilator of L' against the loop that grows
+    # L' one basis vector at a time; abelian (L' = 0), perfect (L' = L) and
+    # solvable algebras included
+    algebras = [e.algebra for e in default_catalog(field)]
+    algebras += [abelian(4, field), sl2(field), LieAlgebra(field, 2, {(0, 1): ((1, 1),)})]
+    algebras += [alg for _, alg in CASES if alg.field == field]
+    for alg in algebras:
+        assert alg.generator_indices() == ref.generator_indices(alg), alg
+    assert abelian(4, field).generator_indices() == [0, 1, 2, 3]
+    assert sl2(field).generator_indices() == []
 
 
 HYPOTHESIS_ALGEBRAS = [alg for name, alg in CASES if alg.dim <= 12]

@@ -21,6 +21,7 @@ from coclass_lab.harness import (
     NOT_SUBGROUP,
     SUBGROUP,
     StructuralProfile,
+    _variant_report,
     dim5_witness,
     heisenberg_witness,
     predict,
@@ -28,7 +29,8 @@ from coclass_lab.harness import (
     structural_suite,
     verify,
 )
-from coclass_lab.maps import compose, is_commuting
+from coclass_lab.linalg import Matrix
+from coclass_lab.maps import LinearMap, compose, is_commuting
 
 F3 = FieldSpec.prime(3)
 F5 = FieldSpec.prime(5)
@@ -219,6 +221,16 @@ def test_heisenberg_witness_blocks_beyond_first_four_fixed():
             assert m.image_of_basis(j) == tuple(1 if i == j else 0 for i in range(7))
 
 
+def test_variant_report_on_commuting_composition_that_is_no_automorphism():
+    # zero o identity has a clean commuting defect but is singular: the
+    # report says the composition fails, with no defect vector to show
+    L = heisenberg(2, 1, F3)
+    v = _variant_report(L, LinearMap(Matrix.zeros(F3, 5, 5)), LinearMap.identity(L), "corrected")
+    assert not v.composition_commuting
+    assert v.defect_input is None and v.defect_bracket is None
+    assert v.as_dict(F3)["defect_input"] is None
+
+
 def test_heisenberg_witness_rejects_small_k():
     with pytest.raises(ValueError):
         heisenberg_witness(1, 1, F3)
@@ -236,8 +248,6 @@ def test_dim5_witness_fields(p):
 def test_dim5_beta1_is_involution():
     report = dim5_witness(F3)
     square = compose(report.beta1, report.beta1)
-    from coclass_lab.linalg import Matrix
-
     assert square.matrix == Matrix.identity(F3, 5)
 
 

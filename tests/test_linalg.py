@@ -10,11 +10,11 @@ from coclass_lab.fields import FieldSpec
 from coclass_lab.linalg import (
     Matrix,
     Subspace,
+    _rref_rows,
     invert,
     is_invertible,
     kernel,
     rank,
-    rref,
     vec,
 )
 
@@ -30,6 +30,12 @@ def matrix(field, rows):
 
 def all_vectors(p, n):
     return list(product(range(p), repeat=n))
+
+
+def rref(m: Matrix) -> Matrix:
+    """Unique reduced row-echelon form, zero rows kept; row space preserved."""
+    rows, _ = _rref_rows(m.field, list(m.rows))
+    return Matrix(m.field, tuple(tuple(r) for r in rows))
 
 
 # -- rref -------------------------------------------------------------------

@@ -17,7 +17,7 @@ import elimination_reference
 from closure_reference import closure_scan
 from coclass_lab import modp, search
 from coclass_lab.algebra import LieAlgebra
-from coclass_lab.constructions import builtin, default_catalog, heisenberg
+from coclass_lab.constructions import abelian, builtin, default_catalog, direct_sum, heisenberg
 from coclass_lab.fields import FieldSpec
 from coclass_lab.harness import SUITE_BUDGET
 from coclass_lab.search import (
@@ -48,7 +48,7 @@ def catalog_sets():
 
 
 @pytest.mark.parametrize("p", (3, 5))
-def test_frontier_matches_dfs_reference(catalog_sets, p):
+def test_enumeration_matches_dfs_reference(catalog_sets, p):
     assert len(catalog_sets[p]) >= 10
     for name, alg, aset in catalog_sets[p]:
         ref = dfs_reference.enumerate_commuting(alg, SUITE_BUDGET)
@@ -83,8 +83,17 @@ def test_refusal_computes_only_the_level_kernels(monkeypatch):
     monkeypatch.setattr(search, "kernel", lambda m: calls.append(m.ncols) or real(m))
     with pytest.raises(BudgetExceededError):
         enumerate_commuting(alg, budget=0)
-    r = len(alg.generator_presentation().generators)
-    assert calls == [alg.dim] * r
+    assert calls == [alg.dim] * len(alg.generator_indices())
+
+
+def test_refusal_builds_no_presentation(monkeypatch):
+    # the budget check needs only the generators, not the presentation
+    def refuse(self):
+        raise AssertionError("generator_presentation called")
+
+    monkeypatch.setattr(LieAlgebra, "generator_presentation", refuse)
+    with pytest.raises(BudgetExceededError):
+        enumerate_commuting(heisenberg(2, 2, FieldSpec.prime(3)), budget=0)
 
 
 def test_assignments_are_the_joint_kernel_below_the_projection():
@@ -94,9 +103,8 @@ def test_assignments_are_the_joint_kernel_below_the_projection():
     with pytest.raises(BudgetExceededError) as refusal:
         enumerate_commuting(alg, budget=0)
     assert refusal.value.projected == 3**9 == dfs_reference.projected_count(alg)
-    pres = alg.generator_presentation()
-    block = np.concatenate(list(search._assignment_blocks(alg, pres, SUITE_BUDGET)))
-    assert block.shape == (3**7, len(pres.generators), alg.dim)
+    block = np.concatenate(list(search._assignment_blocks(alg, SUITE_BUDGET)))
+    assert block.shape == (3**7, len(alg.generator_indices()), alg.dim)
     assert len(np.unique(block.reshape(len(block), -1), axis=0)) == 3**7
 
 
@@ -222,7 +230,7 @@ def test_filter_needs_independence_modulo_derived():
     # consistent assignments, all homomorphisms that commute, 9 singular
     alg = builtin("heisenberg:1:1", FieldSpec.prime(3))
     pres = alg.generator_presentation()
-    block = np.concatenate(list(search._assignment_blocks(alg, pres, SUITE_BUDGET)))
+    block = np.concatenate(list(search._assignment_blocks(alg, SUITE_BUDGET)))
     invertible, genuine = elimination_reference.filter_masks(
         alg, elimination_reference.extend_assignments(alg, pres, block)
     )
@@ -246,7 +254,7 @@ def test_filter_keeps_homomorphisms_that_do_not_commute():
     assert not modp.batch_is_commuting(swap[None], T, 3).any()
     kept = search._filter_assignments(alg, pres, [((0, 1, 0), (1, 0, 0))])
     assert kept.tolist() == [swap.tolist()]
-    block = np.concatenate(list(search._assignment_blocks(alg, pres, SUITE_BUDGET)))
+    block = np.concatenate(list(search._assignment_blocks(alg, SUITE_BUDGET)))
     assert not (block == swap.T[None, :2]).all(axis=(1, 2)).any()
     assert swap.tolist() not in enumerate_commuting(alg).member_array().tolist()
 
@@ -273,3 +281,16 @@ def test_central_matches_full_invertibility_mask(p):
         checked += 1
     assert checked >= 15
     assert "filiform_4_plus_abelian_1" in singular_seen
+
+
+def test_central_on_non_nilpotent_algebra():
+    # [a, b] = b plus a central c over F5: Z = <c>, L' = <b>, so phi takes a
+    # to x c and c to (w - 1) c, with w != 0 for id + phi to be invertible
+    F5 = FieldSpec.prime(5)
+    alg = direct_sum(LieAlgebra(F5, 2, {(0, 1): ((1, 1),)}), abelian(1, F5))
+    assert not alg.is_nilpotent
+    aset = enumerate_central(alg)
+    expected = [[[1, 0, 0], [0, 1, 0], [x, 0, w]] for x in range(5) for w in range(1, 5)]
+    assert aset.member_array().tolist() == expected
+    mats, invertible = elimination_reference.central_candidates(alg)
+    assert sorted(mats[invertible].tolist()) == expected
