@@ -16,6 +16,7 @@ from .constructions import CatalogError, builtin, load_catalog
 from .fields import FieldError, FieldSpec
 from .harness import (
     SUITE_BUDGET,
+    closure_witness_dict,
     dim5_witness,
     heisenberg_witness,
     matrix_grid,
@@ -168,12 +169,7 @@ def _cmd_check_subgroup(args) -> int:
         text = f"closed: all compositions commute (|A| = {aset.size})"
     else:
         w = verdict.witness
-        payload["witness"] = {
-            "f": matrix_grid(w.f, field),
-            "g": matrix_grid(w.g, field),
-            "vector": [field.unparse(x) for x in w.vector],
-            "bracket_residual": [field.unparse(x) for x in w.residual],
-        }
+        payload["witness"] = closure_witness_dict(w, field)
         text = (
             f"not closed (|A| = {aset.size}): composition of members "
             f"{w.f_index} and {w.g_index} fails at x = {w.vector}, [g(f(x)), x] = {w.residual}"

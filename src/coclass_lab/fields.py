@@ -79,6 +79,8 @@ class FieldSpec:
 
     def canon(self, x) -> Scalar:
         """Canonical form of an int/Fraction (residue or reduced fraction)."""
+        if type(x) is int:  # the common case, ahead of the isinstance (ABC) check below
+            return x % self.p if self.p else Fraction(x)
         if self.is_prime:
             if isinstance(x, Fraction):
                 if x.denominator != 1:

@@ -20,7 +20,7 @@ from .fields import FieldSpec
 from .maps import (
     LinearMap,
     commuting_defect,
-    commuting_witness_vector,
+    commuting_witness,
     compose,
     identity_suite_batch,
     is_automorphism,
@@ -31,6 +31,7 @@ from .search import (
     AutomorphismSet,
     BudgetExceededError,
     ClosureVerdict,
+    ClosureWitness,
     EqualityReport,
     closure_check,
     enumerate_central,
@@ -192,17 +193,10 @@ class EnumerationSummary:
         return None if self.closure is None else self.closure.witness
 
     def as_dict(self, field: FieldSpec) -> dict:
-        witness = None
-        if self.closure is not None and self.closure.witness is not None:
-            w = self.closure.witness
-            witness = {
-                "f": matrix_grid(w.f, field),
-                "g": matrix_grid(w.g, field),
-                "f_index": w.f_index,
-                "g_index": w.g_index,
-                "vector": [field.unparse(x) for x in w.vector],
-                "bracket_residual": [field.unparse(x) for x in w.residual],
-            }
+        w = self.witness
+        witness = None if w is None else {
+            **closure_witness_dict(w, field), "f_index": w.f_index, "g_index": w.g_index
+        }
         return {
             "commuting_size": self.commuting_size,
             "central_size": self.central_size,
@@ -217,6 +211,16 @@ class EnumerationSummary:
 def matrix_grid(f: LinearMap, field: FieldSpec) -> list:
     """The map's matrix row by row, each entry in its catalog-file form."""
     return [[field.unparse(x) for x in row] for row in f.matrix.rows]
+
+
+def closure_witness_dict(w: ClosureWitness, field: FieldSpec) -> dict:
+    """The pair (f, g), the vector x and [g(f(x)), x], in catalog-file form."""
+    return {
+        "f": matrix_grid(w.f, field),
+        "g": matrix_grid(w.g, field),
+        "vector": [field.unparse(x) for x in w.vector],
+        "bracket_residual": [field.unparse(x) for x in w.residual],
+    }
 
 
 @dataclass(frozen=True)
@@ -387,11 +391,13 @@ class WitnessReport:
 
 def _variant_report(algebra: LieAlgebra, beta1: LinearMap, beta2: LinearMap, variant: str) -> VariantReport:
     comp = compose(beta1, beta2)  # beta2 first
-    comp_defect = commuting_defect(algebra, comp)
-    comp_ok = is_automorphism(algebra, comp).clean and comp_defect.clean
+    witness = commuting_witness(algebra, comp)
     defect_input = defect_bracket = None
-    if not comp_defect.clean:  # a composition that is no automorphism may still commute
-        defect_input, _ = commuting_witness_vector(algebra, comp, comp_defect)
+    if witness is None:  # a composition that is no automorphism may still commute
+        comp_ok = is_automorphism(algebra, comp).clean
+    else:
+        comp_ok = False
+        defect_input, _ = witness
         defect_bracket = algebra.bracket(defect_input, comp.apply(defect_input))
     beta2_automorphism = is_automorphism(algebra, beta2).clean
     return VariantReport(

@@ -12,7 +12,8 @@ S(x, y) = [f(x), y] + [f(y), x],
 
 so B(e_i) = 0 for all i together with S(e_i, e_j) = 0 for all i < j is
 equivalent to the full quantified statement, over any field and at any
-field size.
+field size.  The identity sweep :func:`identity_suite_batch` is two
+contractions, U and W; the Jacobi identity gives every other tensor from them.
 """
 
 from __future__ import annotations
@@ -198,13 +199,15 @@ def is_central(algebra: LieAlgebra, f: LinearMap) -> DefectReport:
     return central_defect(algebra, f)
 
 
-def commuting_witness_vector(algebra: LieAlgebra, f: LinearMap, defect: DefectReport):
-    """A single vector x with [f(x), x] != 0 recovered from a defect report.
+def commuting_witness(algebra: LieAlgebra, f: LinearMap):
+    """(x, [f(x), x]) for one vector x with [f(x), x] != 0; None when f commutes.
 
-    A diagonal failure B(e_i) != 0 yields x = e_i; a pure cross-term
-    failure S(e_i, e_j) != 0 yields x = e_i + e_j, because
+    x is read off :func:`commuting_defect`: a diagonal failure
+    B(e_i) != 0 yields x = e_i; a pure cross-term failure
+    S(e_i, e_j) != 0 yields x = e_i + e_j, because
     B(e_i + e_j) = B(e_i) + B(e_j) + S(e_i, e_j).
     """
+    defect = commuting_defect(algebra, f)
     if defect.clean:
         return None
     diag = {idx[0]: res for idx, res in defect.witnesses if len(idx) == 1}
@@ -271,14 +274,13 @@ def identity_suite_batch(algebra: LieAlgebra, mats: np.ndarray) -> dict:
     F would not do: a residue is only affine in F, so on [I, 2I] the member I
     spans every F and passes while 2I, whose displacement is I, can fail.
 
-    Every bracket tensor is built from U[b,i,l,:] = [d_i, e_l] (d_i the
-    displacement f(e_i) - e_i) by one more two-operand contraction with
-    the structure tensor, each step reduced mod p:
-
-        X[b,i,j,k,:] = [d_i, [e_j, e_k]] = sum_l T[j,k,l] U[b,i,l,:]
-        W[b,i,j,k,:] = [e_k, [d_i, e_j]] = sum_l U[b,i,j,l] T[k,l,:]
-
-    and [e_j, [e_k, d_i]] = -W[b,i,j,k,:] by antisymmetry.
+    The sweep is two two-operand contractions, each reduced mod p:
+    U[b,i,l,:] = [d_i, e_l] (d_i the displacement f(e_i) - e_i) and
+    W[b,i,j,k,:] = [e_k, [d_i, e_j]] = sum_l U[b,i,j,l] T[k,l,:].  The rest is
+    read from these two, X[b,i,j,k,:] = [d_i, [e_j, e_k]] = W[b,i,k,j,:] - W[b,i,j,k,:]
+    by Jacobi, so T must satisfy the Jacobi identity (``load_catalog`` and the
+    builtins ensure it, ``LieAlgebra.validate`` checks it).  Jacobi also gives the
+    two double-bracket identities one residue, so their counts are equal.
     """
     p = algebra.field.p
     if not p:
@@ -295,11 +297,11 @@ def _identity_counts(algebra: LieAlgebra, mats: np.ndarray) -> dict:
     T = modp.structure_tensor(algebra)
     n = algebra.dim
     eye = np.eye(n, dtype=np.int64)
-    T_jk_l = T.reshape(n * n, n)
     T_l_kr = T.transpose(1, 0, 2).reshape(n, n * n)
-    cz = modp.subspace_constraints(algebra.center())
+    center = algebra.center()
+    zbasis = modp.matrix_to_array(center.basis).reshape(center.dim, n)
+    cz = modp.subspace_constraints(center)
     cz2 = modp.subspace_constraints(algebra.second_center())
-    zbasis = modp.matrix_to_array(algebra.center().basis) if algebra.center().dim else None
     counts = {name: 0 for name in IDENTITY_NAMES}
     for start in range(0, mats.shape[0], IDENTITY_BLOCK):
         F = mats[start : start + IDENTITY_BLOCK] % p
@@ -311,29 +313,23 @@ def _identity_counts(algebra: LieAlgebra, mats: np.ndarray) -> dict:
         swap = _count_nonzero_residues(U + U.transpose(0, 2, 1, 3), p)
         counts["bracket_swap"] += swap
         counts["displacement_swap"] += swap
-        if zbasis is not None and cz.shape[0]:
-            imgs = np.einsum("brl,zl->brz", F, zbasis)
-            res = np.einsum("cn,bnz->bcz", cz, imgs) % p
-            counts["center_preserved"] += int(np.count_nonzero(res.any(axis=1)))
-        X = np.matmul(T_jk_l, U).reshape(B, n, n, n, n)
-        np.remainder(X, p, out=X)
+        imgs = np.matmul(F, zbasis.T) % p  # column z is f(z) for z in the center's basis
+        counts["center_preserved"] += int(modp.batch_outside(imgs, cz, p).sum())
+        W = np.matmul(U, T_l_kr).reshape(B, n, n, n, n)
+        np.remainder(W, p, out=W)
+        Wt = W.transpose(0, 1, 3, 2, 4)
+        # Jacobi: [d, [a, b]] = -[a, [b, d]] - [b, [d, a]] = [a, [d, b]] - [b, [d, a]],
+        # so X[i,j,k] = [d_i, [e_j, e_k]] = W[i,k,j] - W[i,j,k]; its entries lie in (-p, p)
+        X = Wt - W
         counts["displacement_bracket_swap"] += _count_nonzero_residues(
             X - X.transpose(0, 2, 1, 3, 4), p
         )
         counts["displacement_kills_brackets"] += int(np.count_nonzero(X.any(axis=4)))
-        W = np.matmul(U, T_l_kr).reshape(B, n, n, n, n)
-        np.remainder(W, p, out=W)
-        # [e_j, [e_k, d_i]] + [e_k, [e_j, d_i]] = -(W[i,j,k] + W[i,k,j])
-        counts["double_bracket_vanishes"] += _count_nonzero_residues(
-            W + W.transpose(0, 1, 3, 2, 4), p
-        )
-        # [d_i, [e_j, e_k]] - 2 [e_k, [e_j, d_i]] = X[i,j,k] + 2 W[i,j,k]
-        W *= 2
-        X += W
-        del W
-        counts["double_bracket_factor"] += _count_nonzero_residues(X, p)
         del X
-        if cz2.shape[0]:
-            res = np.einsum("cn,bni->bci", cz2, D) % p
-            counts["displacement_in_second_center"] += int(np.count_nonzero(res.any(axis=1)))
+        # [e_j, [e_k, d_i]] + [e_k, [e_j, d_i]] = -(W[i,j,k] + W[i,k,j]), and the residue
+        # [d_i, [e_j, e_k]] - 2 [e_k, [e_j, d_i]] = X + 2W is the same W[i,k,j] + W[i,j,k]
+        double = _count_nonzero_residues(W + Wt, p)
+        counts["double_bracket_vanishes"] += double
+        counts["double_bracket_factor"] += double
+        counts["displacement_in_second_center"] += int(modp.batch_outside(D, cz2, p).sum())
     return counts

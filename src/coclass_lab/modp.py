@@ -7,7 +7,8 @@ contraction step satisfies ``terms * (p - 1)**k < 2**63``, where the step
 sums ``terms`` products of ``k`` residues in [0, p); so every intermediate
 is reduced mod p before the next step uses it.  At p < 2^16 a two-factor
 step allows about 2^31 terms and a three-factor step about 2^15, which is
-why large contractions are split into two-operand steps.
+why large contractions are split into two-operand steps.  The two batched
+eliminations, ``batch_invertible`` and ``batch_inverse``, share one pivot step.
 """
 
 from __future__ import annotations
@@ -92,29 +93,29 @@ def spanning_rows(rows: np.ndarray, p: int) -> list:
     return picked
 
 
+def _pivot(M: np.ndarray, c: int, p: int, ok: np.ndarray) -> None:
+    """In place: swap the first row >= c with a nonzero in column c into row c, scale
+    that entry to 1; clear ``ok`` where the column has no such row."""
+    nz = M[:, c:, c] != 0
+    ok &= nz.any(axis=1)
+    piv = c + np.argmax(nz, axis=1)
+    idx = np.arange(len(M))
+    rows_c = M[idx, c, :].copy()
+    M[idx, c, :] = M[idx, piv, :]
+    M[idx, piv, :] = rows_c
+    pivval = M[:, c, c]
+    M[:, c, :] = (M[:, c, :] * inverse_table(p)[np.where(pivval == 0, 1, pivval)][:, None]) % p
+
+
 def batch_invertible(mats: np.ndarray, p: int) -> np.ndarray:
     """Boolean mask of invertibility for a (B, n, n) batch, Gaussian mod p."""
-    A = (mats % p).astype(np.int64).copy()
+    A = (mats % p).astype(np.int64)
     B, n, _ = A.shape
-    if B == 0:
-        return np.zeros(0, dtype=bool)
     ok = np.ones(B, dtype=bool)
-    inv = inverse_table(p)
-    idx = np.arange(B)
     for c in range(n):
-        col = A[:, c:, c]
-        nz = col != 0
-        ok &= nz.any(axis=1)
-        piv = c + np.argmax(nz, axis=1)
-        rows_c = A[idx, c, :].copy()
-        A[idx, c, :] = A[idx, piv, :]
-        A[idx, piv, :] = rows_c
-        pivval = A[:, c, c]
-        scale = inv[np.where(pivval == 0, 1, pivval)]
-        A[:, c, :] = (A[:, c, :] * scale[:, None]) % p
-        if c + 1 < n:
-            factors = A[:, c + 1 :, c]
-            A[:, c + 1 :, :] = (A[:, c + 1 :, :] - factors[:, :, None] * A[:, c, None, :]) % p
+        _pivot(A, c, p, ok)
+        factors = A[:, c + 1 :, c]
+        A[:, c + 1 :, :] = (A[:, c + 1 :, :] - factors[:, :, None] * A[:, c, None, :]) % p
     return ok
 
 
@@ -129,17 +130,8 @@ def batch_inverse(mats: np.ndarray, p: int) -> tuple:
     M[:, :, :n] = mats % p
     M[:, :, n:] = np.eye(n, dtype=np.int64)
     ok = np.ones(B, dtype=bool)
-    inv = inverse_table(p)
-    idx = np.arange(B)
     for c in range(n):
-        nz = M[:, c:, c] != 0
-        ok &= nz.any(axis=1)
-        piv = c + np.argmax(nz, axis=1)
-        rows_c = M[idx, c, :].copy()
-        M[idx, c, :] = M[idx, piv, :]
-        M[idx, piv, :] = rows_c
-        pivval = M[:, c, c]
-        M[:, c, :] = (M[:, c, :] * inv[np.where(pivval == 0, 1, pivval)][:, None]) % p
+        _pivot(M, c, p, ok)
         factors = M[:, :, c].copy()
         factors[:, c] = 0
         M -= factors[:, :, None] * M[:, c, None, :]
@@ -185,9 +177,6 @@ def batch_is_commuting(mats: np.ndarray, T: np.ndarray, p: int) -> np.ndarray:
     return ~np.remainder(sym, p, out=sym).any(axis=(1, 2, 3))
 
 
-def batch_in_subspace(columns: np.ndarray, constraints: np.ndarray, p: int) -> np.ndarray:
-    """Mask over batch: every column of each matrix satisfies C x = 0."""
-    if constraints.shape[0] == 0:
-        return np.ones(columns.shape[0], dtype=bool)
-    res = np.einsum("cn,bnk->bck", constraints, columns) % p
-    return (res == 0).all(axis=(1, 2))
+def batch_outside(columns: np.ndarray, constraints: np.ndarray, p: int) -> np.ndarray:
+    """(B, k) mask: column j of columns[b] lies outside {x : C x = 0} (none for C of shape (0, n))."""
+    return (np.matmul(constraints, columns) % p).any(axis=1)

@@ -68,12 +68,7 @@ import numpy as np
 from . import modp
 from .algebra import LieAlgebra, NonNilpotentError
 from .linalg import Matrix, kernel
-from .maps import (
-    LinearMap,
-    commuting_defect,
-    commuting_witness_vector,
-    compose,
-)
+from .maps import LinearMap, commuting_witness, compose
 
 DEFAULT_BUDGET = 10**8
 BRUTE_FORCE_LIMIT = 250_000
@@ -437,7 +432,8 @@ def _bruteforce(algebra: LieAlgebra, kind: str) -> AutomorphismSet:
         mats = mats[modp.batch_is_commuting(mats, T, p)]
     elif kind == "central":
         disp = (mats - np.eye(n, dtype=np.int64)) % p
-        mats = mats[modp.batch_in_subspace(disp, modp.subspace_constraints(algebra.center()), p)]
+        outside = modp.batch_outside(disp, modp.subspace_constraints(algebra.center()), p)
+        mats = mats[~outside.any(axis=1)]
     return _finish_set(algebra, kind, mats)
 
 
@@ -466,9 +462,7 @@ class ClosureVerdict:
 
 def _make_witness(algebra, arr, fi, gi) -> ClosureWitness:
     f, g = _linear_maps(algebra, arr[[fi, gi]])
-    h = compose(g, f)
-    defect = commuting_defect(algebra, h)
-    x, residual = commuting_witness_vector(algebra, h, defect)
+    x, residual = commuting_witness(algebra, compose(g, f))
     return ClosureWitness(f, g, fi, gi, x, residual)
 
 

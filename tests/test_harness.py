@@ -1,5 +1,6 @@
 import pytest
 
+from coclass_lab import harness
 from coclass_lab.algebra import LieAlgebra
 from coclass_lab.constructions import (
     CatalogEntry,
@@ -30,7 +31,7 @@ from coclass_lab.harness import (
     verify,
 )
 from coclass_lab.linalg import Matrix
-from coclass_lab.maps import LinearMap, compose, is_commuting
+from coclass_lab.maps import LinearMap, commuting_defect, compose, is_commuting
 
 F3 = FieldSpec.prime(3)
 F5 = FieldSpec.prime(5)
@@ -229,6 +230,25 @@ def test_variant_report_on_commuting_composition_that_is_no_automorphism():
     assert not v.composition_commuting
     assert v.defect_input is None and v.defect_bracket is None
     assert v.as_dict(F3)["defect_input"] is None
+
+
+def test_variant_report_checks_automorphism_only_of_commuting_compositions(monkeypatch):
+    # a composition that fails to commute is no commuting automorphism whatever
+    # is_automorphism says, so the report does not ask
+    checked = []
+    real = harness.is_automorphism
+
+    def recording(algebra, f):
+        checked.append((algebra, f))
+        return real(algebra, f)
+
+    monkeypatch.setattr(harness, "is_automorphism", recording)
+    report = heisenberg_witness(2, 1, F3)
+    L = heisenberg(2, 1, F3)
+    comps = [compose(report.beta1, b2) for b2 in report.beta2_by_variant.values()]
+    failing = [c for c in comps if not commuting_defect(L, c).clean]
+    assert failing and checked
+    assert not any(f in failing for _, f in checked)
 
 
 def test_heisenberg_witness_rejects_small_k():

@@ -11,7 +11,7 @@ from coclass_lab.maps import (
     NOT_INVERTIBLE,
     LinearMap,
     commuting_defect,
-    commuting_witness_vector,
+    commuting_witness,
     compose,
     identity_suite_batch,
     inverse,
@@ -96,11 +96,12 @@ def test_composition_not_commuting_with_published_witness():
     assert comp.image_of_basis(0) == (0, 1, 1, 0, 0)
     defect = commuting_defect(L, comp)
     assert defect.kind == NOT_COMMUTING
-    x, residual = commuting_witness_vector(L, comp, defect)
+    x, residual = commuting_witness(L, comp)
     assert x == (1, 0, 0, 0, 0)
     # [x1, beta1 beta2 (x1)] = x5, i.e. [f(x1), x1] = -x5
     assert L.bracket(x, comp.apply(x)) == (0, 0, 0, 0, 1)
     assert residual == (0, 0, 0, 0, 2)
+    assert commuting_witness(L, dim5_beta1(L)) is None
 
 
 def test_is_commuting_requires_automorphism():
