@@ -207,8 +207,6 @@ class LieAlgebra:
 
     def _center_preimage(self, z: Subspace) -> Subspace:
         """{x : [x, e_j] in z for all j}: the kernel of c . [e_i, e_j] over constraints c of z."""
-        if z.is_full():
-            return self.full_space()
         f = self.field
         constraints = z.annihilator().rows
         # row (c, j), column i holds c . [e_i, e_j]; only nonzero brackets contribute

@@ -138,9 +138,8 @@ def _cmd_search_commuting(args) -> int:
     payload = {"size": aset.size, "short_circuit": False, "members": None}
     text = f"commuting automorphisms: {aset.size}"
     if args.members:
-        payload["members"] = [matrix_grid(m, field) for m in aset.members]
-        shown = "\n".join(str(matrix_grid(m, field)) for m in aset.members)
-        text += "\n" + shown
+        payload["members"] = aset.member_array().tolist()
+        text += "\n" + "\n".join(map(str, payload["members"]))
     _emit(args, payload, text)
     return EXIT_OK
 

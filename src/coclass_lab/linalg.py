@@ -219,11 +219,9 @@ class Subspace:
         C has full row rank and C . basis^T = 0, which pins the kernel
         of C to exactly this subspace by dimension count.
         """
-        f = self.field
         if self.dim == 0:
-            return Matrix.identity(f, self.ambient_dim)
-        ker = kernel(self.basis)
-        return ker.basis if ker.dim else Matrix(f, ())
+            return Matrix.identity(self.field, self.ambient_dim)
+        return kernel(self.basis).basis
 
 
 def kernel(m: Matrix) -> Subspace:

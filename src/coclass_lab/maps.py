@@ -299,7 +299,7 @@ def _identity_counts(algebra: LieAlgebra, mats: np.ndarray) -> dict:
     eye = np.eye(n, dtype=np.int64)
     T_l_kr = T.transpose(1, 0, 2).reshape(n, n * n)
     center = algebra.center()
-    zbasis = modp.matrix_to_array(center.basis).reshape(center.dim, n)
+    zbasis = modp.matrix_to_array(center.basis, n)
     cz = modp.subspace_constraints(center)
     cz2 = modp.subspace_constraints(algebra.second_center())
     counts = {name: 0 for name in IDENTITY_NAMES}

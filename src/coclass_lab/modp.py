@@ -42,16 +42,14 @@ def structure_tensor(algebra) -> np.ndarray:
     return T
 
 
-def matrix_to_array(m) -> np.ndarray:
-    return np.array([list(r) for r in m.rows], dtype=np.int64)
+def matrix_to_array(m, ncols: int) -> np.ndarray:
+    """The matrix as a (rows, ncols) int64 array; ncols is needed when it has no rows."""
+    return np.array(m.rows, dtype=np.int64).reshape(len(m.rows), ncols)
 
 
 def subspace_constraints(s) -> np.ndarray:
     """Rows C with s = {x : C x = 0}; shape (n - dim, n)."""
-    ann = s.annihilator()
-    if not ann.rows:
-        return np.zeros((0, s.ambient_dim), dtype=np.int64)
-    return matrix_to_array(ann)
+    return matrix_to_array(s.annihilator(), s.ambient_dim)
 
 
 def spanning_rows(rows: np.ndarray, p: int) -> list:

@@ -60,7 +60,6 @@ inverse), so the argument saves work without being trusted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -120,11 +119,11 @@ class AutomorphismSet:
     """A finite, canonically ordered set of automorphisms of one algebra.
 
     Stored once, as a read-only (B, n, n) int64 array of member matrices,
-    entries in [0, p), sorted in LinearMap.key() order without duplicates,
-    beside the sorted row keys that membership queries search (computed
-    from the array unless the builder hands them over).  ``members``
-    builds the LinearMaps from its rows on first access; verdicts build
-    only the maps they return.  == compares members.
+    entries in [0, p), sorted in row-major entry order (the order that
+    LinearMap.key() also gives) without duplicates, beside the sorted row
+    keys that ``outside`` searches (computed from the array unless the
+    builder hands them over).  A member is named by its index in that
+    array; only a closure witness builds LinearMaps.  == compares members.
     """
 
     algebra: LieAlgebra
@@ -136,10 +135,6 @@ class AutomorphismSet:
         if self._keys is None:
             object.__setattr__(self, "_keys", _row_keys(self._array, self.algebra.field.p))
         self._keys.flags.writeable = False
-
-    @cached_property
-    def members(self) -> tuple:
-        return _linear_maps(self.algebra, self._array)
 
     @property
     def size(self) -> int:
@@ -155,20 +150,11 @@ class AutomorphismSet:
         """Mask over this set's members: True where the member is not in other."""
         return ~_contains_rows(other._keys, self._keys)
 
-    def __contains__(self, f: LinearMap) -> bool:
-        query = np.array(f.matrix.rows, dtype=np.int64)[None]
-        return bool(_contains_rows(self._keys, _row_keys(query, self.algebra.field.p))[0])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, AutomorphismSet):
             return NotImplemented
         same_kind = (self.algebra, self.kind) == (other.algebra, other.kind)
         return same_kind and np.array_equal(self._array, other._array)
-
-
-def _linear_maps(algebra: LieAlgebra, mats: np.ndarray) -> tuple:
-    """LinearMaps of the rows of a (k, n, n) member array."""
-    return tuple(LinearMap(Matrix(algebra.field, tuple(map(tuple, m)))) for m in mats.tolist())
 
 
 def _row_keys(mats: np.ndarray, p: int) -> np.ndarray:
@@ -291,7 +277,7 @@ def _assignment_blocks(algebra: LieAlgebra, budget: int):
     gens = algebra.generator_indices()
     r = len(gens)
     z2 = algebra.second_center()
-    coset_rows = () if z2.is_full() else z2.annihilator().rows
+    coset_rows = z2.annihilator().rows
     ad = [algebra.ad_matrix(g).rows for g in gens]
     # level t's rows on w = f(g_t): the coset rows C, [w, g_t], and [w, g_s] for each s < t
     widths = [kernel(Matrix(field, coset_rows + ad[t] + sum(ad[:t], ()))).dim for t in range(r)]
@@ -343,7 +329,7 @@ def _filter_assignments(algebra: LieAlgebra, pres, assignments) -> np.ndarray:
         ad_x = (values[t] @ T_i_jk % p).reshape(-1, n, n)
         values.append(np.matmul(values[s][:, None, :], ad_x)[:, 0, :] % p)
     cols = np.stack(values, axis=2)  # (B, n, n) value images as columns
-    mats = np.matmul(cols, modp.matrix_to_array(pres.basis_inverse)) % p
+    mats = np.matmul(cols, modp.matrix_to_array(pres.basis_inverse, n)) % p
     return mats[modp.batch_is_homomorphism(mats, T, p)]
 
 
@@ -384,7 +370,7 @@ def enumerate_central(algebra: LieAlgebra, budget: int = DEFAULT_BUDGET) -> Auto
     if d == 0 or r == 0:
         return _finish_set(algebra, "central", np.eye(n, dtype=np.int64)[None])
 
-    zb = modp.matrix_to_array(center.basis)  # (d, n), U = zb^T
+    zb = modp.matrix_to_array(center.basis, n)  # (d, n), U = zb^T
     wu = quotient @ zb.T % p  # (r, d): W U = coeffs @ wu
     eye_d = np.eye(d, dtype=np.int64)
     eye_n = np.eye(n, dtype=np.int64)
@@ -461,7 +447,7 @@ class ClosureVerdict:
 
 
 def _make_witness(algebra, arr, fi, gi) -> ClosureWitness:
-    f, g = _linear_maps(algebra, arr[[fi, gi]])
+    f, g = (LinearMap(Matrix(algebra.field, tuple(map(tuple, m)))) for m in arr[[fi, gi]].tolist())
     x, residual = commuting_witness(algebra, compose(g, f))
     return ClosureWitness(f, g, fi, gi, x, residual)
 
@@ -512,6 +498,10 @@ def closure_check(aset: AutomorphismSet) -> ClosureVerdict:
 
 @dataclass(frozen=True)
 class EqualityReport:
+    """only_in_a: indices into a's member array (row-major entry order, as
+    LinearMap.key() gives) of the first five members missing from b;
+    only_in_b likewise for b."""
+
     equal: bool
     only_in_a: tuple
     only_in_b: tuple
@@ -521,13 +511,9 @@ class EqualityReport:
 
 
 def sets_equal(a: AutomorphismSet, b: AutomorphismSet) -> EqualityReport:
-    """Canonical-order comparison with up to 5 one-sided witnesses per side."""
+    """Compare two sets; examples are member indices in row-major entry order, up to 5 per side."""
     if a.algebra != b.algebra:
         raise ValueError("sets_equal needs sets over the same algebra")
-    out_a = a.outside(b)
-    out_b = b.outside(a)
-    if not (out_a.any() or out_b.any()):
-        return EqualityReport(True, (), ())
-    only_a = _linear_maps(a.algebra, a.member_array()[np.flatnonzero(out_a)[:5]])
-    only_b = _linear_maps(b.algebra, b.member_array()[np.flatnonzero(out_b)[:5]])
-    return EqualityReport(False, only_a, only_b)
+    only_a = tuple(np.flatnonzero(a.outside(b))[:5].tolist())
+    only_b = tuple(np.flatnonzero(b.outside(a))[:5].tolist())
+    return EqualityReport(not (only_a or only_b), only_a, only_b)

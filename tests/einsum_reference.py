@@ -26,7 +26,7 @@ def identity_counts(algebra, mats: np.ndarray, chunk: int = 2048) -> dict:
     eye = np.eye(n, dtype=np.int64)
     cz = modp.subspace_constraints(algebra.center())
     cz2 = modp.subspace_constraints(algebra.second_center())
-    zbasis = modp.matrix_to_array(algebra.center().basis) if algebra.center().dim else None
+    zbasis = modp.matrix_to_array(algebra.center().basis, algebra.dim) if algebra.center().dim else None
     counts = {name: 0 for name in IDENTITY_NAMES}
     for start in range(0, mats.shape[0], chunk):
         F = mats[start : start + chunk] % p

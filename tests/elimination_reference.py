@@ -49,7 +49,7 @@ def extend_assignments(algebra, pres, assignments) -> np.ndarray:
     for t, s in pres.steps:
         values.append(np.einsum("bi,bj,ijk->bk", values[t], values[s], T) % p)
     cols = np.stack(values, axis=2) if values else np.zeros((len(arr), n, 0), dtype=np.int64)
-    return np.matmul(cols, modp.matrix_to_array(pres.basis_inverse)) % p
+    return np.matmul(cols, modp.matrix_to_array(pres.basis_inverse, n)) % p
 
 
 def homomorphism_mask(mats: np.ndarray, S: np.ndarray, T: np.ndarray, p: int) -> np.ndarray:
@@ -95,8 +95,8 @@ def central_candidates(algebra) -> tuple:
     d = center.dim
     count = p ** (d * r)
     cols = [basis_vec(field, n, i) for i in comp] + list(derived.basis.rows)
-    minv_np = modp.matrix_to_array(invert(Matrix(field, tuple(zip(*cols)))))
-    zb = modp.matrix_to_array(center.basis).reshape(d, n)
+    minv_np = modp.matrix_to_array(invert(Matrix(field, tuple(zip(*cols)))), n)
+    zb = modp.matrix_to_array(center.basis, n).reshape(d, n)
 
     idx = np.arange(count, dtype=np.int64)
     digits = np.empty((count, d * r), dtype=np.int64)

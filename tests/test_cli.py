@@ -4,8 +4,9 @@ from pathlib import Path
 import pytest
 
 from coclass_lab.cli import main
-from coclass_lab.constructions import default_catalog, save_catalog
+from coclass_lab.constructions import builtin, default_catalog, save_catalog
 from coclass_lab.fields import FieldSpec
+from coclass_lab.search import enumerate_commuting
 
 F3 = FieldSpec.prime(3)
 
@@ -94,6 +95,17 @@ def test_search_commuting_counts(capsys):
     code, out, _ = run(capsys, "--format", "json", "search-commuting", "filiform:4", "--p", "3")
     assert code == 0
     assert json.loads(out)["size"] == 9
+
+
+@pytest.mark.parametrize("target", ["filiform:4", "heisenberg:1:2"])
+def test_search_commuting_members_are_the_member_array(capsys, target):
+    rows = enumerate_commuting(builtin(target, F3)).member_array().tolist()
+    code, out, _ = run(capsys, "--format", "json", "search-commuting", "--members", target, "--p", "3")
+    assert code == 0
+    assert json.loads(out)["members"] == rows
+    code, out, _ = run(capsys, "search-commuting", "--members", target, "--p", "3")
+    assert code == 0
+    assert out.splitlines() == [f"commuting automorphisms: {len(rows)}", *map(str, rows)]
 
 
 def test_search_commuting_abelian_short_circuit(capsys):

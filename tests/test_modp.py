@@ -7,7 +7,7 @@ import einsum_reference
 import elimination_reference
 from coclass_lab import maps, modp
 from coclass_lab.algebra import LieAlgebra
-from coclass_lab.constructions import default_catalog, dim5_example, filiform, heisenberg
+from coclass_lab.constructions import abelian, default_catalog, dim5_example, filiform, heisenberg
 from coclass_lab.fields import FieldSpec
 from coclass_lab.harness import SUITE_BUDGET
 from coclass_lab.linalg import Matrix, invert
@@ -166,6 +166,14 @@ def _rank_deficient(rng, p: int, count: int, m: int, rank: int) -> np.ndarray:
     """count rows of width m, random combinations of rank random rows."""
     coeffs = rng.integers(0, p, size=(count, rank))
     return coeffs @ rng.integers(0, p, size=(rank, m)) % p
+
+
+def test_matrix_without_rows_keeps_its_width():
+    F3 = FieldSpec.prime(3)
+    assert modp.matrix_to_array(Matrix(F3, ()), 3).shape == (0, 3)
+    assert modp.matrix_to_array(Matrix(F3, ((1, 2, 0),)), 3).tolist() == [[1, 2, 0]]
+    # the center of an abelian algebra is everything: no constraint rows, width 3
+    assert modp.subspace_constraints(abelian(3, F3).center()).shape == (0, 3)
 
 
 def test_spanning_rows_keeps_first_independent_rows(monkeypatch):

@@ -13,7 +13,7 @@ from coclass_lab.constructions import (
     heisenberg,
 )
 from coclass_lab.fields import FieldSpec
-from coclass_lab.linalg import basis_vec
+from coclass_lab.linalg import Matrix, basis_vec
 from coclass_lab.maps import LinearMap, commuting_defect, compose, inverse, is_commuting
 from coclass_lab.search import (
     AbelianShortCircuit,
@@ -54,6 +54,17 @@ def hand_built(algebra, maps) -> AutomorphismSet:
     return AutomorphismSet(algebra, "commuting", arr)
 
 
+def members(aset) -> list:
+    """The set's members as LinearMaps, in canonical order."""
+    field = aset.algebra.field
+    return [LinearMap(Matrix(field, tuple(map(tuple, m)))) for m in aset.member_array().tolist()]
+
+
+def contains(aset, f) -> bool:
+    """Whether f is a member, looked up in the set's own sorted keys."""
+    return not hand_built(aset.algebra, [f]).outside(aset)[0]
+
+
 # -- commuting enumeration ------------------------------------------------------
 
 
@@ -61,7 +72,7 @@ def test_filiform4_members_are_central_shifts(sets):
     L = filiform(4, F3)
     aset = sets("filiform4", lambda: L)
     center = L.center()
-    for f in aset.members:
+    for f in members(aset):
         for i in range(4):
             d = tuple(
                 F3.sub(a, b) for a, b in zip(f.image_of_basis(i), basis_vec(F3, 4, i))
@@ -74,8 +85,8 @@ def test_dim5_contains_published_pair(sets):
     aset = sets("dim5", lambda: L)
     beta1 = LinearMap.from_image_map(L, {0: [(2, 1)], 1: [(3, 1)], 2: [(0, 1)], 3: [(1, 1)]})
     beta2 = LinearMap.from_image_map(L, {0: [(0, 1), (3, 1)], 2: [(1, -1), (2, -1)], 3: [(3, -1)]})
-    assert beta1 in aset
-    assert beta2 in aset
+    assert contains(aset, beta1)
+    assert contains(aset, beta2)
 
 
 def test_membership_queries_reuse_the_cached_keys(sets, monkeypatch):
@@ -84,12 +95,12 @@ def test_membership_queries_reuse_the_cached_keys(sets, monkeypatch):
     built = []
     original = search._row_keys
     monkeypatch.setattr(search, "_row_keys", lambda mats, p: built.append(len(mats)) or original(mats, p))
-    queries = list(aset.members[::97]) + [
+    queries = members(aset)[::97] + [
         LinearMap.from_image_map(L, {0: [(0, 2)]}),  # not an automorphism
         LinearMap.from_image_map(L, {0: [(1, 1)], 1: [(0, 1)]}),
     ]
     keys = aset.member_keys()
-    assert [f in aset for f in queries] == [f.key() in keys for f in queries]
+    assert [contains(aset, f) for f in queries] == [f.key() in keys for f in queries]
     assert built == [1] * len(queries)  # each query keys its own row; the set's keys are cached
 
 
@@ -116,16 +127,16 @@ def test_dim5_cardinality_regression(sets):
 def test_enumeration_contains_identity_and_inverses(sets):
     L = heisenberg(1, 2, F3)
     aset = sets("h12", lambda: L)
-    assert LinearMap.identity(L) in aset
-    for f in aset.members[::25]:
-        assert LinearMap(inverse(f).matrix) in aset
+    assert contains(aset, LinearMap.identity(L))
+    for f in members(aset)[::25]:
+        assert contains(aset, LinearMap(inverse(f).matrix))
 
 
 def test_enumeration_members_verified_commuting(sets):
     L = heisenberg(1, 2, F3)
     aset = sets("h12", lambda: L)
     assert aset.size == 972
-    for f in aset.members[::40]:
+    for f in members(aset)[::40]:
         assert is_commuting(L, f)
 
 
@@ -153,7 +164,7 @@ def test_enumeration_deterministic(sets):
     L = coclass2_indecomposable(F3)
     a = enumerate_commuting(L)
     b = enumerate_commuting(L)
-    assert [m.key() for m in a.members] == [m.key() for m in b.members]
+    assert [m.key() for m in members(a)] == [m.key() for m in members(b)]
 
 
 # -- central enumeration -----------------------------------------------------------
@@ -170,7 +181,7 @@ def test_central_filiform4_all_nine_invertible():
     aset = enumerate_central(filiform(4, F3))
     assert aset.size == 9  # 3^(dim L/L' * dim Z) maps, all unipotent
     ident = LinearMap.identity(filiform(4, F3))
-    assert ident in aset
+    assert contains(aset, ident)
 
 
 def test_central_members_fix_everything_mod_center(sets):
@@ -178,7 +189,7 @@ def test_central_members_fix_everything_mod_center(sets):
     aset = enumerate_central(L)
     assert aset.size == 81
     center = L.center()
-    for f in aset.members:
+    for f in members(aset):
         for i in range(L.dim):
             d = tuple(F3.sub(a, b) for a, b in zip(f.image_of_basis(i), basis_vec(F3, 5, i)))
             assert center.contains(d)
@@ -204,7 +215,7 @@ def test_coclass1_gap_at_dimension_3(sets):
     L = heisenberg(1, 1, F3)
     fast = sets("h11", lambda: L)
     scale = LinearMap.from_image_map(L, {0: [(0, 2)], 1: [(1, 2)]})
-    assert scale in fast
+    assert contains(fast, scale)
     assert not sets_equal(fast, enumerate_central(L)).equal
 
 
@@ -278,7 +289,7 @@ def test_span_and_pairs_methods_agree(sets):
     h11 = sets("h11", lambda: heisenberg(1, 1, F3))
     dim5 = sets("dim5", lambda: dim5_example(F3))
     # a hand-built prefix of the dim-5 set that holds its first failing pair
-    prefix = hand_built(dim5.algebra, dim5.members[:120])
+    prefix = hand_built(dim5.algebra, members(dim5)[:120])
     for aset, closed in ((h11, True), (prefix, False)):
         span = closure_check(aset)
         pairs = closure_scan(aset)
@@ -341,8 +352,8 @@ def test_dim5_commuting_strictly_larger(sets):
     beta1_key = LinearMap.from_image_map(
         L, {0: [(2, 1)], 1: [(3, 1)], 2: [(0, 1)], 3: [(1, 1)]}
     ).key()
-    assert beta1_key in {m.key() for m in aset.members}
-    assert beta1_key not in {m.key() for m in central.members}
+    assert beta1_key in {m.key() for m in members(aset)}
+    assert beta1_key not in {m.key() for m in members(central)}
 
 
 def test_central_subset_of_commuting(sets):
@@ -398,9 +409,9 @@ def test_composition_commuting_iff_symmetric_form_vanishes(sets):
     # for all i <= j (both sides bilinearize the same quadratic form)
     L = heisenberg(1, 1, F3)
     aset = sets("h11", lambda: L)
-    members = aset.members
-    for f in members[::3]:
-        for g in members[::4]:
+    maps = members(aset)
+    for f in maps[::3]:
+        for g in maps[::4]:
             comp_ok = commuting_defect(L, compose(g, f)).clean
             form_ok = True
             for i in range(L.dim):
@@ -425,7 +436,7 @@ def test_inverse_closure_over_enumerated_set(sets):
     L = dim5_example(F3)
     aset = sets("dim5", lambda: L)
     keys = aset.member_keys()
-    for f in aset.members[::500]:
+    for f in members(aset)[::500]:
         assert LinearMap(inverse(f).matrix).key() in keys
 
 
@@ -435,9 +446,9 @@ def test_central_implies_commuting_over_enumerated_set(sets):
     L = heisenberg(1, 2, F3)
     aset = sets("h12", lambda: L)
     central = enumerate_central(L)
-    for f in central.members[::40]:
+    for f in members(central)[::40]:
         assert central_defect(L, f).clean
-        assert f in aset
+        assert contains(aset, f)
 
 
 def test_membership_spot_check_random_dim4(sets):
@@ -455,7 +466,7 @@ def test_membership_spot_check_random_dim4(sets):
         mat = Matrix(F3, tuple(tuple(rng.randrange(3) for _ in range(4)) for _ in range(4)))
         f = LinearMap(mat)
         assert (f.key() in keys) == is_commuting(L, f)
-    for f in aset.members[::97]:
+    for f in members(aset)[::97]:
         rows = [list(r) for r in f.matrix.rows]
         rows[0][0] = (rows[0][0] + 1) % 3
         g = LinearMap(Matrix(F3, tuple(tuple(r) for r in rows)))
@@ -467,7 +478,7 @@ def test_membership_spot_check_random_dim4(sets):
 
 def test_members_sorted_by_key_and_array_cached(sets):
     aset = sets("h12", lambda: heisenberg(1, 2, F3))
-    keys = [m.key() for m in aset.members]
+    keys = [m.key() for m in members(aset)]
     assert keys == sorted(set(keys))
     arr = aset.member_array()
     assert arr is aset.member_array()
@@ -475,26 +486,23 @@ def test_members_sorted_by_key_and_array_cached(sets):
     assert [tuple(row) for row in arr.reshape(len(arr), -1).tolist()] == keys
 
 
-def test_members_built_lazily_in_array_order():
+def test_members_in_array_order_after_verdicts():
     aset = enumerate_commuting(heisenberg(1, 2, F3))
     central = enumerate_central(aset.algebra)
     closure_check(aset)
     sets_equal(aset, central)
     keys = aset.member_keys()
     assert aset.size == 972 and aset.outside(central).sum() == 972 - central.size
-    assert "members" not in vars(aset)  # no verdict above needed the LinearMaps
-    members = aset.members
-    assert members is aset.members
     rows = aset.member_array().reshape(aset.size, -1).tolist()
-    assert [list(m.key()) for m in members] == rows
-    assert keys == {m.key() for m in members}
+    assert [list(m.key()) for m in members(aset)] == rows
+    assert keys == {m.key() for m in members(aset)}
 
 
 def test_set_equality_compares_members():
     h12 = enumerate_commuting(heisenberg(1, 2, F3))
-    again = hand_built(h12.algebra, reversed(enumerate_commuting(h12.algebra).members))
-    assert again == h12 and again.members == h12.members
-    assert hand_built(h12.algebra, h12.members[1:]) != h12
+    again = hand_built(h12.algebra, reversed(members(enumerate_commuting(h12.algebra))))
+    assert again == h12 and members(again) == members(h12)
+    assert hand_built(h12.algebra, members(h12)[1:]) != h12
 
 
 @pytest.mark.parametrize(
@@ -507,11 +515,24 @@ def test_witness_and_equality_examples_are_members(sets, name, maker, f_index, g
     central = sets(name, maker, enumerate_central)
     w = closure_check(aset).witness
     assert (w.f_index, w.g_index, w.vector) == (f_index, g_index, vector)
-    assert (w.f, w.g) == (aset.members[f_index], aset.members[g_index])
-    outside = [m for m in aset.members if m not in central]
+    maps = members(aset)
+    assert (w.f, w.g) == (maps[f_index], maps[g_index])
+    outside = [i for i, m in enumerate(maps) if not contains(central, m)]
     report = sets_equal(aset, central)
     assert report.only_in_a == tuple(outside[:5]) and report.only_in_b == ()
     assert sets_equal(central, aset).only_in_b == tuple(outside[:5])
+
+
+def test_equality_examples_are_first_five_member_indices(sets):
+    commuting = sets("h12", lambda: heisenberg(1, 2, F3))
+    central = enumerate_central(commuting.algebra)
+    for a, b in ((commuting, central), (central, commuting)):
+        rows_a, rows_b = a.member_array().tolist(), b.member_array().tolist()
+        missing_a = [i for i, row in enumerate(rows_a) if row not in rows_b]
+        missing_b = [i for i, row in enumerate(rows_b) if row not in rows_a]
+        report = sets_equal(a, b)
+        assert (report.only_in_a, report.only_in_b) == (tuple(missing_a[:5]), tuple(missing_b[:5]))
+    assert sets_equal(commuting, central).only_in_a  # 486 members are not central
 
 
 def test_finish_set_sorts_dedups_and_checks_inverses():
@@ -524,7 +545,7 @@ def test_finish_set_sorts_dedups_and_checks_inverses():
     group = [np.diag(d) for d in ([1, 1, 1], [a, a, a * a % p], [a_inv, a_inv, a_inv * a_inv % p])]
     shuffled = np.array(group[::-1] + group, dtype=np.int64)
     aset = _finish_set(L, "commuting", shuffled)
-    keys = [m.key() for m in aset.members]
+    keys = [m.key() for m in members(aset)]
     assert keys == sorted({tuple(int(x) for x in g.ravel()) for g in group})
     with pytest.raises(AssertionError, match="inverse"):
         _finish_set(L, "commuting", np.array(group[:2], dtype=np.int64))
