@@ -55,6 +55,18 @@ f is onto, hence invertible.  Independence modulo L' is tested on every
 completed assignment before the filter, and ``_finish_set`` still proves
 every member of every set invertible (it inverts each member or its
 inverse), so the argument saves work without being trusted.
+
+When [Z_2, Z_2] = 0 no assignment or filter is needed.  Take f = I + D
+commuting and invertible.  Then D(L) lies in Z_2 by the argument above,
+so [Dx, Dy] = 0 and the homomorphism identity D[x, y] = [Dx, y] +
+[x, Dy] + [Dx, Dy] says exactly that D is a derivation; as p is odd, f
+commutes exactly when B_D = 0.  Conversely every such D with I + D
+invertible gives a commuting automorphism.  So the set is (I + W) ∩ GL,
+W the linear space of derivations D with D(L) in Z_2 and B_D = 0, and
+``_invertible_points`` enumerates it as the central set is enumerated.
+The budget is checked on the level rows first, on either path; p^(dim W)
+is at most p^(dim V), since D is fixed by the D(g_t) and those satisfy
+the level rows, so the projection bounds this path too.
 """
 
 from __future__ import annotations
@@ -184,11 +196,14 @@ def _contains_rows(sorted_keys: np.ndarray, query: np.ndarray) -> np.ndarray:
     return sorted_keys[at] == query
 
 
-def _finish_set(algebra: LieAlgebra, kind: str, mats: np.ndarray) -> AutomorphismSet:
-    """Canonical set from a (B, n, n) int64 array of member matrices, entries in [0, p).
+def _finish_set(algebra: LieAlgebra, kind: str, mats) -> AutomorphismSet:
+    """Canonical set from member matrices, entries in [0, p): one (B, n, n)
+    int64 array or a list of such blocks.
 
     Rows are sorted in LinearMap.key() order with duplicates dropped, and
     the set must contain the identity and the inverse of every member.
+    The canonical array is filled block by block from the row keys, so
+    the blocks and that one array are the only member copies alive.
 
     Members are inverted in blocks of INVERSE_BLOCK, in canonical order.
     Once a member f is proven invertible with its inverse g among the
@@ -199,8 +214,17 @@ def _finish_set(algebra: LieAlgebra, kind: str, mats: np.ndarray) -> Automorphis
     """
     p = algebra.field.p
     n = algebra.dim
-    keys, first = np.unique(_row_keys(mats, p), return_index=True)
-    arr = mats[first].astype(np.int64, copy=False)
+    blocks = [mats] if isinstance(mats, np.ndarray) else mats
+    keys, first = np.unique(np.concatenate([_row_keys(b, p) for b in blocks]), return_index=True)
+    arr = np.empty((len(keys), n, n), dtype=np.int64)
+    # first[at] for the canonical positions at, in the order the blocks hold them
+    order = np.argsort(first)
+    stops = np.searchsorted(first[order], np.cumsum([len(b) for b in blocks]))
+    start = offset = 0
+    for block, stop in zip(blocks, stops):
+        at = order[start:stop]
+        arr[at] = block[first[at] - offset]
+        start, offset = stop, offset + len(block)
     if not _contains_rows(keys, _row_keys(np.eye(n, dtype=np.int64)[None], p))[0]:
         raise AssertionError(f"{kind} enumeration lost the identity map")
     paired = np.zeros(len(arr), dtype=bool)
@@ -216,7 +240,7 @@ def _finish_set(algebra: LieAlgebra, kind: str, mats: np.ndarray) -> Automorphis
 
 
 # ---------------------------------------------------------------------------
-# commuting automorphisms
+# points of spans, and the invertible points of I + W
 # ---------------------------------------------------------------------------
 
 
@@ -235,8 +259,45 @@ def _span_points(basis: np.ndarray, p: int, start: int, stop: int) -> np.ndarray
     return _digits(p, len(basis), start, stop) @ basis % p
 
 
+def _invertible_points(algebra: LieAlgebra, kind: str, U: np.ndarray, X_basis: np.ndarray) -> AutomorphismSet:
+    """The invertible points of I + W, W = {U X : X in the span of X_basis}.
+
+    U is an n x k basis of the image subspace, as columns, and X_basis an
+    (m, k, n) array of independent k x n matrices, so the p^m points D = U X
+    are distinct.  Each I + U X is tested by Sylvester's identity
+    det(I_n + U X) = det(I_k + X U): a k x k test per point instead of an
+    n x n one.  Only the points that pass are built as n x n maps, and
+    ``_finish_set`` proves them invertible again.  An empty basis gives the
+    identity alone.
+    """
+    p = algebra.field.p
+    n, k = U.shape
+    m = len(X_basis)
+    flat = X_basis.reshape(m, k * n)
+    xu = (np.matmul(X_basis, U) % p).reshape(m, k * k)
+    eye_k = np.eye(k, dtype=np.int64)
+    eye_n = np.eye(n, dtype=np.int64)
+    count = p**m
+    kept = []
+    for start in range(0, count, CHUNK):
+        coeffs = _digits(p, m, start, min(count, start + CHUNK))
+        coeffs = coeffs[modp.batch_invertible((coeffs @ xu).reshape(len(coeffs), k, k) + eye_k, p)]
+        X = (coeffs @ flat % p).reshape(len(coeffs), k, n)
+        kept.append((np.matmul(U, X) + eye_n) % p)
+    return _finish_set(algebra, kind, kept)
+
+
+# ---------------------------------------------------------------------------
+# commuting automorphisms
+# ---------------------------------------------------------------------------
+
+
 def enumerate_commuting(algebra: LieAlgebra, budget: int = DEFAULT_BUDGET) -> AutomorphismSet:
-    """The exact set of commuting automorphisms of a nilpotent algebra over F_p."""
+    """The exact set of commuting automorphisms of a nilpotent algebra over F_p.
+
+    When [Z_2, Z_2] = 0 it is (I + W) ∩ GL (module docstring); otherwise
+    generator assignments go through the homomorphism filter.
+    """
     field = algebra.field
     if not field.is_prime:
         raise ValueError("enumeration needs a prime field")
@@ -245,10 +306,51 @@ def enumerate_commuting(algebra: LieAlgebra, budget: int = DEFAULT_BUDGET) -> Au
     if algebra.is_abelian:
         raise AbelianShortCircuit(algebra)
 
-    p = field.p
+    z2 = algebra.second_center()
+    # Z_2 = L (class 2) has [Z_2, Z_2] = L' != 0 without a bracket computed
+    if z2.is_full() or algebra.bracket_subspaces(z2, z2).dim:
+        return _filtered_commuting(algebra, budget)
+    _level_rows(algebra, budget)  # refuses as the filter path does; p^(dim W) is within the projection
+    U = modp.matrix_to_array(z2.basis, algebra.dim).T
+    return _invertible_points(algebra, "commuting", U, _commuting_derivations(algebra, U))
+
+
+def _commuting_derivations(algebra: LieAlgebra, U: np.ndarray) -> np.ndarray:
+    """Basis, as (m, k, n), of the X with D = U X a derivation and B_D = 0.
+
+    U is an n x k basis of Z_2 as columns.  Both conditions are linear in
+    X, so each unknown X[q, j] contributes the residues of D = U e_q e_j^T:
+    B_D(e_a, e_b) = [De_a, e_b] + [De_b, e_a] and the derivation rows
+    D[e_a, e_b] - [De_a, e_b] - [e_a, De_b].  W = U X is their joint kernel.
+    The rows that span the system are picked first, so the exact kernel
+    sees at most k n of them; on a non-abelian algebra some row is
+    nonzero, as Z_2 is not central.
+    """
+    p = algebra.field.p
+    n, k = U.shape
+    T = modp.structure_tensor(algebra)
+    units = np.einsum("aq,jb->qjab", U, np.eye(n, dtype=np.int64)).reshape(k * n, n, n)
+    S = modp.batch_commuting_form(units, T, p)  # [De_a, e_b]
+    swapped = S.transpose(0, 2, 1, 3)
+    image = np.matmul(T.reshape(n * n, n), units.transpose(0, 2, 1)).reshape(k * n, n, n, n)  # D[e_a, e_b]
+    residues = np.concatenate([(S + swapped).reshape(k * n, -1), (image - S + swapped).reshape(k * n, -1)], axis=1)
+    system = (residues % p).T
+    system = system[modp.spanning_rows(system, p)]
+    W = kernel(Matrix(algebra.field, tuple(map(tuple, system.tolist()))))
+    return modp.matrix_to_array(W.basis, k * n).reshape(W.dim, k, n)
+
+
+def _filtered_commuting(algebra: LieAlgebra, budget: int) -> AutomorphismSet:
+    """The commuting set from generator assignments, kept by the homomorphism filter.
+
+    Valid on every non-abelian nilpotent algebra; ``enumerate_commuting``
+    uses it when [Z_2, Z_2] != 0.
+    """
+    p = algebra.field.p
     n = algebra.dim
     blocks = _assignment_blocks(algebra, budget)  # refuses before the presentation is built
     pres = algebra.generator_presentation()
+    T = modp.structure_tensor(algebra)
     # generator images must be independent modulo L': their L/L' coordinates
     # (through Λ, the reduced annihilator of L') form an invertible r x r matrix
     quotient = modp.subspace_constraints(algebra.derived())  # Λ, (r, n)
@@ -256,31 +358,25 @@ def enumerate_commuting(algebra: LieAlgebra, budget: int = DEFAULT_BUDGET) -> Au
     for block in blocks:
         block = block[modp.batch_invertible(block @ quotient.T % p, p)]
         if len(block):
-            kept.append(_filter_assignments(algebra, pres, block))
-    return _finish_set(algebra, "commuting", np.concatenate(kept))
+            kept.append(_filter_assignments(algebra, pres, T, block))
+    return _finish_set(algebra, "commuting", kept)
 
 
-def _assignment_blocks(algebra: LieAlgebra, budget: int):
-    """Every generator assignment that satisfies the level rows, as (B, r, n) blocks.
+def _level_rows(algebra: LieAlgebra, budget: int) -> tuple:
+    """(generators, coset rows, ad(g_t) rows) of the level systems, within the budget.
 
-    The assignments are g + V (module docstring), exactly p^(dim V) of
-    them, in blocks of at most CHUNK rows.  BudgetExceededError is raised
-    before V is computed when the projection, the product of the
-    per-level kernel sizes, exceeds the budget; it is an upper bound on
-    p^(dim V), not the count (dim6_center1 over F3 projects 3^9 and has
-    3^7 assignments).  The images are not yet tested for independence
-    modulo L'.
+    Level t's rows on w = f(g_t) are the coset rows C, [w, g_t], and
+    [w, g_s] for each s < t.  BudgetExceededError is raised when the
+    projection, the product of the per-level kernel sizes, exceeds the
+    budget; it is an upper bound on p^(dim V), not the count
+    (dim6_center1 over F3 projects 3^9 and has 3^7 assignments).
     """
     field = algebra.field
     p = field.p
-    n = algebra.dim
     gens = algebra.generator_indices()
-    r = len(gens)
-    z2 = algebra.second_center()
-    coset_rows = z2.annihilator().rows
+    coset_rows = algebra.second_center().annihilator().rows
     ad = [algebra.ad_matrix(g).rows for g in gens]
-    # level t's rows on w = f(g_t): the coset rows C, [w, g_t], and [w, g_s] for each s < t
-    widths = [kernel(Matrix(field, coset_rows + ad[t] + sum(ad[:t], ()))).dim for t in range(r)]
+    widths = [kernel(Matrix(field, coset_rows + ad[t] + sum(ad[:t], ()))).dim for t in range(len(gens))]
 
     projected = 1
     for k in widths:
@@ -288,7 +384,22 @@ def _assignment_blocks(algebra: LieAlgebra, budget: int):
     if projected > budget:
         shown = " x ".join(f"p^{k}" for k in widths)
         raise BudgetExceededError(budget, projected, f"level widths {shown}")
+    return gens, coset_rows, ad
 
+
+def _assignment_blocks(algebra: LieAlgebra, budget: int):
+    """Every generator assignment that satisfies the level rows, as (B, r, n) blocks.
+
+    The assignments are g + V (module docstring), exactly p^(dim V) of
+    them, in blocks of at most CHUNK rows.  ``_level_rows`` refuses before
+    V is computed.  The images are not yet tested for independence
+    modulo L'.
+    """
+    field = algebra.field
+    p = field.p
+    n = algebra.dim
+    gens, coset_rows, ad = _level_rows(algebra, budget)
+    r = len(gens)
     zero = (field.zero,) * n
 
     def placed(parts: dict) -> tuple:
@@ -310,18 +421,18 @@ def _assignment_blocks(algebra: LieAlgebra, budget: int):
     )
 
 
-def _filter_assignments(algebra: LieAlgebra, pres, assignments) -> np.ndarray:
+def _filter_assignments(algebra: LieAlgebra, pres, T: np.ndarray, assignments) -> np.ndarray:
     """Extend (B, r, n) generator assignments to full maps; keep the homomorphisms.
 
     The block must come from ``_assignment_blocks`` (at most CHUNK rows,
     satisfying every level's rows) with generator images independent
     modulo L'.  Such homomorphisms commute and are invertible (see the
-    module docstring).  Returns them as a (B, n, n) int64 array.
+    module docstring).  T is the algebra's structure tensor.  Returns
+    them as a (B, n, n) int64 array.
     """
     p = algebra.field.p
     n = algebra.dim
     block = np.asarray(assignments, dtype=np.int64).reshape(-1, len(pres.generators), n)
-    T = modp.structure_tensor(algebra)
     T_i_jk = T.reshape(n, n * n)
     values = list(block.transpose(1, 0, 2))
     for t, s in pres.steps:
@@ -345,15 +456,13 @@ def enumerate_central(algebra: LieAlgebra, budget: int = DEFAULT_BUDGET) -> Auto
     image lies in the center) is not hard to see, and the brute-force
     oracle cross-checks it at small dimensions.
 
-    Each candidate is written phi = U W, with U the n x d matrix of a
-    basis of Z(L) (d = dim Z) and W = coeffs . Λ (d x n): coeffs[q, t] is
+    The set is the invertible points of I + W_c (``_invertible_points``):
+    phi = U X, with U the n x d matrix of a basis of Z(L) (d = dim Z) and
+    X in the span of the e_q ⊗ Λ_t, the d x n matrices whose row q is
+    Λ_t and whose other rows are 0.  So the coefficient of e_q ⊗ Λ_t is
     the z_q-coordinate of phi(g_t), and Λ, the reduced annihilator of L',
-    gives L/L' coordinates (``LieAlgebra.generator_indices``).  So phi
-    kills L' and needs no presentation: non-nilpotent algebras work too.  Its
-    invertibility is tested by Sylvester's identity
-    det(I_n + U W) = det(I_d + W U): a d x d test per candidate instead
-    of an n x n one.  Only candidates that pass are built as n x n maps,
-    and ``_finish_set`` proves them invertible again.
+    gives L/L' coordinates (``LieAlgebra.generator_indices``).  Thus phi
+    kills L' and needs no presentation: non-nilpotent algebras work too.
     """
     field = algebra.field
     if not field.is_prime:
@@ -367,21 +476,9 @@ def enumerate_central(algebra: LieAlgebra, budget: int = DEFAULT_BUDGET) -> Auto
     count = p ** (d * r)
     if count > budget:
         raise BudgetExceededError(budget, count, f"p^(dim Z * dim L/L') = {p}^{d * r}")
-    if d == 0 or r == 0:
-        return _finish_set(algebra, "central", np.eye(n, dtype=np.int64)[None])
-
-    zb = modp.matrix_to_array(center.basis, n)  # (d, n), U = zb^T
-    wu = quotient @ zb.T % p  # (r, d): W U = coeffs @ wu
-    eye_d = np.eye(d, dtype=np.int64)
-    eye_n = np.eye(n, dtype=np.int64)
-
-    kept = [np.zeros((0, n, n), dtype=np.int64)]
-    for start in range(0, count, CHUNK):
-        coeffs = _digits(p, d * r, start, min(count, start + CHUNK)).reshape(-1, d, r)
-        coeffs = coeffs[modp.batch_invertible(np.matmul(coeffs, wu) + eye_d, p)]
-        W = np.matmul(coeffs, quotient) % p
-        kept.append((np.matmul(zb.T, W) + eye_n) % p)
-    return _finish_set(algebra, "central", np.concatenate(kept))
+    U = modp.matrix_to_array(center.basis, n).T  # (n, d)
+    X_basis = np.eye(d, dtype=np.int64)[:, None, :, None] * quotient[None, :, None, :]  # [q, t] = e_q ⊗ Λ_t
+    return _invertible_points(algebra, "central", U, X_basis.reshape(d * r, d, n))
 
 
 # ---------------------------------------------------------------------------

@@ -262,6 +262,14 @@ def test_suite_f5_json_matches_golden_copy(capsys):
     assert out == golden.read_text(encoding="utf-8")
 
 
+def test_suite_f7_json_matches_golden_copy(capsys):
+    # written by `--format json suite --p 7` before the abelian-Z_2 rows left the filter
+    golden = Path(__file__).resolve().parent / "golden" / "suite_f7.json"
+    code, out, _ = run(capsys, "--format", "json", "suite", "--p", "7")
+    assert code == 0
+    assert out == golden.read_text(encoding="utf-8")
+
+
 def _filiform4_file(tmp_path):
     path = tmp_path / "filiform4.jsonl"
     save_catalog([e for e in default_catalog(F3) if e.name == "filiform_4"], path)

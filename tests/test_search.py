@@ -553,6 +553,26 @@ def test_finish_set_sorts_dedups_and_checks_inverses():
         _finish_set(L, "commuting", np.array(group[1:], dtype=np.int64))
 
 
+def test_enumeration_peaks_below_two_and_a_half_member_arrays():
+    # the canonical array is filled straight from the kept blocks, so the
+    # blocks and that array are the only member copies alive at once
+    import tracemalloc
+
+    from coclass_lab.constructions import default_catalog
+
+    F7 = FieldSpec.prime(7)
+    alg = next(e.algebra for e in default_catalog(F7) if e.name == "filiform_5_plus_abelian_1")
+    alg.second_center(), alg.derived()  # series caches, outside the measurement
+    tracemalloc.start()
+    try:
+        aset = enumerate_commuting(alg, budget=200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert aset.size == 100_842
+    assert peak < 2.5 * aset.member_array().nbytes
+
+
 def _canonical(mats) -> np.ndarray:
     """(B, n, n) array of the matrices, sorted in LinearMap.key() order."""
     return np.array(sorted(np.asarray(m).tolist() for m in mats), dtype=np.int64)
@@ -627,7 +647,8 @@ def test_filter_keeps_scalar_member_at_every_prime(p):
     field = FieldSpec.prime(p)
     L = heisenberg(1, 1, field)
     a = p - 2
-    kept = _filter_assignments(L, L.generator_presentation(), [((a, 0, 0), (0, a, 0))])
+    T = modp.structure_tensor(L)
+    kept = _filter_assignments(L, L.generator_presentation(), T, [((a, 0, 0), (0, a, 0))])
     assert kept.tolist() == [[[a, 0, 0], [0, a, 0], [0, 0, a * a % p]]]
     f = LinearMap(Matrix(field, tuple(tuple(row) for row in kept[0].tolist())))
     assert is_commuting(L, f)

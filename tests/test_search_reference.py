@@ -6,7 +6,9 @@ that pruning lemma), the ordered all-pairs scan in ``closure_reference``,
 and the n x n invertibility tests and commuting mask of
 ``elimination_reference`` that the filter (by the arguments in the
 ``search`` docstring) and the central enumerator (by Sylvester's
-identity) no longer run.
+identity) no longer run.  Where Z_2 is abelian the commuting set comes
+from the derivation argument instead; it is checked against the filter
+path, which does not use it, and the DFS reference.
 """
 
 import numpy as np
@@ -47,11 +49,24 @@ def catalog_sets():
     return runs
 
 
+@pytest.fixture(scope="module")
+def dfs_set():
+    """algebra -> dfs_reference.enumerate_commuting(algebra, SUITE_BUDGET), computed once."""
+    cache = {}
+
+    def get(alg):
+        if alg not in cache:
+            cache[alg] = dfs_reference.enumerate_commuting(alg, SUITE_BUDGET)
+        return cache[alg]
+
+    return get
+
+
 @pytest.mark.parametrize("p", (3, 5))
-def test_enumeration_matches_dfs_reference(catalog_sets, p):
+def test_enumeration_matches_dfs_reference(catalog_sets, dfs_set, p):
     assert len(catalog_sets[p]) >= 10
     for name, alg, aset in catalog_sets[p]:
-        ref = dfs_reference.enumerate_commuting(alg, SUITE_BUDGET)
+        ref = dfs_set(alg)
         assert np.array_equal(aset.member_array(), ref.member_array()), name
 
 
@@ -62,7 +77,7 @@ def test_assignment_blocks_narrower_than_chunk(catalog_sets, monkeypatch):
     real = search._filter_assignments
     rows = []
     monkeypatch.setattr(
-        search, "_filter_assignments", lambda alg, pres, block: rows.append(len(block)) or real(alg, pres, block)
+        search, "_filter_assignments", lambda alg, pres, T, block: rows.append(len(block)) or real(alg, pres, T, block)
     )
     checked = 0
     for name, alg, aset in catalog_sets[3]:
@@ -119,6 +134,101 @@ def test_second_center_pruning_against_ablated_reference(catalog_sets):
         assert np.array_equal(aset.member_array(), ref.member_array()), name
         checked.append(name)
     assert len(checked) == 11 and "dim6_center1" in checked
+
+
+def _abelian_second_center(alg) -> bool:
+    z2 = alg.second_center()
+    return alg.bracket_subspaces(z2, z2).dim == 0
+
+
+def _derivation_path(alg):
+    """The (I + W) ∩ GL enumeration, whether or not Z_2 is abelian."""
+    U = modp.matrix_to_array(alg.second_center().basis, alg.dim).T
+    return search._invertible_points(alg, "commuting", U, search._commuting_derivations(alg, U))
+
+
+def _rebased(alg, rng):
+    """(alg in the basis b_i = P e_i, P) for a seeded random invertible P."""
+    p, n = alg.field.p, alg.dim
+    P = rng.integers(0, p, (n, n))
+    while not modp.batch_invertible(P[None], p)[0]:
+        P = rng.integers(0, p, (n, n))
+    P_inv = modp.batch_inverse(P[None], p)[0][0]
+    T = modp.structure_tensor(alg)
+    # [b_i, b_j] = sum P[a, i] P[b, j] [e_a, e_b], then P^-1 gives b coordinates
+    brackets = np.einsum("ai,bj,abc->ijc", P, P, T) % p @ P_inv.T % p
+    sc = {
+        (i, j): tuple((k, int(c)) for k, c in enumerate(brackets[i, j]) if c)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if brackets[i, j].any()
+    }
+    return LieAlgebra(alg.field, n, sc), P
+
+
+def _check_derivation_path(label, alg):
+    """Derivation path == filter path, and dim W <= dim V; returns the set."""
+    aset = enumerate_commuting(alg, budget=SUITE_BUDGET)
+    U = modp.matrix_to_array(alg.second_center().basis, alg.dim).T
+    dim_w = len(search._commuting_derivations(alg, U))
+    assignments = sum(len(block) for block in search._assignment_blocks(alg, SUITE_BUDGET))
+    assert alg.field.p**dim_w <= assignments, label
+    assert np.array_equal(aset.member_array(), search._filtered_commuting(alg, SUITE_BUDGET).member_array()), label
+    return aset
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_derivation_path_matches_filter_path_and_dfs(dfs_set, p):
+    # the (I + W) ∩ GL sets against two enumerators that do not use the
+    # derivation argument, on every abelian-Z_2 catalog row within budget
+    checked = []
+    for entry in default_catalog(FieldSpec.prime(p)):
+        alg = entry.algebra
+        if alg.is_abelian or not _abelian_second_center(alg):
+            continue
+        if _projected(alg) > SUITE_BUDGET:
+            continue
+        aset = _check_derivation_path(f"{entry.name}/F{p}", alg)
+        assert np.array_equal(aset.member_array(), dfs_set(alg).member_array()), (entry.name, p)
+        checked.append(entry.name)
+    assert len(checked) == {3: 10, 5: 8, 7: 8}[p], checked
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_derivation_path_on_random_bases(p):
+    # the same rows in seeded random bases, where generators, presentation
+    # and W differ: the derivation path equals the filter path and the
+    # conjugates P^-1 f P of the members in the catalog basis, which the
+    # test above checks against the DFS reference
+    rng = np.random.default_rng(p)
+    checked = []
+    for entry in default_catalog(FieldSpec.prime(p)):
+        if entry.algebra.is_abelian or not _abelian_second_center(entry.algebra):
+            continue
+        alg, P = _rebased(entry.algebra, rng)
+        assert _abelian_second_center(alg)
+        try:
+            aset = _check_derivation_path(f"{entry.name}/F{p} rebased", alg)
+        except BudgetExceededError:
+            continue
+        original = enumerate_commuting(entry.algebra, budget=SUITE_BUDGET).member_array()
+        P_inv = modp.batch_inverse(P[None], p)[0][0]
+        conjugates = np.matmul(P_inv @ original % p, P) % p
+        assert np.array_equal(aset.member_array(), search._finish_set(alg, "commuting", conjugates).member_array())
+        checked.append(entry.name)
+    assert len(checked) == {3: 10, 5: 8, 7: 8}[p], checked
+
+
+@pytest.mark.parametrize("spec, sizes", (("heisenberg:1:1", (9, 18)), ("dim6_center1", (81, 810))))
+def test_derivation_path_needs_abelian_second_center(spec, sizes):
+    # negative control: where [Z_2, Z_2] != 0 the map D -> I + D drops the
+    # [Dx, Dy] term of the homomorphism identity, and the path loses members
+    alg = builtin(spec, FieldSpec.prime(3))
+    assert not _abelian_second_center(alg)
+    forced = _derivation_path(alg)
+    full = enumerate_commuting(alg)
+    assert (forced.size, full.size) == sizes
+    assert not forced.outside(full).any()
 
 
 def _indices(verdict):
@@ -199,28 +309,33 @@ def _filter_cases():
 
 
 def test_filter_matches_full_mask_on_independent_blocks(monkeypatch):
-    # every block the enumerator hands the filter (completed assignments,
-    # independent modulo L') keeps exactly what the old full mask keeps
+    # every block the filter path hands the filter (completed assignments,
+    # independent modulo L') keeps exactly what the old full mask keeps; the
+    # path runs directly, so rows with an abelian Z_2, which enumerate_commuting
+    # sends to the derivation path, reach the filter too
     real = search._filter_assignments
     checked = []
     for label, alg in _filter_cases():
+        if alg.is_abelian:
+            continue
         blocks = []
 
-        def record(algebra, pres, block):
-            kept = real(algebra, pres, block)
+        def record(algebra, pres, T, block):
+            kept = real(algebra, pres, T, block)
             blocks.append((pres, block, kept))
             return kept
 
         with monkeypatch.context() as m:
             m.setattr(search, "_filter_assignments", record)
             try:
-                enumerate_commuting(alg, budget=SUITE_BUDGET)
-            except (AbelianShortCircuit, BudgetExceededError):
+                search._filtered_commuting(alg, SUITE_BUDGET)
+            except BudgetExceededError:
                 continue
         for pres, block, kept in blocks:
             ref = elimination_reference.filter_assignments(alg, pres, block)
             assert np.array_equal(kept, ref), label
-        checked.append(label)
+        if blocks:
+            checked.append(label)
     assert sum(label.startswith("two_step") for label in checked) == 10
     assert len(checked) >= 30, checked
 
@@ -235,11 +350,12 @@ def test_filter_needs_independence_modulo_derived():
         alg, elimination_reference.extend_assignments(alg, pres, block)
     )
     assert (len(block), int(genuine.sum()), int((genuine & ~invertible).sum())) == (27, 27, 9)
-    kept = search._filter_assignments(alg, pres, block)
+    T = modp.structure_tensor(alg)
+    kept = search._filter_assignments(alg, pres, T, block)
     assert int((~modp.batch_invertible(kept, 3)).sum()) == 9
     independent = modp.batch_invertible(block @ modp.subspace_constraints(alg.derived()).T % 3, 3)
     assert np.array_equal(invertible, independent)
-    assert modp.batch_invertible(search._filter_assignments(alg, pres, block[independent]), 3).all()
+    assert modp.batch_invertible(search._filter_assignments(alg, pres, T, block[independent]), 3).all()
 
 
 def test_filter_keeps_homomorphisms_that_do_not_commute():
@@ -252,7 +368,7 @@ def test_filter_keeps_homomorphisms_that_do_not_commute():
     T = modp.structure_tensor(alg)
     assert modp.batch_is_homomorphism(swap[None], T, 3).all()
     assert not modp.batch_is_commuting(swap[None], T, 3).any()
-    kept = search._filter_assignments(alg, pres, [((0, 1, 0), (1, 0, 0))])
+    kept = search._filter_assignments(alg, pres, T, [((0, 1, 0), (1, 0, 0))])
     assert kept.tolist() == [swap.tolist()]
     block = np.concatenate(list(search._assignment_blocks(alg, SUITE_BUDGET)))
     assert not (block == swap.T[None, :2]).all(axis=(1, 2)).any()
