@@ -245,7 +245,7 @@ def _count_nonzero_residues(a: np.ndarray, p: int) -> int:
 
     Reduces ``a`` in place.
     """
-    np.remainder(a, p, out=a)
+    modp.residue(a, p)
     return int(np.count_nonzero(a.any(axis=-1)))
 
 
@@ -304,8 +304,8 @@ def _identity_counts(algebra: LieAlgebra, mats: np.ndarray) -> dict:
     cz2 = modp.subspace_constraints(algebra.second_center())
     counts = {name: 0 for name in IDENTITY_NAMES}
     for start in range(0, mats.shape[0], IDENTITY_BLOCK):
-        F = mats[start : start + IDENTITY_BLOCK] % p
-        D = (F - eye) % p
+        F = modp.residue(mats[start : start + IDENTITY_BLOCK].astype(np.int64), p)
+        D = modp.residue(F - eye, p)
         B = F.shape[0]
         # bracket_swap's residue S + S^T, S[i,j] = [f(e_i), e_j], is U + U^T, U[i,j] = [d_i, e_j]:
         # S - U = [e_i, e_j] is antisymmetric, so both identities get one count
@@ -313,10 +313,10 @@ def _identity_counts(algebra: LieAlgebra, mats: np.ndarray) -> dict:
         swap = _count_nonzero_residues(U + U.transpose(0, 2, 1, 3), p)
         counts["bracket_swap"] += swap
         counts["displacement_swap"] += swap
-        imgs = np.matmul(F, zbasis.T) % p  # column z is f(z) for z in the center's basis
+        imgs = modp.residue(np.matmul(F, zbasis.T), p)  # column z is f(z) for z in the center's basis
         counts["center_preserved"] += int(modp.batch_outside(imgs, cz, p).sum())
         W = np.matmul(U, T_l_kr).reshape(B, n, n, n, n)
-        np.remainder(W, p, out=W)
+        modp.residue(W, p)
         Wt = W.transpose(0, 1, 3, 2, 4)
         # Jacobi: [d, [a, b]] = -[a, [b, d]] - [b, [d, a]] = [a, [d, b]] - [b, [d, a]],
         # so X[i,j,k] = [d_i, [e_j, e_k]] = W[i,k,j] - W[i,j,k]; its entries lie in (-p, p)

@@ -2,13 +2,20 @@
 
 These are the hot-path counterparts of :mod:`linalg` for prime fields:
 batches of candidate matrices are filtered with tensor contractions and
-explicit ``% p`` reductions.  int64 arithmetic is exact only while every
+explicit reductions mod p.  int64 arithmetic is exact only while every
 contraction step satisfies ``terms * (p - 1)**k < 2**63``, where the step
-sums ``terms`` products of ``k`` residues in [0, p); so every intermediate
-is reduced mod p before the next step uses it.  At p < 2^16 a two-factor
-step allows about 2^31 terms and a three-factor step about 2^15, which is
-why large contractions are split into two-operand steps.  The two batched
-eliminations, ``batch_invertible`` and ``batch_inverse``, share one pivot step.
+sums ``terms`` products of ``k`` residues in [0, p).  At p < 2^16 a
+two-factor step allows about 2^31 terms and a three-factor step about
+2^15, which is why large contractions are split into two-operand steps
+and each step's result is reduced before the next step multiplies it.
+
+Every reduction on an array goes through ``residue``, x - (x // p) p in
+place, which costs half of ``x % p`` or less: numpy divides an integer
+array by a scalar with a multiply and a shift, but ``%`` divides entry by
+entry.  The two batched eliminations, ``batch_invertible`` and
+``batch_inverse``, share one swap-free elimination that delays reduction:
+only the pivot column and the scaled pivot row are reduced per column,
+and the bound in ``_eliminate`` keeps every unreduced entry exact.
 """
 
 from __future__ import annotations
@@ -19,6 +26,19 @@ import numpy as np
 
 # rows per block that spanning_rows reduces with one matmul
 SPAN_BLOCK = 1024
+
+
+def residue(x: np.ndarray, p: int) -> np.ndarray:
+    """Reduce an int64 array mod p in place, as x - (x // p) p; returns x.
+
+    Equal to ``np.remainder(x, p)``, negative entries included, for p > 0.
+    x is written, so it must be an array the caller owns (a read-only
+    member array raises); pass a copy to keep the input.
+    """
+    q = x // p
+    q *= p
+    x -= q
+    return x
 
 
 @lru_cache(maxsize=None)
@@ -72,76 +92,98 @@ def spanning_rows(rows: np.ndarray, p: int) -> list:
     for start in range(0, len(rows), SPAN_BLOCK):
         if len(picked) == m:
             break
-        R = rows[start : start + SPAN_BLOCK] % p
+        R = residue(rows[start : start + SPAN_BLOCK].astype(np.int64), p)
         if pivots:
-            R = (R - R[:, pivots] @ basis) % p
+            R = residue(R - R[:, pivots] @ basis, p)
         live = R.any(axis=1)
         while live.any():
             i = int(np.argmax(live))
             c = int(np.argmax(R[i] != 0))
-            v = R[i] * inv[R[i, c]] % p
-            basis = np.concatenate([(basis - basis[:, c : c + 1] * v) % p, v[None]])
+            v = residue(R[i] * inv[R[i, c]], p)
+            basis = np.concatenate([residue(basis - basis[:, c : c + 1] * v, p), v[None]])
             pivots.append(c)
             picked.append(start + i)
             rest = R[i + 1 :]
             rest -= rest[:, c : c + 1] * v
-            np.remainder(rest, p, out=rest)
+            residue(rest, p)
             live[: i + 1] = False
             live[i + 1 :] = rest.any(axis=1)
     return picked
 
 
-def _pivot(M: np.ndarray, c: int, p: int, ok: np.ndarray) -> None:
-    """In place: swap the first row >= c with a nonzero in column c into row c, scale
-    that entry to 1; clear ``ok`` where the column has no such row."""
-    nz = M[:, c:, c] != 0
-    ok &= nz.any(axis=1)
-    piv = c + np.argmax(nz, axis=1)
-    idx = np.arange(len(M))
-    rows_c = M[idx, c, :].copy()
-    M[idx, c, :] = M[idx, piv, :]
-    M[idx, piv, :] = rows_c
-    pivval = M[:, c, c]
-    M[:, c, :] = (M[:, c, :] * inverse_table(p)[np.where(pivval == 0, 1, pivval)][:, None]) % p
+def _eliminate(M: np.ndarray, n: int, p: int, full: bool) -> tuple:
+    """Eliminate the first n columns of a (B, n, w) batch, in place, without row swaps.
+
+    Entries must start in [0, p).  For each column c every matrix takes as
+    pivot its first row that has not been a pivot yet and whose entry in
+    column c is nonzero mod p; that row, scaled so the entry is 1, is
+    subtracted from the other rows over columns c + 1 and after: from every
+    row when ``full`` (Gauss-Jordan), from the rows not yet used otherwise.
+    Column c itself is never read again.  Returns (invertible mask, (B, n)
+    pivot rows): pivot row c holds the row that reduced column c, and where
+    the mask is False the pivots are meaningless.
+
+    Reduction is delayed: only column c (to pick the pivot and its factors)
+    and the scaled pivot row are reduced, through ``residue``; the other
+    rows are not.  A factor and a pivot-row entry lie in [0, p), so each
+    column moves an entry by less than p^2 and every entry stays below
+    p + n p^2 in absolute value.  The unreduced pivot row times an inverse
+    in [0, p) stays below n p^3, which is under 2^63 for p < 2^16 and
+    n < 2^15.  The caller reduces what it reads.
+    """
+    B = len(M)
+    idx = np.arange(B)
+    inv = inverse_table(p)
+    used = np.zeros((B, n), dtype=bool)
+    pivots = np.zeros((B, n), dtype=np.int64)
+    ok = np.ones(B, dtype=bool)
+    for c in range(n):
+        col = residue(M[:, :, c].copy(), p)
+        free = np.where(used, 0, col)
+        piv = np.argmax(free != 0, axis=1)
+        pivval = free[idx, piv]
+        ok &= pivval != 0
+        factors = col if full else free
+        factors[idx, piv] = 0
+        row = M[idx, piv, c + 1 :]
+        row *= inv[pivval][:, None]  # a singular column has pivval 0, so nothing is subtracted
+        residue(row, p)
+        M[:, :, c + 1 :] -= factors[:, :, None] * row[:, None, :]
+        if full:
+            M[idx, piv, c + 1 :] = row
+        used[idx, piv] = True
+        pivots[:, c] = piv
+    return ok, pivots
 
 
 def batch_invertible(mats: np.ndarray, p: int) -> np.ndarray:
     """Boolean mask of invertibility for a (B, n, n) batch, Gaussian mod p."""
-    A = (mats % p).astype(np.int64)
-    B, n, _ = A.shape
-    ok = np.ones(B, dtype=bool)
-    for c in range(n):
-        _pivot(A, c, p, ok)
-        factors = A[:, c + 1 :, c]
-        A[:, c + 1 :, :] = (A[:, c + 1 :, :] - factors[:, :, None] * A[:, c, None, :]) % p
-    return ok
+    A = residue(mats.astype(np.int64), p)
+    return _eliminate(A, A.shape[1], p, full=False)[0]
 
 
 def batch_inverse(mats: np.ndarray, p: int) -> tuple:
     """Gauss-Jordan mod p on a (B, n, n) batch: (inverses, invertible mask).
 
+    Without row swaps the row operations E take the matrix A to a
+    permutation P, with its 1 in column c at pivot row c, so
+    A^-1 = P^T E: row c of the inverse is the right block's pivot row c.
     Rows of the inverse of a singular matrix are meaningless; callers read
     them only where the mask is True.
     """
     B, n, _ = mats.shape
     M = np.zeros((B, n, 2 * n), dtype=np.int64)
-    M[:, :, :n] = mats % p
+    M[:, :, :n] = residue(mats.astype(np.int64), p)
     M[:, :, n:] = np.eye(n, dtype=np.int64)
-    ok = np.ones(B, dtype=bool)
-    for c in range(n):
-        _pivot(M, c, p, ok)
-        factors = M[:, :, c].copy()
-        factors[:, c] = 0
-        M -= factors[:, :, None] * M[:, c, None, :]
-        np.remainder(M, p, out=M)
-    return M[:, :, n:], ok
+    ok, pivots = _eliminate(M, n, p, full=True)
+    return residue(np.take_along_axis(M[:, :, n:], pivots[:, :, None], axis=1), p), ok
 
 
 def batch_commuting_form(mats: np.ndarray, T: np.ndarray, p: int) -> np.ndarray:
     """S[b,i,j,:] = [f(e_i), e_j]; f commuting iff S + S^T(i<->j) vanishes."""
     n = T.shape[0]
-    S = np.matmul(mats.transpose(0, 2, 1) % p, T.reshape(n, n * n))
-    return np.remainder(S, p, out=S).reshape(-1, n, n, n)
+    S = np.matmul(residue(mats.transpose(0, 2, 1).astype(np.int64), p), T.reshape(n, n * n))
+    return residue(S, p).reshape(-1, n, n, n)
 
 
 def batch_is_homomorphism(mats: np.ndarray, T: np.ndarray, p: int) -> np.ndarray:
@@ -157,13 +199,13 @@ def batch_is_homomorphism(mats: np.ndarray, T: np.ndarray, p: int) -> np.ndarray
     """
     n = T.shape[0]
     S = batch_commuting_form(mats, T, p)
-    F = mats % p
+    F = residue(mats.astype(np.int64), p)
     Ft = F.transpose(0, 2, 1)
     ok = np.ones(len(mats), dtype=bool)
     for i in range(n - 1):
         lhs = np.matmul(T[i, i + 1 :], Ft)  # f([e_i, e_j]) for j > i, (b, j, r)
         lhs -= np.matmul(Ft[:, i + 1 :], S[:, i])  # [f(e_i), f(e_j)]
-        ok &= ~np.remainder(lhs, p, out=lhs).any(axis=(1, 2))
+        ok &= ~residue(lhs, p).any(axis=(1, 2))
     return ok
 
 
@@ -172,9 +214,9 @@ def batch_is_commuting(mats: np.ndarray, T: np.ndarray, p: int) -> np.ndarray:
     S = batch_commuting_form(mats, T, p)
     sym = S + S.transpose(0, 2, 1, 3)
     # for odd p the symmetrized condition subsumes the diagonal [f(e_i), e_i] = 0
-    return ~np.remainder(sym, p, out=sym).any(axis=(1, 2, 3))
+    return ~residue(sym, p).any(axis=(1, 2, 3))
 
 
 def batch_outside(columns: np.ndarray, constraints: np.ndarray, p: int) -> np.ndarray:
     """(B, k) mask: column j of columns[b] lies outside {x : C x = 0} (none for C of shape (0, n))."""
-    return (np.matmul(constraints, columns) % p).any(axis=1)
+    return residue(np.matmul(constraints, columns), p).any(axis=1)

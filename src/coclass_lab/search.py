@@ -249,14 +249,15 @@ def _digits(p: int, width: int, start: int, stop: int) -> np.ndarray:
     idx = np.arange(start, stop, dtype=np.int64)
     digits = np.empty((len(idx), width), dtype=np.int64)
     for i in range(width - 1, -1, -1):
-        digits[:, i] = idx % p
-        idx //= p
+        quotient = idx // p
+        digits[:, i] = idx - quotient * p
+        idx = quotient
     return digits
 
 
 def _span_points(basis: np.ndarray, p: int, start: int, stop: int) -> np.ndarray:
     """Combinations start..stop-1 of the basis rows, first coefficient slowest."""
-    return _digits(p, len(basis), start, stop) @ basis % p
+    return modp.residue(_digits(p, len(basis), start, stop) @ basis, p)
 
 
 def _invertible_points(algebra: LieAlgebra, kind: str, U: np.ndarray, X_basis: np.ndarray) -> AutomorphismSet:
@@ -274,7 +275,7 @@ def _invertible_points(algebra: LieAlgebra, kind: str, U: np.ndarray, X_basis: n
     n, k = U.shape
     m = len(X_basis)
     flat = X_basis.reshape(m, k * n)
-    xu = (np.matmul(X_basis, U) % p).reshape(m, k * k)
+    xu = modp.residue(np.matmul(X_basis, U), p).reshape(m, k * k)
     eye_k = np.eye(k, dtype=np.int64)
     eye_n = np.eye(n, dtype=np.int64)
     count = p**m
@@ -282,8 +283,8 @@ def _invertible_points(algebra: LieAlgebra, kind: str, U: np.ndarray, X_basis: n
     for start in range(0, count, CHUNK):
         coeffs = _digits(p, m, start, min(count, start + CHUNK))
         coeffs = coeffs[modp.batch_invertible((coeffs @ xu).reshape(len(coeffs), k, k) + eye_k, p)]
-        X = (coeffs @ flat % p).reshape(len(coeffs), k, n)
-        kept.append((np.matmul(U, X) + eye_n) % p)
+        X = modp.residue(coeffs @ flat, p).reshape(len(coeffs), k, n)
+        kept.append(modp.residue(np.matmul(U, X) + eye_n, p))
     return _finish_set(algebra, kind, kept)
 
 
@@ -334,7 +335,7 @@ def _commuting_derivations(algebra: LieAlgebra, U: np.ndarray) -> np.ndarray:
     swapped = S.transpose(0, 2, 1, 3)
     image = np.matmul(T.reshape(n * n, n), units.transpose(0, 2, 1)).reshape(k * n, n, n, n)  # D[e_a, e_b]
     residues = np.concatenate([(S + swapped).reshape(k * n, -1), (image - S + swapped).reshape(k * n, -1)], axis=1)
-    system = (residues % p).T
+    system = modp.residue(residues, p).T
     system = system[modp.spanning_rows(system, p)]
     W = kernel(Matrix(algebra.field, tuple(map(tuple, system.tolist()))))
     return modp.matrix_to_array(W.basis, k * n).reshape(W.dim, k, n)
@@ -356,7 +357,7 @@ def _filtered_commuting(algebra: LieAlgebra, budget: int) -> AutomorphismSet:
     quotient = modp.subspace_constraints(algebra.derived())  # Λ, (r, n)
     kept = [np.zeros((0, n, n), dtype=np.int64)]
     for block in blocks:
-        block = block[modp.batch_invertible(block @ quotient.T % p, p)]
+        block = block[modp.batch_invertible(block @ quotient.T, p)]
         if len(block):
             kept.append(_filter_assignments(algebra, pres, T, block))
     return _finish_set(algebra, "commuting", kept)
@@ -416,7 +417,7 @@ def _assignment_blocks(algebra: LieAlgebra, budget: int):
     g = np.eye(n, dtype=np.int64)[gens]
     count = p ** len(V)
     return (
-        (g + _span_points(V, p, start, min(count, start + CHUNK)).reshape(-1, r, n)) % p
+        modp.residue(g + _span_points(V, p, start, min(count, start + CHUNK)).reshape(-1, r, n), p)
         for start in range(0, count, CHUNK)
     )
 
@@ -437,10 +438,10 @@ def _filter_assignments(algebra: LieAlgebra, pres, T: np.ndarray, assignments) -
     values = list(block.transpose(1, 0, 2))
     for t, s in pres.steps:
         # [x, y]: x @ T gives the rows [x, e_j], then y combines them
-        ad_x = (values[t] @ T_i_jk % p).reshape(-1, n, n)
-        values.append(np.matmul(values[s][:, None, :], ad_x)[:, 0, :] % p)
+        ad_x = modp.residue(values[t] @ T_i_jk, p).reshape(-1, n, n)
+        values.append(modp.residue(np.matmul(values[s][:, None, :], ad_x)[:, 0, :], p))
     cols = np.stack(values, axis=2)  # (B, n, n) value images as columns
-    mats = np.matmul(cols, modp.matrix_to_array(pres.basis_inverse, n)) % p
+    mats = modp.residue(np.matmul(cols, modp.matrix_to_array(pres.basis_inverse, n)), p)
     return mats[modp.batch_is_homomorphism(mats, T, p)]
 
 
@@ -514,7 +515,7 @@ def _bruteforce(algebra: LieAlgebra, kind: str) -> AutomorphismSet:
     if kind == "commuting":
         mats = mats[modp.batch_is_commuting(mats, T, p)]
     elif kind == "central":
-        disp = (mats - np.eye(n, dtype=np.int64)) % p
+        disp = modp.residue(mats - np.eye(n, dtype=np.int64), p)
         outside = modp.batch_outside(disp, modp.subspace_constraints(algebra.center()), p)
         mats = mats[~outside.any(axis=1)]
     return _finish_set(algebra, kind, mats)
@@ -584,7 +585,7 @@ def closure_check(aset: AutomorphismSet) -> ClosureVerdict:
     reps = modp.spanning_rows(arr.reshape(len(arr), n * n), p)
     d = len(reps)
     rep_arr = arr[reps]
-    comps = np.matmul(rep_arr[None], rep_arr[:, None]) % p  # [a, b] = rep_b o rep_a
+    comps = modp.residue(np.matmul(rep_arr[None], rep_arr[:, None]), p)  # [a, b] = rep_b o rep_a
     ok = modp.batch_is_commuting(comps.reshape(d * d, n, n), T, p).reshape(d, d)
     if ok.all():
         return ClosureVerdict(True, None, d * d, "span")

@@ -2,6 +2,9 @@
 
 * ``spanning_rows``: the pivot columns of one forward elimination of the
   (m, N) transpose, across all N rows at once.
+* ``batch_invertible`` and ``batch_inverse``: Gaussian and Gauss-Jordan
+  elimination that swaps each pivot row into place and reduces the whole
+  array mod p after every column.
 * ``homomorphism_mask``: the homomorphism check on all n^2 basis pairs.
 * ``filter_assignments``: the extension filter with its n x n
   invertibility test and its commuting mask, so it keeps invertible &
@@ -11,9 +14,10 @@
   built through the (generators | basis of L') transition matrix that
   the library replaced by the reduced annihilator of L'.
 
-The library's streamed span basis, its filter (which relies on the
-generator images being independent modulo L' and on the level rows) and
-its d x d central test must agree with these.
+The library's streamed span basis, its swap-free elimination with delayed
+reduction, its filter (which relies on the generator images being
+independent modulo L' and on the level rows) and its d x d central test
+must agree with these.
 """
 
 import numpy as np
@@ -37,6 +41,46 @@ def spanning_rows(rows: np.ndarray, p: int) -> list:
         A[row + 1 :, c:] = (A[row + 1 :, c:] - A[row + 1 :, c : c + 1] * A[row, c:]) % p
         picked.append(c)
     return picked
+
+
+def _pivot(M: np.ndarray, c: int, p: int, ok: np.ndarray) -> None:
+    """In place: swap the first row >= c with a nonzero in column c into row c, scale
+    that entry to 1; clear ``ok`` where the column has no such row."""
+    nz = M[:, c:, c] != 0
+    ok &= nz.any(axis=1)
+    piv = c + np.argmax(nz, axis=1)
+    idx = np.arange(len(M))
+    rows_c = M[idx, c, :].copy()
+    M[idx, c, :] = M[idx, piv, :]
+    M[idx, piv, :] = rows_c
+    pivval = M[:, c, c]
+    M[:, c, :] = (M[:, c, :] * modp.inverse_table(p)[np.where(pivval == 0, 1, pivval)][:, None]) % p
+
+
+def batch_invertible(mats: np.ndarray, p: int) -> np.ndarray:
+    A = (mats % p).astype(np.int64)
+    B, n, _ = A.shape
+    ok = np.ones(B, dtype=bool)
+    for c in range(n):
+        _pivot(A, c, p, ok)
+        factors = A[:, c + 1 :, c]
+        A[:, c + 1 :, :] = (A[:, c + 1 :, :] - factors[:, :, None] * A[:, c, None, :]) % p
+    return ok
+
+
+def batch_inverse(mats: np.ndarray, p: int) -> tuple:
+    B, n, _ = mats.shape
+    M = np.zeros((B, n, 2 * n), dtype=np.int64)
+    M[:, :, :n] = mats % p
+    M[:, :, n:] = np.eye(n, dtype=np.int64)
+    ok = np.ones(B, dtype=bool)
+    for c in range(n):
+        _pivot(M, c, p, ok)
+        factors = M[:, :, c].copy()
+        factors[:, c] = 0
+        M -= factors[:, :, None] * M[:, c, None, :]
+        np.remainder(M, p, out=M)
+    return M[:, :, n:], ok
 
 
 def extend_assignments(algebra, pres, assignments) -> np.ndarray:

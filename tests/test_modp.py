@@ -119,26 +119,80 @@ def test_commuting_mask_matches_pure_python_predicate(p):
     assert any(want) and not all(want)
 
 
+@pytest.mark.parametrize("p", PRIMES)
+def test_residue_matches_remainder(p):
+    n = 8
+    top = n * p**3
+    rng = np.random.default_rng(p)
+    x = np.concatenate([
+        np.arange(-3 * p, 3 * p),
+        rng.integers(-top, top, size=10_000),
+        [-top, -top + 1, top - 1, top, -(p**2), p**2, p - 1, -(p - 1)],
+    ]).astype(np.int64)
+    want = np.remainder(x, p)
+    got = modp.residue(x, p)
+    assert got is x  # in place
+    assert got.tolist() == want.tolist()
+    # it writes its argument, so a set's read-only member array must raise
+    members = enumerate_central(heisenberg(1, 1, FieldSpec.prime(3))).member_array()
+    before = members.tolist()
+    with pytest.raises(ValueError):
+        modp.residue(members, p)
+    assert members.tolist() == before
+
+
 @pytest.mark.parametrize("p", (3, 5, 65521))
-def test_batch_inverse_matches_exact_invert(p):
+def test_batch_inverse_matches_exact_invert(p, monkeypatch):
     rng = np.random.default_rng(p)
     field = FieldSpec.prime(p)
-    for n in (1, 2, 3, 5):
-        mats = rng.integers(0, p, size=(40, n, n))
-        mats[0] = 0
-        if n > 1:
-            mats[1, 1] = mats[1, 0]  # repeated row
-            mats[2, :, n - 1] = (2 * mats[2, :, 0]) % p  # dependent column
+
+    def check(mats) -> np.ndarray:
+        """Masks and inverses against the swapping reference and the exact core."""
         inv, ok = modp.batch_inverse(mats, p)
+        ref_inv, ref_ok = elimination_reference.batch_inverse(mats, p)
+        assert ok.tolist() == ref_ok.tolist() == elimination_reference.batch_invertible(mats, p).tolist()
         assert ok.tolist() == modp.batch_invertible(mats, p).tolist()
-        assert not ok[:1 if n == 1 else 3].any()
+        assert inv[ok].tolist() == ref_inv[ok].tolist()
         for b in range(len(mats)):
             exact = invert(Matrix(field, tuple(tuple(int(x) for x in r) for r in mats[b])))
             assert ok[b] == (exact is not None)
             if exact is not None:
                 assert inv[b].tolist() == [list(r) for r in exact.rows]
+        return ok
+
+    for n in (1, 2, 3, 5, 8):
+        mats = rng.integers(0, p, size=(40, n, n))
+        mats[0] = 0
+        if n > 1:
+            mats[1, 1] = mats[1, 0]  # repeated row
+            mats[2, :, n - 1] = (2 * mats[2, :, 0]) % p  # dependent column
+        assert not check(mats)[:1 if n == 1 else 3].any()
+        # unitriangular matrices with permuted rows: no row swaps, so column c's pivot
+        # is the one unused row with a nonzero there, below or above used rows that
+        # also have one; the first keeps the order, the second reverses it
+        upper = np.triu(rng.integers(0, p, size=(20, n, n)), 1) + np.eye(n, dtype=np.int64)
+        tri = np.concatenate([upper, upper.transpose(0, 2, 1)])
+        order = rng.permuted(np.tile(np.arange(n), (len(tri), 1)), axis=1)
+        order[0], order[1] = np.arange(n), np.arange(n)[::-1]
+        assert check(np.take_along_axis(tri, order[:, :, None], axis=1)).all()
         inv, ok = modp.batch_inverse(mats[:0], p)
         assert inv.shape == (0, n, n) and ok.shape == modp.batch_invertible(mats[:0], p).shape == (0,)
+    # the largest intermediates: all entries p - 1 (rank one), and the matrix whose
+    # factors and scaled pivot rows are all p - 1 at every column, so each column
+    # moves an unreduced entry by (p - 1)^2 and the pivot-row products reach
+    # about (n - 2)(p - 1)^3, 2^50.6 at p = 65521 (the bound is n p^3 < 2^63)
+    n = 8
+    i, j = np.indices((n, n))
+    largest = np.stack([np.full((n, n), p - 1), np.where(i > j, j - 1, np.where(i < j, i + 1, i - 1)) % p])
+    peak = [0]
+
+    def residue(x, q, reduce=modp.residue):
+        peak[0] = max(peak[0], int(np.abs(x).max(initial=0)))
+        return reduce(x, q)
+
+    monkeypatch.setattr(modp, "residue", residue)
+    assert check(largest).tolist() == [False, True]
+    assert peak[0] > (n - 3) * (p - 1) ** 3
     # the empty matrix is invertible, its own inverse
     empty = np.zeros((4, 0, 0), dtype=np.int64)
     inv, ok = modp.batch_inverse(empty, p)
