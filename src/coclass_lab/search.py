@@ -53,8 +53,9 @@ inside H + L^(k+1), so L = H + L' = H + L^(k+1).  By induction H + L^k = L
 for every k, and L^k = 0 for large k in a nilpotent algebra, so H = L:
 f is onto, hence invertible.  Independence modulo L' is tested on every
 completed assignment before the filter, and ``_finish_set`` still proves
-every member of every set invertible (it inverts each member or its
-inverse), so the argument saves work without being trusted.
+every member of every set invertible (f g = I for a candidate inverse g
+of each member or of its inverse), so the argument saves work without
+being trusted.
 
 When [Z_2, Z_2] = 0 no assignment or filter is needed.  Take f = I + D
 commuting and invertible.  Then D(L) lies in Z_2 by the argument above,
@@ -67,6 +68,21 @@ W the linear space of derivations D with D(L) in Z_2 and B_D = 0, and
 The budget is checked on the level rows first, on either path; p^(dim W)
 is at most p^(dim V), since D is fixed by the D(g_t) and those satisfy
 the level rows, so the projection bounds this path too.
+
+Both sets of the form (I + W) ∩ GL, W = {U X}, U an n x k basis of the
+image (Z or Z_2) as columns, are factored through X U, a k x k block.
+By Sylvester's identity det(I_n + U X) = det(I_k + X U).  Of the m basis
+elements X_i of the span, the s heads have independent N_i = X_i U, and
+the m - s tails span the X with X U = 0; a tail changes no block, so
+I + U X is invertible exactly when its head part y gives an invertible
+K_y = I_k + sum y_i N_i.  The p^s blocks are eliminated once each, the h
+invertible ones give h p^(m-s) members, and each member's inverse is
+I - U K_y^-1 X (Woodbury).  dim6_center3 over F3 (m = 9, s = 3) needs
+27 k x k eliminations instead of 19,683 k x k tests and about 6,561
+n x n inversions.  What is verified per member is unchanged: each
+Woodbury inverse g of a member f must satisfy f g = I mod p and be found
+among the members, and the member set equals that of the per-point test
+(``invertible_points`` in ``tests/elimination_reference.py``).
 """
 
 from __future__ import annotations
@@ -196,7 +212,7 @@ def _contains_rows(sorted_keys: np.ndarray, query: np.ndarray) -> np.ndarray:
     return sorted_keys[at] == query
 
 
-def _finish_set(algebra: LieAlgebra, kind: str, mats) -> AutomorphismSet:
+def _finish_set(algebra: LieAlgebra, kind: str, mats, inverses=None) -> AutomorphismSet:
     """Canonical set from member matrices, entries in [0, p): one (B, n, n)
     int64 array or a list of such blocks.
 
@@ -205,12 +221,16 @@ def _finish_set(algebra: LieAlgebra, kind: str, mats) -> AutomorphismSet:
     The canonical array is filled block by block from the row keys, so
     the blocks and that one array are the only member copies alive.
 
-    Members are inverted in blocks of INVERSE_BLOCK, in canonical order.
-    Once a member f is proven invertible with its inverse g among the
-    members, g needs no inversion of its own: g^-1 = f is a member.  So
-    each block inverts only the members that no earlier inversion has
-    paired, and every member is either inverted or the inverse of an
-    inverted one.
+    ``inverses(members, sources)`` gives a candidate inverse, entries in
+    [0, p), for each of a (B, n, n) block of canonical members; sources
+    are the members' positions in the concatenated input blocks.  By
+    default it is ``modp.batch_inverse``.  No candidate is trusted: each
+    must satisfy f g = I mod p, which proves f invertible with inverse g,
+    and must be found among the members by key.  Once that holds, g needs
+    no candidate of its own: g^-1 = f is a member.  So members are checked
+    in blocks of INVERSE_BLOCK, in canonical order, each block asking only
+    for the members that no earlier check has paired, and every member is
+    either checked or the inverse of a checked one.
     """
     p = algebra.field.p
     n = algebra.dim
@@ -225,14 +245,22 @@ def _finish_set(algebra: LieAlgebra, kind: str, mats) -> AutomorphismSet:
         at = order[start:stop]
         arr[at] = block[first[at] - offset]
         start, offset = stop, offset + len(block)
-    if not _contains_rows(keys, _row_keys(np.eye(n, dtype=np.int64)[None], p))[0]:
+    eye = np.eye(n, dtype=np.int64)
+    if not _contains_rows(keys, _row_keys(eye[None], p))[0]:
         raise AssertionError(f"{kind} enumeration lost the identity map")
+    if inverses is None:
+
+        def inverses(members, sources):
+            return modp.batch_inverse(members, p)[0]
+
     paired = np.zeros(len(arr), dtype=bool)
     for start in range(0, len(arr), INVERSE_BLOCK):
         todo = start + np.flatnonzero(~paired[start : start + INVERSE_BLOCK])
-        inverses, invertible = modp.batch_inverse(arr[todo], p)
-        inverse_keys = _row_keys(inverses, p)
-        if not (invertible.all() and _contains_rows(keys, inverse_keys).all()):
+        members = arr[todo]
+        candidates = inverses(members, first[todo])
+        inverse_keys = _row_keys(candidates, p)
+        proven = (modp.residue(np.matmul(members, candidates), p) == eye).all()
+        if not (proven and _contains_rows(keys, inverse_keys).all()):
             raise AssertionError(f"{kind} enumeration is not closed under inverse")
         paired[np.searchsorted(keys, inverse_keys)] = True
     arr.flags.writeable = False
@@ -244,9 +272,8 @@ def _finish_set(algebra: LieAlgebra, kind: str, mats) -> AutomorphismSet:
 # ---------------------------------------------------------------------------
 
 
-def _digits(p: int, width: int, start: int, stop: int) -> np.ndarray:
-    """Base-p digit rows of start..stop-1, width digits each, first digit slowest."""
-    idx = np.arange(start, stop, dtype=np.int64)
+def _digits(p: int, width: int, idx: np.ndarray) -> np.ndarray:
+    """Base-p digit rows of the non-negative integers idx, width digits each, first digit slowest."""
     digits = np.empty((len(idx), width), dtype=np.int64)
     for i in range(width - 1, -1, -1):
         quotient = idx // p
@@ -255,9 +282,9 @@ def _digits(p: int, width: int, start: int, stop: int) -> np.ndarray:
     return digits
 
 
-def _span_points(basis: np.ndarray, p: int, start: int, stop: int) -> np.ndarray:
-    """Combinations start..stop-1 of the basis rows, first coefficient slowest."""
-    return modp.residue(_digits(p, len(basis), start, stop) @ basis, p)
+def _span_points(basis: np.ndarray, p: int, idx: np.ndarray) -> np.ndarray:
+    """Combinations idx of the basis rows, first coefficient slowest."""
+    return modp.residue(_digits(p, len(basis), idx) @ basis, p)
 
 
 def _invertible_points(algebra: LieAlgebra, kind: str, U: np.ndarray, X_basis: np.ndarray) -> AutomorphismSet:
@@ -265,27 +292,50 @@ def _invertible_points(algebra: LieAlgebra, kind: str, U: np.ndarray, X_basis: n
 
     U is an n x k basis of the image subspace, as columns, and X_basis an
     (m, k, n) array of independent k x n matrices, so the p^m points D = U X
-    are distinct.  Each I + U X is tested by Sylvester's identity
-    det(I_n + U X) = det(I_k + X U): a k x k test per point instead of an
-    n x n one.  Only the points that pass are built as n x n maps, and
-    ``_finish_set`` proves them invertible again.  An empty basis gives the
-    identity alone.
+    are distinct.  By Sylvester's identity det(I_n + U X) = det(I_k + X U),
+    and X U takes few values: with N_i = X_i U, the s heads are the X_i
+    whose N_i are independent (``modp.spanning_rows``), and the m - s tails
+    are the combinations sum c_i X_i with sum c_i N_i = 0, a basis of the
+    left kernel of N.  Heads and tails together are a basis of the span, a
+    tail adds nothing to X U, and so I + U X is invertible exactly when its
+    head part y gives an invertible K_y = I_k + sum y_h N_h.  One
+    ``modp.batch_inverse`` over the p^s blocks K_y gives the h invertible
+    heads and M_y = K_y^-1; the members are those heads times all p^(m-s)
+    tails, h p^(m-s) of them.  Each member's inverse is, by Woodbury,
+    (I + U X)^-1 = I - U M_y X, and ``_finish_set`` proves every such
+    candidate (f g = I, g a member) instead of running an n x n
+    elimination.  An empty basis gives the identity alone.
     """
     p = algebra.field.p
     n, k = U.shape
     m = len(X_basis)
     flat = X_basis.reshape(m, k * n)
     xu = modp.residue(np.matmul(X_basis, U), p).reshape(m, k * k)
-    eye_k = np.eye(k, dtype=np.int64)
+    heads = modp.spanning_rows(xu, p)
+    left_kernel = kernel(Matrix(algebra.field, tuple(map(tuple, xu.T.tolist()))))
+    tail_flat = modp.residue(modp.matrix_to_array(left_kernel.basis, m) @ flat, p)
+    head_coeffs = _digits(p, len(heads), np.arange(p ** len(heads)))
+    K = modp.residue(head_coeffs @ xu[heads], p).reshape(len(head_coeffs), k, k) + np.eye(k, dtype=np.int64)
+    M, invertible = modp.batch_inverse(K, p)
+    M = M[invertible]
+    X_heads = modp.residue(head_coeffs[invertible] @ flat[heads], p)
+    tails = p ** len(tail_flat)
     eye_n = np.eye(n, dtype=np.int64)
-    count = p**m
-    kept = []
-    for start in range(0, count, CHUNK):
-        coeffs = _digits(p, m, start, min(count, start + CHUNK))
-        coeffs = coeffs[modp.batch_invertible((coeffs @ xu).reshape(len(coeffs), k, k) + eye_k, p)]
-        X = modp.residue(coeffs @ flat, p).reshape(len(coeffs), k, n)
-        kept.append(modp.residue(np.matmul(U, X) + eye_n, p))
-    return _finish_set(algebra, kind, kept)
+
+    def points(j: np.ndarray) -> np.ndarray:
+        """X of members j: head j // tails, tail j % tails, as (B, k, n)."""
+        X = X_heads[j // tails] + _digits(p, len(tail_flat), j % tails) @ tail_flat
+        return modp.residue(X, p).reshape(len(j), k, n)
+
+    def woodbury(members: np.ndarray, sources: np.ndarray) -> np.ndarray:
+        return modp.residue(eye_n - np.matmul(U, modp.residue(np.matmul(M[sources // tails], points(sources)), p)), p)
+
+    count = len(M) * tails
+    kept = [
+        modp.residue(np.matmul(U, points(np.arange(start, min(count, start + CHUNK)))) + eye_n, p)
+        for start in range(0, count, CHUNK)
+    ]
+    return _finish_set(algebra, kind, kept, woodbury)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +467,7 @@ def _assignment_blocks(algebra: LieAlgebra, budget: int):
     g = np.eye(n, dtype=np.int64)[gens]
     count = p ** len(V)
     return (
-        modp.residue(g + _span_points(V, p, start, min(count, start + CHUNK)).reshape(-1, r, n), p)
+        modp.residue(g + _span_points(V, p, np.arange(start, min(count, start + CHUNK))).reshape(-1, r, n), p)
         for start in range(0, count, CHUNK)
     )
 
@@ -508,7 +558,7 @@ def _bruteforce(algebra: LieAlgebra, kind: str) -> AutomorphismSet:
     count = p ** (n * n)
     if count > BRUTE_FORCE_LIMIT:
         raise BudgetExceededError(BRUTE_FORCE_LIMIT, count, f"p^(n^2) = {p}^{n * n}")
-    mats = _digits(p, n * n, 0, count).reshape(count, n, n)
+    mats = _digits(p, n * n, np.arange(count)).reshape(count, n, n)
     T = modp.structure_tensor(algebra)
     mats = mats[modp.batch_invertible(mats, p)]
     mats = mats[modp.batch_is_homomorphism(mats, T, p)]

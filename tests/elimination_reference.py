@@ -13,11 +13,14 @@
   enumerator as an n x n matrix, with the n x n invertibility mask,
   built through the (generators | basis of L') transition matrix that
   the library replaced by the reduced annihilator of L'.
+* ``invertible_points``: the invertible points of I + U X with a k x k
+  test on every one of the p^m points and an n x n inverse of every
+  member, which must be a member.
 
 The library's streamed span basis, its swap-free elimination with delayed
 reduction, its filter (which relies on the generator images being
-independent modulo L' and on the level rows) and its d x d central test
-must agree with these.
+independent modulo L' and on the level rows) and its head/tail split with
+Woodbury inverses must agree with these.
 """
 
 import numpy as np
@@ -152,3 +155,29 @@ def central_candidates(algebra) -> tuple:
     phi_ext = np.concatenate([phi_cols, np.zeros((count, n, n - r), dtype=np.int64)], axis=2)
     mats = (np.matmul(phi_ext, minv_np) + np.eye(n, dtype=np.int64)) % p
     return mats, modp.batch_invertible(mats, p)
+
+
+def invertible_points(algebra, U: np.ndarray, X_basis: np.ndarray) -> np.ndarray:
+    """Sorted (B, n, n) array of the invertible I + U X, X in the span of the (m, k, n) X_basis.
+
+    Each of the p^m points is tested by det(I_k + X U), each member is
+    inverted as an n x n matrix, and every inverse must be a member.
+    """
+    p = algebra.field.p
+    n, k = U.shape
+    m = len(X_basis)
+    idx = np.arange(p**m, dtype=np.int64)
+    coeffs = np.empty((p**m, m), dtype=np.int64)
+    for i in range(m - 1, -1, -1):
+        coeffs[:, i] = idx % p
+        idx //= p
+    X = (coeffs @ X_basis.reshape(m, k * n) % p).reshape(-1, k, n)
+    X = X[batch_invertible(np.matmul(X, U) % p + np.eye(k, dtype=np.int64), p)]
+    mats = (np.matmul(U, X) + np.eye(n, dtype=np.int64)) % p
+    inverses, invertible = batch_inverse(mats, p)
+    flat = mats.reshape(len(mats), n * n)
+    closure = np.concatenate([flat, inverses.reshape(len(mats), n * n)])
+    rows = np.dtype((np.void, 8 * n * n))  # one opaque item per matrix, for np.unique
+    assert invertible.all()
+    assert len(np.unique(flat.view(rows))) == len(flat) == len(np.unique(closure.view(rows)))
+    return flat[np.lexsort(flat.T[::-1])].reshape(-1, n, n)  # LinearMap.key() order

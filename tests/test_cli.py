@@ -270,6 +270,16 @@ def test_suite_f7_json_matches_golden_copy(capsys):
     assert out == golden.read_text(encoding="utf-8")
 
 
+def test_verify_catalog_json_matches_golden_copy(capsys):
+    # written by `--format json --budget 200000 verify --catalog` on the shipped
+    # catalog before the invertible points were factored through their heads
+    root = Path(__file__).resolve().parents[1]
+    catalog = root / "src" / "coclass_lab" / "data" / "catalog.jsonl"
+    code, out, _ = run(capsys, "--format", "json", "--budget", "200000", "verify", "--catalog", str(catalog))
+    assert code == 0
+    assert out == (root / "tests" / "golden" / "verify_catalog.json").read_text(encoding="utf-8")
+
+
 def _filiform4_file(tmp_path):
     path = tmp_path / "filiform4.jsonl"
     save_catalog([e for e in default_catalog(F3) if e.name == "filiform_4"], path)

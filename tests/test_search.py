@@ -637,6 +637,44 @@ def test_finish_set_still_rejects_broken_sets(monkeypatch, block):
         search._finish_set(L, "commuting", arr)
 
 
+@pytest.mark.parametrize(
+    "maker, target",
+    (
+        (lambda: heisenberg(1, 2, F3), "first"),
+        (lambda: heisenberg(1, 2, F3), "last"),
+        (lambda: dim6_center3(F3), "after_block"),
+    ),
+    ids=("first", "last", "after_block"),
+)
+def test_finish_set_rejects_one_wrong_supplied_inverse(maker, target):
+    # the supplied candidates are proven, not trusted: one member's candidate
+    # is replaced by another member, which passes the key search but not f g = I
+    alg = maker()
+    p = alg.field.p
+    arr = enumerate_central(alg).member_array()
+    asked = []
+
+    def recorded(members, sources):
+        assert np.array_equal(members, arr[sources])  # the input is canonical, so sources are indices
+        asked.extend(sources.tolist())
+        return modp.batch_inverse(members, p)[0]
+
+    assert search._finish_set(alg, "central", arr.copy(), recorded) == enumerate_central(alg)
+    after_block = min(i for i in asked if i >= search.INVERSE_BLOCK) if len(arr) > search.INVERSE_BLOCK else None
+    index = {"first": 0, "last": len(arr) - 1, "after_block": after_block}[target]
+    assert index in asked  # one block holds all 486 members, so the last is asked too
+
+    def wrong(members, sources):
+        candidates = modp.batch_inverse(members, p)[0]
+        hit = sources == index
+        other = arr[1] if (candidates[hit] == arr[0]).all() else arr[0]
+        candidates[hit] = other
+        return candidates
+
+    with pytest.raises(AssertionError, match="inverse"):
+        search._finish_set(alg, "central", arr.copy(), wrong)
+
+
 @pytest.mark.parametrize("p", (3, 251, 4093, 65521))
 def test_filter_keeps_scalar_member_at_every_prime(p):
     # the bracket step once scaled an unreduced contraction, which

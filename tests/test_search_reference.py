@@ -6,7 +6,9 @@ that pruning lemma), the ordered all-pairs scan in ``closure_reference``,
 and the n x n invertibility tests and commuting mask of
 ``elimination_reference`` that the filter (by the arguments in the
 ``search`` docstring) and the central enumerator (by Sylvester's
-identity) no longer run.  Where Z_2 is abelian the commuting set comes
+identity) no longer run, with its per-point enumeration of the invertible
+points of I + W, which the head/tail split and Woodbury inverses
+replaced.  Where Z_2 is abelian the commuting set comes
 from the derivation argument instead; it is checked against the filter
 path, which does not use it, and the DFS reference.
 """
@@ -410,3 +412,113 @@ def test_central_on_non_nilpotent_algebra():
     assert aset.member_array().tolist() == expected
     mats, invertible = elimination_reference.central_candidates(alg)
     assert sorted(mats[invertible].tolist()) == expected
+
+
+def _recorded_invertible_points(monkeypatch) -> list:
+    """A list that receives (set, U, X_basis) for every ``_invertible_points`` call."""
+    calls = []
+    real = search._invertible_points
+
+    def record(alg, kind, U, X_basis):
+        aset = real(alg, kind, U, X_basis)
+        calls.append((aset, U, X_basis))
+        return aset
+
+    monkeypatch.setattr(search, "_invertible_points", record)
+    return calls
+
+
+def _heads(alg, U, X_basis) -> tuple:
+    """(m, s, h) by the reference eliminations: m points of the span, s
+    independent N_i = X_i U, and h invertible I_k + sum y_i N_i over the
+    p^s head combinations y."""
+    p = alg.field.p
+    n, k = U.shape
+    m = len(X_basis)
+    N = (np.matmul(X_basis, U) % p).reshape(m, k * k)
+    heads = N[elimination_reference.spanning_rows(N, p)]
+    s = len(heads)
+    y = np.array(np.meshgrid(*[np.arange(p)] * s, indexing="ij")).reshape(s, p**s).T
+    blocks = (y @ heads % p).reshape(p**s, k, k) + np.eye(k, dtype=np.int64)
+    return m, s, int(elimination_reference.batch_invertible(blocks, p).sum())
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_invertible_points_match_per_point_reference(monkeypatch, p):
+    # the head/tail split with Woodbury inverses against the k x k test on
+    # every point and the n x n inversion of every member that it replaced:
+    # every central set and every abelian-Z_2 commuting set within budget
+    calls = _recorded_invertible_points(monkeypatch)
+    checked = {"commuting": 0, "central": 0}
+    for entry in default_catalog(FieldSpec.prime(p)):
+        for enumerate_set in (enumerate_commuting, enumerate_central):
+            calls.clear()
+            try:
+                enumerate_set(entry.algebra, budget=SUITE_BUDGET)
+            except (AbelianShortCircuit, BudgetExceededError):
+                continue
+            if not calls:  # the filter path
+                continue
+            ((aset, U, X_basis),) = calls
+            ref = elimination_reference.invertible_points(entry.algebra, U, X_basis)
+            assert np.array_equal(aset.member_array(), ref), (entry.name, aset.kind)
+            m, s, h = _heads(entry.algebra, U, X_basis)
+            assert aset.size == h * p ** (m - s), (entry.name, aset.kind)
+            checked[aset.kind] += 1
+    assert checked == {3: {"commuting": 10, "central": 18}, 5: {"commuting": 8, "central": 15}, 7: {"commuting": 8, "central": 15}}[p]
+
+
+def test_invertible_points_one_dimensional_at_large_prime():
+    # heisenberg(1, 1) over F_65521, D = t U X with U = e_z and X = (1, 2, 3):
+    # X U = 3, so the one head is singular only at t = -1/3 and there is no tail
+    p = 65521
+    alg = heisenberg(1, 1, FieldSpec.prime(p))
+    U = np.array([[0], [0], [1]], dtype=np.int64)
+    X_basis = np.array([[[1, 2, 3]]], dtype=np.int64)
+    aset = search._invertible_points(alg, "central", U, X_basis)
+    assert np.array_equal(aset.member_array(), elimination_reference.invertible_points(alg, U, X_basis))
+    assert _heads(alg, U, X_basis) == (1, 1, p - 1) and aset.size == p - 1
+    singular = (np.eye(3, dtype=np.int64) + (-pow(3, -1, p) % p) * U @ X_basis[0]) % p
+    assert not search._contains_rows(aset._keys, search._row_keys(singular[None], p)).any()
+
+
+@pytest.mark.parametrize("p", (3, 5))
+def test_central_of_perfect_algebra_is_the_identity(monkeypatch, p):
+    # sl2: Z = 0 and L' = L, so k = m = 0; one empty head, no tail, one member
+    calls = _recorded_invertible_points(monkeypatch)
+    sl2 = LieAlgebra(FieldSpec.prime(p), 3, {(0, 1): ((1, 2),), (0, 2): ((2, -2),), (1, 2): ((0, 1),)})
+    aset = enumerate_central(sl2)
+    assert aset.member_array().tolist() == np.eye(3, dtype=np.int64)[None].tolist()
+    ((_, U, X_basis),) = calls
+    assert U.shape == (3, 0) and X_basis.shape == (0, 0, 3)
+    assert _heads(sl2, U, X_basis) == (0, 0, 1)
+
+
+def test_central_of_abelian_plane_is_gl2(monkeypatch):
+    # abelian(2): Z = L and L' = 0, so U = I_2 and the X_i are the four
+    # matrix units: s = m = 4, every point is a head, 48 of 81 invertible
+    calls = _recorded_invertible_points(monkeypatch)
+    alg = abelian(2, FieldSpec.prime(3))
+    aset = enumerate_central(alg)
+    ((_, U, X_basis),) = calls
+    assert _heads(alg, U, X_basis) == (4, 4, 48) and aset.size == 48 == search.gl_order(3, 2)
+    assert np.array_equal(aset.member_array(), elimination_reference.invertible_points(alg, U, X_basis))
+
+
+@pytest.mark.parametrize("p", (3, 5))
+def test_filiform_points_are_all_members(monkeypatch, p):
+    # on the filiforms X U = 0 for every point of W and of W_c: s = 0, the
+    # one head is I_k, and all p^m points are members
+    calls = _recorded_invertible_points(monkeypatch)
+    checked = 0
+    for entry in default_catalog(FieldSpec.prime(p)):
+        if not entry.name.startswith("filiform_") or "plus" in entry.name:
+            continue
+        for enumerate_set in (enumerate_commuting, enumerate_central):
+            calls.clear()
+            aset = enumerate_set(entry.algebra, budget=SUITE_BUDGET)
+            ((_, U, X_basis),) = calls
+            m, s, h = _heads(entry.algebra, U, X_basis)
+            assert (s, h) == (0, 1) and aset.size == p**m, (entry.name, aset.kind)
+            checked += 1
+    assert checked == 10
