@@ -33,10 +33,9 @@ from .search import (
     ClosureVerdict,
     ClosureWitness,
     EqualityReport,
+    _commuting_and_central,
     closure_check,
-    enumerate_central,
     enumerate_central_bruteforce,
-    enumerate_commuting,
     enumerate_commuting_bruteforce,
     gl_order,
     sets_equal,
@@ -295,8 +294,7 @@ def _verify(algebra: LieAlgebra, budget: int, name: str) -> tuple:
         reason = "enumeration needs a prime field"
     else:
         try:
-            commuting = enumerate_commuting(algebra, budget=budget)
-            central = enumerate_central(algebra, budget=budget)
+            commuting, central = _commuting_and_central(algebra, budget)
         except AbelianShortCircuit:
             summary = _abelian_summary(algebra)
         except BudgetExceededError as exc:

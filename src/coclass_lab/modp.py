@@ -12,8 +12,9 @@ and each step's result is reduced before the next step multiplies it.
 Every reduction on an array goes through ``residue``, x - (x // p) p in
 place, which costs half of ``x % p`` or less: numpy divides an integer
 array by a scalar with a multiply and a shift, but ``%`` divides entry by
-entry.  The two batched eliminations, ``batch_invertible`` and
-``batch_inverse``, share one swap-free elimination that delays reduction:
+entry.  The batched eliminations, ``batch_pivot_rows`` (and with it
+``batch_invertible``) and ``batch_inverse``, share one swap-free
+elimination that delays reduction:
 only the pivot column and the scaled pivot row are reduced per column,
 and the bound in ``_eliminate`` keeps every unreduced entry exact.
 """
@@ -112,7 +113,7 @@ def spanning_rows(rows: np.ndarray, p: int) -> list:
 
 
 def _eliminate(M: np.ndarray, n: int, p: int, full: bool) -> tuple:
-    """Eliminate the first n columns of a (B, n, w) batch, in place, without row swaps.
+    """Eliminate the first n columns of a (B, h, w) batch, h >= n, in place, without row swaps.
 
     Entries must start in [0, p).  For each column c every matrix takes as
     pivot its first row that has not been a pivot yet and whose entry in
@@ -134,7 +135,7 @@ def _eliminate(M: np.ndarray, n: int, p: int, full: bool) -> tuple:
     B = len(M)
     idx = np.arange(B)
     inv = inverse_table(p)
-    used = np.zeros((B, n), dtype=bool)
+    used = np.zeros(M.shape[:2], dtype=bool)
     pivots = np.zeros((B, n), dtype=np.int64)
     ok = np.ones(B, dtype=bool)
     for c in range(n):
@@ -158,8 +159,17 @@ def _eliminate(M: np.ndarray, n: int, p: int, full: bool) -> tuple:
 
 def batch_invertible(mats: np.ndarray, p: int) -> np.ndarray:
     """Boolean mask of invertibility for a (B, n, n) batch, Gaussian mod p."""
+    return batch_pivot_rows(mats, p)[0]
+
+
+def batch_pivot_rows(mats: np.ndarray, p: int) -> tuple:
+    """(full column rank mask, (B, w) pivot rows) of a (B, h, w) batch, h >= w.
+
+    Where the mask is True the w pivot rows of the elimination are
+    independent; elsewhere they are meaningless.
+    """
     A = residue(mats.astype(np.int64), p)
-    return _eliminate(A, A.shape[1], p, full=False)[0]
+    return _eliminate(A, A.shape[2], p, full=False)
 
 
 def batch_inverse(mats: np.ndarray, p: int) -> tuple:

@@ -8,30 +8,23 @@ generators g_1, ..., g_r, the level rows say:
   * [f(g_t), g_t] = 0,
   * [f(g_t), g_s] + [f(g_s), g_t] = 0 for every earlier generator g_s,
 
-all of which are necessary conditions, so nothing is pruned that should
-survive; each generator assignment that satisfies them is extended to a
-full map through the generator presentation and kept only if it is a
-homomorphism.  That restores sufficiency: such a homomorphism commutes
-and is invertible, by the two arguments below.
+all of them necessary, so nothing is pruned that should survive; an
+assignment that satisfies them is extended through the generator
+presentation and kept if it is a homomorphism, which commutes and, with
+images independent modulo L', is invertible (the two arguments below).
 
 The level rows are linear in the images jointly.  Write f(g_t) = g_t +
 z_t; then C f(g_t) = C g_t becomes C z_t = 0 (C the coset rows),
 [f(g_t), g_t] = 0 becomes [z_t, g_t] = 0, and in [f(g_t), g_s] +
 [f(g_s), g_t] the terms [g_t, g_s] + [g_s, g_t] cancel, leaving
 [z_t, g_s] + [z_s, g_t] = 0.  So the assignments are exactly g + V, V
-the kernel of one homogeneous system over z = (z_0, ..., z_{r-1}), and
-they are drawn as points of V in blocks of at most CHUNK rows.
-Independence of the images modulo L' is tested on each block: Λ, the
-reduced annihilator of L', maps them to their L/L' coordinates
-(``LieAlgebra.generator_indices``), which must be invertible.
+the kernel of one homogeneous system over z = (z_0, ..., z_{r-1}).
 
 The budget is checked first, before V or the generator presentation is
 built, so a refusal costs only the per-level kernels.  Given the earlier
 images, f(g_t) ranges over a coset of the kernel of level t's rows, of
-size p^k, so the product of these p^k is an upper bound on the p^(dim V)
-assignments, and so on everything the filter sees; enumeration refuses
-to start when that projection exceeds the budget, and no later count can
-pass it.
+size p^k; the product of these p^k bounds the p^(dim V) assignments, and
+enumeration refuses to start when it exceeds the budget.
 
 The filter tests no commuting.  Write f = I + D and B(x, y) = [Dx, y] +
 [Dy, x], symmetric and bilinear; as B(x, x) = 2 [f(x), x] and p is odd,
@@ -51,38 +44,51 @@ with H + L' = L.  If H + L^k = L for some k >= 2 (L^k the lower central
 series, L^2 = L'), then L' = [H + L^k, H + L^k] lies in [H, H] + L^(k+1),
 inside H + L^(k+1), so L = H + L' = H + L^(k+1).  By induction H + L^k = L
 for every k, and L^k = 0 for large k in a nilpotent algebra, so H = L:
-f is onto, hence invertible.  Independence modulo L' is tested on every
-completed assignment before the filter, and ``_finish_set`` still proves
-every member of every set invertible (f g = I for a candidate inverse g
-of each member or of its inverse), so the argument saves work without
-being trusted.
+f is onto, hence invertible.  ``_finish_set`` still proves every member
+invertible (f g = I), so the argument saves work without being trusted.
 
-When [Z_2, Z_2] = 0 no assignment or filter is needed.  Take f = I + D
-commuting and invertible.  Then D(L) lies in Z_2 by the argument above,
-so [Dx, Dy] = 0 and the homomorphism identity D[x, y] = [Dx, y] +
-[x, Dy] + [Dx, Dy] says exactly that D is a derivation; as p is odd, f
-commutes exactly when B_D = 0.  Conversely every such D with I + D
-invertible gives a commuting automorphism.  So the set is (I + W) ∩ GL,
-W the linear space of derivations D with D(L) in Z_2 and B_D = 0, and
-``_invertible_points`` enumerates it as the central set is enumerated.
-The budget is checked on the level rows first, on either path; p^(dim W)
-is at most p^(dim V), since D is fixed by the D(g_t) and those satisfy
-the level rows, so the projection bounds this path too.
+Classes modulo the central maps.  Let Φ = Hom(L/L', Z), the maps φ with
+φ(L) in Z and φ(L') = 0, so Aut_c = (I + Φ) ∩ GL; let W hold the D with
+D(L) in Z_2 and B_D = 0, which holds every f - I for f in S (above).
 
-Both sets of the form (I + W) ∩ GL, W = {U X}, U an n x k basis of the
-image (Z or Z_2) as columns, are factored through X U, a k x k block.
-By Sylvester's identity det(I_n + U X) = det(I_k + X U).  Of the m basis
-elements X_i of the span, the s heads have independent N_i = X_i U, and
-the m - s tails span the X with X U = 0; a tail changes no block, so
-I + U X is invertible exactly when its head part y gives an invertible
-K_y = I_k + sum y_i N_i.  The p^s blocks are eliminated once each, the h
-invertible ones give h p^(m-s) members, and each member's inverse is
-I - U K_y^-1 X (Woodbury).  dim6_center3 over F3 (m = 9, s = 3) needs
-27 k x k eliminations instead of 19,683 k x k tests and about 6,561
-n x n inversions.  What is verified per member is unchanged: each
-Woodbury inverse g of a member f must satisfy f g = I mod p and be found
-among the members, and the member set equals that of the per-point test
-(``invertible_points`` in ``tests/elimination_reference.py``).
+  * Φ ⊆ W and V ⊇ Z^r: φ(L) lies in Z, and B_φ = 0 as φ's values are
+    central; a central z_t has C z_t = 0 and [z_t, g_s] = 0, so Z^r meets
+    every level row.  So d r <= dim V (d = dim Z): once the level check
+    passes, the central enumeration, p^(d r) points, cannot refuse.
+  * Adding z in Z^r to an assignment adds φ_z to its extension: bracket
+    steps do not see central summands, so φ_z(g_t) = z_t and φ_z kills
+    the n - r bracket values, a basis of L'.  So z -> φ_z maps Z^r onto Φ.
+  * The filter is constant on classes f + Φ: (f + φ)[x, y] = f[x, y] as
+    φ kills L', [(f + φ)x, (f + φ)y] = [fx, fy] and [(f + φ)x, x] =
+    [fx, x] as φ's values are central.
+  * f^-1 Φ = Φ for an automorphism f, which keeps Z and L' (and f^-1 is
+    injective on the finite Φ).  So for f in S, (f + Φ) ∩ GL =
+    f (I + f^-1 Φ) ∩ GL = f ∘ Aut_c, inside S by the previous fact.
+  * A class f + Φ of homomorphisms meets GL exactly when the f(g_t) span
+    L/(L' + Z).  An automorphism's images span L/L', and f + φ agrees
+    with f modulo Z.  Conversely, in L/L' coordinates (Λ) whose basis is
+    c vectors Λ z_q (z_q central) spanning (Z + L')/L', then r - c unit
+    vectors, the images' last r - c coordinates form an r x (r - c)
+    matrix A_1 of rank r - c with independent pivot rows J
+    (``modp.batch_pivot_rows``).  Choose central parts that set the first
+    c coordinates of image t to 0 for t in J and to the k-th unit vector
+    for the k-th t outside J; the coordinate matrix is then block
+    triangular with blocks A_1[J] and I_c, so the images are independent
+    modulo L' and f + φ is onto (above), so in S.
+  * The products r ∘ c are distinct: r ∘ (I + ψ) = r + r ψ lies in the
+    class of r, and r ∘ c = r ∘ c' gives c = c' for invertible r.
+
+So only the p^(dim V') points g + V', V = Z^r ⊕ V', go through the class
+test (choosing central parts) and the filter, in blocks of CHUNK rows,
+which leaves one invertible representative of each of the N classes.  S is listed as the N |Aut_c| products r ∘ c, with
+candidate inverses c^-1 ∘ r^-1 that ``_finish_set`` proves as any other;
+for N = 1 the one class is the identity's and S = Aut_c.  The paths this
+replaced, the filter over all of g + V and, where [Z_2, Z_2] = 0, the
+invertible points of I + W, are in ``tests/commuting_reference.py``.
+
+The central set is enumerated by ``_invertible_points``: I + U X is
+invertible exactly when the k x k block I + X U is (Sylvester), which
+takes only p^s values, and members' inverses come from Woodbury.
 """
 
 from __future__ import annotations
@@ -119,11 +125,7 @@ class BudgetExceededError(RuntimeError):
 
 
 class AbelianShortCircuit(Exception):
-    """Abelian algebras are not enumerated: every invertible map commutes.
-
-    The commuting set equals all of GL(n, p); callers handle the verdict
-    analytically instead of materializing a huge set.
-    """
+    """Abelian algebras are not enumerated: the commuting set is all of GL(n, p)."""
 
     def __init__(self, algebra: LieAlgebra):
         self.algebra = algebra
@@ -213,24 +215,19 @@ def _contains_rows(sorted_keys: np.ndarray, query: np.ndarray) -> np.ndarray:
 
 
 def _finish_set(algebra: LieAlgebra, kind: str, mats, inverses=None) -> AutomorphismSet:
-    """Canonical set from member matrices, entries in [0, p): one (B, n, n)
-    int64 array or a list of such blocks.
+    """Canonical set from member matrices, entries in [0, p), as one
+    (B, n, n) int64 array or a list of blocks: sorted in LinearMap.key()
+    order without duplicates, filled block by block from the row keys, so
+    the blocks and that array are the only member copies alive.
 
-    Rows are sorted in LinearMap.key() order with duplicates dropped, and
-    the set must contain the identity and the inverse of every member.
-    The canonical array is filled block by block from the row keys, so
-    the blocks and that one array are the only member copies alive.
-
-    ``inverses(members, sources)`` gives a candidate inverse, entries in
-    [0, p), for each of a (B, n, n) block of canonical members; sources
-    are the members' positions in the concatenated input blocks.  By
-    default it is ``modp.batch_inverse``.  No candidate is trusted: each
-    must satisfy f g = I mod p, which proves f invertible with inverse g,
-    and must be found among the members by key.  Once that holds, g needs
-    no candidate of its own: g^-1 = f is a member.  So members are checked
-    in blocks of INVERSE_BLOCK, in canonical order, each block asking only
-    for the members that no earlier check has paired, and every member is
-    either checked or the inverse of a checked one.
+    The set must hold the identity and every member's inverse.
+    ``inverses(members, sources)`` (default ``modp.batch_inverse``) gives
+    a candidate inverse for each of a block of canonical members, sources
+    being their positions in the concatenated input.  No candidate is
+    trusted: it must satisfy f g = I mod p and be found among the members,
+    and then g^-1 = f needs no check of its own.  So blocks of
+    INVERSE_BLOCK members, in canonical order, ask only for the members
+    that no earlier check has paired.
     """
     p = algebra.field.p
     n = algebra.dim
@@ -259,10 +256,11 @@ def _finish_set(algebra: LieAlgebra, kind: str, mats, inverses=None) -> Automorp
         members = arr[todo]
         candidates = inverses(members, first[todo])
         inverse_keys = _row_keys(candidates, p)
+        at = np.minimum(np.searchsorted(keys, inverse_keys), len(keys) - 1)  # keys holds the identity
         proven = (modp.residue(np.matmul(members, candidates), p) == eye).all()
-        if not (proven and _contains_rows(keys, inverse_keys).all()):
+        if not (proven and (keys[at] == inverse_keys).all()):
             raise AssertionError(f"{kind} enumeration is not closed under inverse")
-        paired[np.searchsorted(keys, inverse_keys)] = True
+        paired[at] = True
     arr.flags.writeable = False
     return AutomorphismSet(algebra, kind, arr, keys)
 
@@ -291,20 +289,16 @@ def _invertible_points(algebra: LieAlgebra, kind: str, U: np.ndarray, X_basis: n
     """The invertible points of I + W, W = {U X : X in the span of X_basis}.
 
     U is an n x k basis of the image subspace, as columns, and X_basis an
-    (m, k, n) array of independent k x n matrices, so the p^m points D = U X
-    are distinct.  By Sylvester's identity det(I_n + U X) = det(I_k + X U),
-    and X U takes few values: with N_i = X_i U, the s heads are the X_i
-    whose N_i are independent (``modp.spanning_rows``), and the m - s tails
-    are the combinations sum c_i X_i with sum c_i N_i = 0, a basis of the
-    left kernel of N.  Heads and tails together are a basis of the span, a
-    tail adds nothing to X U, and so I + U X is invertible exactly when its
-    head part y gives an invertible K_y = I_k + sum y_h N_h.  One
-    ``modp.batch_inverse`` over the p^s blocks K_y gives the h invertible
-    heads and M_y = K_y^-1; the members are those heads times all p^(m-s)
-    tails, h p^(m-s) of them.  Each member's inverse is, by Woodbury,
-    (I + U X)^-1 = I - U M_y X, and ``_finish_set`` proves every such
-    candidate (f g = I, g a member) instead of running an n x n
-    elimination.  An empty basis gives the identity alone.
+    (m, k, n) array of independent k x n matrices.  By Sylvester's identity
+    det(I_n + U X) = det(I_k + X U).  With N_i = X_i U, the s heads are the
+    X_i whose N_i are independent (``modp.spanning_rows``) and the m - s
+    tails a basis of the X with X U = 0 (the left kernel of N), so I + U X
+    is invertible exactly when its head part y gives an invertible K_y =
+    I_k + sum y_h N_h.  One ``modp.batch_inverse`` over the p^s blocks K_y
+    gives the h invertible heads and M_y = K_y^-1; the members are those
+    heads times all p^(m-s) tails, and each member's inverse is, by
+    Woodbury, I - U M_y X, which ``_finish_set`` proves.  dim6_center3's
+    central set over F3 (m = 9, s = 3) needs 27 k x k eliminations.
     """
     p = algebra.field.p
     n, k = U.shape
@@ -344,11 +338,12 @@ def _invertible_points(algebra: LieAlgebra, kind: str, U: np.ndarray, X_basis: n
 
 
 def enumerate_commuting(algebra: LieAlgebra, budget: int = DEFAULT_BUDGET) -> AutomorphismSet:
-    """The exact set of commuting automorphisms of a nilpotent algebra over F_p.
+    """The exact commuting automorphisms of a nilpotent algebra over F_p: class representatives times Aut_c."""
+    return _commuting_and_central(algebra, budget)[0]
 
-    When [Z_2, Z_2] = 0 it is (I + W) ∩ GL (module docstring); otherwise
-    generator assignments go through the homomorphism filter.
-    """
+
+def _commuting_and_central(algebra: LieAlgebra, budget: int) -> tuple:
+    """(commuting set, central set), the central set enumerated once for both."""
     field = algebra.field
     if not field.is_prime:
         raise ValueError("enumeration needs a prime field")
@@ -356,61 +351,28 @@ def enumerate_commuting(algebra: LieAlgebra, budget: int = DEFAULT_BUDGET) -> Au
         raise NonNilpotentError("enumeration requires a nilpotent algebra")
     if algebra.is_abelian:
         raise AbelianShortCircuit(algebra)
+    p = field.p
+    g, V = _assignment_space(algebra, budget)  # refuses before V or the presentation is built
+    central = enumerate_central(algebra, budget)  # p^(d r) <= p^(dim V): no refusal
+    reps = _class_representatives(algebra, g, V)
+    if len(reps) == 1:  # only the identity's class, I + Φ: S = Aut_c
+        return AutomorphismSet(algebra, "commuting", central.member_array(), central._keys), central
+    C = central.member_array()
+    m = len(C)
+    reps_inv = modp.batch_inverse(reps, p)[0]
+    # where each central member's inverse is; a wrong one fails f g = I in _finish_set
+    c_inv = np.searchsorted(central._keys, _row_keys(modp.batch_inverse(C, p)[0], p))
+    count = len(reps) * m
+    products = [
+        modp.residue(np.matmul(reps[j // m], C[j % m]), p)
+        for j in (np.arange(start, min(count, start + CHUNK)) for start in range(0, count, CHUNK))
+    ]
 
-    z2 = algebra.second_center()
-    # Z_2 = L (class 2) has [Z_2, Z_2] = L' != 0 without a bracket computed
-    if z2.is_full() or algebra.bracket_subspaces(z2, z2).dim:
-        return _filtered_commuting(algebra, budget)
-    _level_rows(algebra, budget)  # refuses as the filter path does; p^(dim W) is within the projection
-    U = modp.matrix_to_array(z2.basis, algebra.dim).T
-    return _invertible_points(algebra, "commuting", U, _commuting_derivations(algebra, U))
+    def inverses(members: np.ndarray, sources: np.ndarray) -> np.ndarray:
+        """(r ∘ c)^-1 = c^-1 ∘ r^-1 for the product r ∘ c at each source."""
+        return modp.residue(np.matmul(C[c_inv[sources % m]], reps_inv[sources // m]), p)
 
-
-def _commuting_derivations(algebra: LieAlgebra, U: np.ndarray) -> np.ndarray:
-    """Basis, as (m, k, n), of the X with D = U X a derivation and B_D = 0.
-
-    U is an n x k basis of Z_2 as columns.  Both conditions are linear in
-    X, so each unknown X[q, j] contributes the residues of D = U e_q e_j^T:
-    B_D(e_a, e_b) = [De_a, e_b] + [De_b, e_a] and the derivation rows
-    D[e_a, e_b] - [De_a, e_b] - [e_a, De_b].  W = U X is their joint kernel.
-    The rows that span the system are picked first, so the exact kernel
-    sees at most k n of them; on a non-abelian algebra some row is
-    nonzero, as Z_2 is not central.
-    """
-    p = algebra.field.p
-    n, k = U.shape
-    T = modp.structure_tensor(algebra)
-    units = np.einsum("aq,jb->qjab", U, np.eye(n, dtype=np.int64)).reshape(k * n, n, n)
-    S = modp.batch_commuting_form(units, T, p)  # [De_a, e_b]
-    swapped = S.transpose(0, 2, 1, 3)
-    image = np.matmul(T.reshape(n * n, n), units.transpose(0, 2, 1)).reshape(k * n, n, n, n)  # D[e_a, e_b]
-    residues = np.concatenate([(S + swapped).reshape(k * n, -1), (image - S + swapped).reshape(k * n, -1)], axis=1)
-    system = modp.residue(residues, p).T
-    system = system[modp.spanning_rows(system, p)]
-    W = kernel(Matrix(algebra.field, tuple(map(tuple, system.tolist()))))
-    return modp.matrix_to_array(W.basis, k * n).reshape(W.dim, k, n)
-
-
-def _filtered_commuting(algebra: LieAlgebra, budget: int) -> AutomorphismSet:
-    """The commuting set from generator assignments, kept by the homomorphism filter.
-
-    Valid on every non-abelian nilpotent algebra; ``enumerate_commuting``
-    uses it when [Z_2, Z_2] != 0.
-    """
-    p = algebra.field.p
-    n = algebra.dim
-    blocks = _assignment_blocks(algebra, budget)  # refuses before the presentation is built
-    pres = algebra.generator_presentation()
-    T = modp.structure_tensor(algebra)
-    # generator images must be independent modulo L': their L/L' coordinates
-    # (through Λ, the reduced annihilator of L') form an invertible r x r matrix
-    quotient = modp.subspace_constraints(algebra.derived())  # Λ, (r, n)
-    kept = [np.zeros((0, n, n), dtype=np.int64)]
-    for block in blocks:
-        block = block[modp.batch_invertible(block @ quotient.T, p)]
-        if len(block):
-            kept.append(_filter_assignments(algebra, pres, T, block))
-    return _finish_set(algebra, "commuting", kept)
+    return _finish_set(algebra, "commuting", products, inverses), central
 
 
 def _level_rows(algebra: LieAlgebra, budget: int) -> tuple:
@@ -438,16 +400,13 @@ def _level_rows(algebra: LieAlgebra, budget: int) -> tuple:
     return gens, coset_rows, ad
 
 
-def _assignment_blocks(algebra: LieAlgebra, budget: int):
-    """Every generator assignment that satisfies the level rows, as (B, r, n) blocks.
+def _assignment_space(algebra: LieAlgebra, budget: int) -> tuple:
+    """(g, V): the generators as (r, n) rows and a basis of V as (dim V, r n) rows.
 
-    The assignments are g + V (module docstring), exactly p^(dim V) of
-    them, in blocks of at most CHUNK rows.  ``_level_rows`` refuses before
-    V is computed.  The images are not yet tested for independence
-    modulo L'.
+    The assignments that satisfy the level rows are g + V, each point read
+    as r images of n entries; ``_level_rows`` refuses before V is built.
     """
     field = algebra.field
-    p = field.p
     n = algebra.dim
     gens, coset_rows, ad = _level_rows(algebra, budget)
     r = len(gens)
@@ -464,22 +423,67 @@ def _assignment_blocks(algebra: LieAlgebra, budget: int):
         for s in range(t):
             system += [placed({t: a, s: b}) for a, b in zip(ad[s], ad[t])]
     V = np.array(kernel(Matrix(field, tuple(system))).basis.rows, dtype=np.int64).reshape(-1, r * n)
-    g = np.eye(n, dtype=np.int64)[gens]
-    count = p ** len(V)
-    return (
-        modp.residue(g + _span_points(V, p, np.arange(start, min(count, start + CHUNK))).reshape(-1, r, n), p)
-        for start in range(0, count, CHUNK)
-    )
+    return np.eye(n, dtype=np.int64)[gens], V
+
+
+def _class_representatives(algebra: LieAlgebra, g: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """One invertible member of each class f + Φ of the commuting set, as (N, n, n),
+    from g + V', V' the rows of V that ``modp.spanning_rows`` keeps after Z^r's."""
+    p = algebra.field.p
+    n = algebra.dim
+    r = len(g)
+    center = modp.matrix_to_array(algebra.center().basis, n)  # (d, n)
+    d = len(center)
+    z_rows = (np.eye(r, dtype=np.int64)[:, None, :, None] * center[None, :, None, :]).reshape(r * d, r * n)
+    V_prime = V[np.array(modp.spanning_rows(np.concatenate([z_rows, V]), p)[r * d :], dtype=np.int64) - r * d]
+    keep = _class_test(algebra, center)
+    pres = algebra.generator_presentation()
+    T = modp.structure_tensor(algebra)
+    count = p ** len(V_prime)
+    kept = [np.zeros((0, n, n), dtype=np.int64)]
+    for start in range(0, count, CHUNK):
+        block = keep(modp.residue(g + _span_points(V_prime, p, np.arange(start, min(count, start + CHUNK))).reshape(-1, r, n), p))
+        if len(block):
+            kept.append(_filter_assignments(algebra, pres, T, block))
+    return np.concatenate(kept)
+
+
+def _class_test(algebra: LieAlgebra, center: np.ndarray):
+    """The class test, as a function on (B, r, n) assignments; center is a basis of Z as rows.
+
+    It keeps the assignments whose images span L/(L' + Z), each moved by
+    central parts to have images independent modulo L' (module docstring).
+    """
+    p = algebra.field.p
+    quotient = modp.subspace_constraints(algebra.derived())  # Λ, (r, n)
+    r = len(quotient)
+    lift = center[modp.spanning_rows(modp.residue(center @ quotient.T, p), p)]  # (c, n)
+    c = len(lift)
+    basis = np.concatenate([modp.residue(lift @ quotient.T, p), np.eye(r, dtype=np.int64)])
+    to_basis = modp.batch_inverse(basis[modp.spanning_rows(basis, p)][None], p)[0][0]
+
+    def keep(assignments: np.ndarray) -> np.ndarray:
+        coords = modp.residue(modp.residue(assignments @ quotient.T, p) @ to_basis, p)  # (B, r, r)
+        spans, pivots = modp.batch_pivot_rows(coords[:, :, c:], p)
+        coords, pivots, assignments = coords[spans], pivots[spans], assignments[spans]
+        free = np.ones(coords.shape[:2], dtype=bool)
+        np.put_along_axis(free, pivots, False, axis=1)
+        b, t = np.nonzero(free)
+        target = np.zeros((len(coords), r, c), dtype=np.int64)
+        target[b, t, (np.cumsum(free, axis=1) - 1)[b, t]] = 1
+        return modp.residue(assignments + (target - coords[:, :, :c]) @ lift, p)
+
+    return keep
 
 
 def _filter_assignments(algebra: LieAlgebra, pres, T: np.ndarray, assignments) -> np.ndarray:
     """Extend (B, r, n) generator assignments to full maps; keep the homomorphisms.
 
-    The block must come from ``_assignment_blocks`` (at most CHUNK rows,
-    satisfying every level's rows) with generator images independent
-    modulo L'.  Such homomorphisms commute and are invertible (see the
-    module docstring).  T is the algebra's structure tensor.  Returns
-    them as a (B, n, n) int64 array.
+    The block must hold at most CHUNK assignments that satisfy every
+    level's rows, with generator images independent modulo L' (as
+    ``_class_test`` leaves them).  Such homomorphisms commute and are
+    invertible (see the module docstring).  T is the algebra's structure
+    tensor.  Returns them as a (B, n, n) int64 array.
     """
     p = algebra.field.p
     n = algebra.dim
@@ -503,17 +507,11 @@ def _filter_assignments(algebra: LieAlgebra, pres, T: np.ndarray, assignments) -
 def enumerate_central(algebra: LieAlgebra, budget: int = DEFAULT_BUDGET) -> AutomorphismSet:
     """Aut_c(L) = {id + phi : phi(L) in Z(L), phi(L') = 0, id + phi invertible}.
 
-    That id + phi is a homomorphism exactly when phi kills L' (given the
-    image lies in the center) is not hard to see, and the brute-force
-    oracle cross-checks it at small dimensions.
-
-    The set is the invertible points of I + W_c (``_invertible_points``):
-    phi = U X, with U the n x d matrix of a basis of Z(L) (d = dim Z) and
-    X in the span of the e_q ⊗ Λ_t, the d x n matrices whose row q is
-    Λ_t and whose other rows are 0.  So the coefficient of e_q ⊗ Λ_t is
-    the z_q-coordinate of phi(g_t), and Λ, the reduced annihilator of L',
-    gives L/L' coordinates (``LieAlgebra.generator_indices``).  Thus phi
-    kills L' and needs no presentation: non-nilpotent algebras work too.
+    The invertible points of I + Φ (``_invertible_points``): phi = U X,
+    U an n x d basis of Z(L) as columns, X in the span of the e_q ⊗ Λ_t,
+    the d x n matrices whose row q is Λ_t, the L/L' coordinates, and whose
+    other rows are 0.  So phi kills L' and needs no presentation: this
+    works on non-nilpotent algebras too.
     """
     field = algebra.field
     if not field.is_prime:
@@ -605,22 +603,14 @@ def closure_check(aset: AutomorphismSet) -> ClosureVerdict:
 
     The witness, when there is one, is the first ordered pair (f, g) in
     canonical member order whose composition g o f does not commute.
-
     Both come from the d <= n^2 members that span the set's linear span,
-    picked greedily in canonical order (each member that is not a
-    combination of the ones before it).  The commuting defect of g o f is
-    linear in g and linear in f, so:
-
-      * the set is closed exactly when all d^2 ordered pairs of
-        representatives compose to commuting maps;
-      * the witness's f is a representative: were it a combination of
-        earlier members, which all pass against every g, it would pass too.
-        Likewise its g is a representative, so the witness is the first
-        failing pair of the d x d check.
-
-    ``pair_count`` is the number of compositions tested, d^2.  The plain
-    ordered scan over all N^2 pairs that this is tested against is
-    ``closure_scan`` in ``tests/closure_reference.py``.
+    picked greedily in canonical order.  The commuting defect of g o f is
+    bilinear in (f, g), so the set is closed exactly when all d^2 ordered
+    pairs of these representatives compose to commuting maps, and the
+    first failing pair of all members is a pair of representatives (were
+    f a combination of earlier members, which pass against every g, it
+    would pass too; likewise g).  ``pair_count`` is d^2.  The ordered scan
+    over all N^2 pairs is ``closure_scan`` in ``tests/closure_reference.py``.
     """
     if aset.kind != "commuting":
         raise ValueError("closure_check applies to commuting sets")

@@ -5,6 +5,7 @@ from typing import NamedTuple
 
 import pytest
 
+import commuting_reference
 from coclass_lab.constructions import default_catalog
 from coclass_lab.fields import FieldSpec
 from coclass_lab.harness import SUITE_BUDGET
@@ -45,3 +46,9 @@ def enumerate_catalog(p: int) -> tuple:
 def catalog_runs():
     """p -> tuple of CatalogRun for the default catalog over F_p, computed once."""
     return enumerate_catalog
+
+
+@pytest.fixture(scope="session")
+def derivation_sets():
+    """algebra -> commuting_reference.derivation_path(algebra), computed once."""
+    return lru_cache(maxsize=None)(commuting_reference.derivation_path)

@@ -8,14 +8,16 @@ and the n x n invertibility tests and commuting mask of
 ``search`` docstring) and the central enumerator (by Sylvester's
 identity) no longer run, with its per-point enumeration of the invertible
 points of I + W, which the head/tail split and Woodbury inverses
-replaced.  Where Z_2 is abelian the commuting set comes
-from the derivation argument instead; it is checked against the filter
-path, which does not use it, and the DFS reference.
+replaced.  The commuting enumerator, class representatives times the
+central set, is also checked against the two paths it replaced in
+``commuting_reference``: the filter over every assignment, and, where
+Z_2 is abelian, the invertible points of the derivation space W.
 """
 
 import numpy as np
 import pytest
 
+import commuting_reference
 import dfs_reference
 import elimination_reference
 from closure_reference import closure_scan
@@ -34,20 +36,16 @@ from coclass_lab.search import (
 
 
 @pytest.fixture(scope="module")
-def catalog_sets():
+def catalog_sets(catalog_runs):
     """p -> [(name, algebra, commuting set)] for entries within SUITE_BUDGET."""
     runs = {}
     for p in (3, 5):
         runs[p] = []
-        for entry in default_catalog(FieldSpec.prime(p)):
-            try:
-                aset = enumerate_commuting(entry.algebra, budget=SUITE_BUDGET)
-            except AbelianShortCircuit:
+        for run in catalog_runs(p):
+            if isinstance(run.commuting, BudgetExceededError):
+                assert run.commuting.projected == dfs_reference.projected_count(run.algebra), run.name
                 continue
-            except BudgetExceededError as exc:
-                assert exc.projected == dfs_reference.projected_count(entry.algebra), entry.name
-                continue
-            runs[p].append((entry.name, entry.algebra, aset))
+            runs[p].append((run.name, run.algebra, run.commuting))
     return runs
 
 
@@ -120,7 +118,7 @@ def test_assignments_are_the_joint_kernel_below_the_projection():
     with pytest.raises(BudgetExceededError) as refusal:
         enumerate_commuting(alg, budget=0)
     assert refusal.value.projected == 3**9 == dfs_reference.projected_count(alg)
-    block = np.concatenate(list(search._assignment_blocks(alg, SUITE_BUDGET)))
+    block = np.concatenate(list(commuting_reference.assignment_blocks(alg, SUITE_BUDGET)))
     assert block.shape == (3**7, len(alg.generator_indices()), alg.dim)
     assert len(np.unique(block.reshape(len(block), -1), axis=0)) == 3**7
 
@@ -143,12 +141,6 @@ def _abelian_second_center(alg) -> bool:
     return alg.bracket_subspaces(z2, z2).dim == 0
 
 
-def _derivation_path(alg):
-    """The (I + W) ∩ GL enumeration, whether or not Z_2 is abelian."""
-    U = modp.matrix_to_array(alg.second_center().basis, alg.dim).T
-    return search._invertible_points(alg, "commuting", U, search._commuting_derivations(alg, U))
-
-
 def _rebased(alg, rng):
     """(alg in the basis b_i = P e_i, P) for a seeded random invertible P."""
     p, n = alg.field.p, alg.dim
@@ -168,40 +160,39 @@ def _rebased(alg, rng):
     return LieAlgebra(alg.field, n, sc), P
 
 
-def _check_derivation_path(label, alg):
-    """Derivation path == filter path, and dim W <= dim V; returns the set."""
-    aset = enumerate_commuting(alg, budget=SUITE_BUDGET)
-    U = modp.matrix_to_array(alg.second_center().basis, alg.dim).T
-    dim_w = len(search._commuting_derivations(alg, U))
-    assignments = sum(len(block) for block in search._assignment_blocks(alg, SUITE_BUDGET))
+def _check_derivation_path(label, alg, aset, derivation_set):
+    """The enumerated set == derivation path == filter path, and dim W <= dim V."""
+    U = commuting_reference.second_center_columns(alg)
+    dim_w = len(commuting_reference.commuting_derivations(alg, U))
+    assignments = sum(len(block) for block in commuting_reference.assignment_blocks(alg, SUITE_BUDGET))
     assert alg.field.p**dim_w <= assignments, label
-    assert np.array_equal(aset.member_array(), search._filtered_commuting(alg, SUITE_BUDGET).member_array()), label
-    return aset
+    assert np.array_equal(aset.member_array(), derivation_set.member_array()), label
+    filtered = commuting_reference.filtered_commuting(alg, SUITE_BUDGET)
+    assert np.array_equal(aset.member_array(), filtered.member_array()), label
 
 
 @pytest.mark.parametrize("p", (3, 5, 7))
-def test_derivation_path_matches_filter_path_and_dfs(dfs_set, p):
-    # the (I + W) ∩ GL sets against two enumerators that do not use the
-    # derivation argument, on every abelian-Z_2 catalog row within budget
+def test_derivation_path_matches_filter_path_and_dfs(catalog_runs, derivation_sets, dfs_set, p):
+    # on every abelian-Z_2 catalog row within budget, the enumerated set
+    # equals the (I + W) ∩ GL set and two enumerators that do not use the
+    # derivation argument: the filter path and the DFS reference
     checked = []
-    for entry in default_catalog(FieldSpec.prime(p)):
-        alg = entry.algebra
-        if alg.is_abelian or not _abelian_second_center(alg):
+    for run in catalog_runs(p):
+        alg = run.algebra
+        if not _abelian_second_center(alg) or isinstance(run.commuting, BudgetExceededError):
             continue
-        if _projected(alg) > SUITE_BUDGET:
-            continue
-        aset = _check_derivation_path(f"{entry.name}/F{p}", alg)
-        assert np.array_equal(aset.member_array(), dfs_set(alg).member_array()), (entry.name, p)
-        checked.append(entry.name)
+        _check_derivation_path(f"{run.name}/F{p}", alg, run.commuting, derivation_sets(alg))
+        assert np.array_equal(run.commuting.member_array(), dfs_set(alg).member_array()), (run.name, p)
+        checked.append(run.name)
     assert len(checked) == {3: 10, 5: 8, 7: 8}[p], checked
 
 
 @pytest.mark.parametrize("p", (3, 5, 7))
 def test_derivation_path_on_random_bases(p):
-    # the same rows in seeded random bases, where generators, presentation
-    # and W differ: the derivation path equals the filter path and the
-    # conjugates P^-1 f P of the members in the catalog basis, which the
-    # test above checks against the DFS reference
+    # the same rows in seeded random bases, where generators, presentation,
+    # V' and W differ: the enumerated set equals the derivation path, the
+    # filter path and the conjugates P^-1 f P of the members in the catalog
+    # basis, which the test above checks against the DFS reference
     rng = np.random.default_rng(p)
     checked = []
     for entry in default_catalog(FieldSpec.prime(p)):
@@ -210,9 +201,10 @@ def test_derivation_path_on_random_bases(p):
         alg, P = _rebased(entry.algebra, rng)
         assert _abelian_second_center(alg)
         try:
-            aset = _check_derivation_path(f"{entry.name}/F{p} rebased", alg)
+            aset = enumerate_commuting(alg, budget=SUITE_BUDGET)
         except BudgetExceededError:
             continue
+        _check_derivation_path(f"{entry.name}/F{p} rebased", alg, aset, commuting_reference.derivation_path(alg))
         original = enumerate_commuting(entry.algebra, budget=SUITE_BUDGET).member_array()
         P_inv = modp.batch_inverse(P[None], p)[0][0]
         conjugates = np.matmul(P_inv @ original % p, P) % p
@@ -227,7 +219,7 @@ def test_derivation_path_needs_abelian_second_center(spec, sizes):
     # [Dx, Dy] term of the homomorphism identity, and the path loses members
     alg = builtin(spec, FieldSpec.prime(3))
     assert not _abelian_second_center(alg)
-    forced = _derivation_path(alg)
+    forced = commuting_reference.derivation_path(alg)
     full = enumerate_commuting(alg)
     assert (forced.size, full.size) == sizes
     assert not forced.outside(full).any()
@@ -311,10 +303,9 @@ def _filter_cases():
 
 
 def test_filter_matches_full_mask_on_independent_blocks(monkeypatch):
-    # every block the filter path hands the filter (completed assignments,
-    # independent modulo L') keeps exactly what the old full mask keeps; the
-    # path runs directly, so rows with an abelian Z_2, which enumerate_commuting
-    # sends to the derivation path, reach the filter too
+    # every block the enumerator hands the filter (class representatives:
+    # completed assignments, independent modulo L') keeps exactly what the
+    # old full mask keeps, on every non-abelian row
     real = search._filter_assignments
     checked = []
     for label, alg in _filter_cases():
@@ -330,7 +321,7 @@ def test_filter_matches_full_mask_on_independent_blocks(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(search, "_filter_assignments", record)
             try:
-                search._filtered_commuting(alg, SUITE_BUDGET)
+                enumerate_commuting(alg, budget=SUITE_BUDGET)
             except BudgetExceededError:
                 continue
         for pres, block, kept in blocks:
@@ -347,7 +338,7 @@ def test_filter_needs_independence_modulo_derived():
     # consistent assignments, all homomorphisms that commute, 9 singular
     alg = builtin("heisenberg:1:1", FieldSpec.prime(3))
     pres = alg.generator_presentation()
-    block = np.concatenate(list(search._assignment_blocks(alg, SUITE_BUDGET)))
+    block = np.concatenate(list(commuting_reference.assignment_blocks(alg, SUITE_BUDGET)))
     invertible, genuine = elimination_reference.filter_masks(
         alg, elimination_reference.extend_assignments(alg, pres, block)
     )
@@ -372,7 +363,7 @@ def test_filter_keeps_homomorphisms_that_do_not_commute():
     assert not modp.batch_is_commuting(swap[None], T, 3).any()
     kept = search._filter_assignments(alg, pres, T, [((0, 1, 0), (1, 0, 0))])
     assert kept.tolist() == [swap.tolist()]
-    block = np.concatenate(list(search._assignment_blocks(alg, SUITE_BUDGET)))
+    block = np.concatenate(list(commuting_reference.assignment_blocks(alg, SUITE_BUDGET)))
     assert not (block == swap.T[None, :2]).all(axis=(1, 2)).any()
     assert swap.tolist() not in enumerate_commuting(alg).member_array().tolist()
 
@@ -444,26 +435,30 @@ def _heads(alg, U, X_basis) -> tuple:
 
 
 @pytest.mark.parametrize("p", (3, 5, 7))
-def test_invertible_points_match_per_point_reference(monkeypatch, p):
+def test_invertible_points_match_per_point_reference(monkeypatch, catalog_runs, derivation_sets, p):
     # the head/tail split with Woodbury inverses against the k x k test on
     # every point and the n x n inversion of every member that it replaced:
-    # every central set and every abelian-Z_2 commuting set within budget
+    # every central set within budget, and the derivation path's
+    # (I + W) ∩ GL on every abelian-Z_2 row within budget
     calls = _recorded_invertible_points(monkeypatch)
     checked = {"commuting": 0, "central": 0}
-    for entry in default_catalog(FieldSpec.prime(p)):
-        for enumerate_set in (enumerate_commuting, enumerate_central):
+    for run in catalog_runs(p):
+        alg = run.algebra
+        cases = []
+        if not isinstance(run.central, BudgetExceededError):
             calls.clear()
-            try:
-                enumerate_set(entry.algebra, budget=SUITE_BUDGET)
-            except (AbelianShortCircuit, BudgetExceededError):
-                continue
-            if not calls:  # the filter path
-                continue
+            enumerate_central(alg, budget=SUITE_BUDGET)
             ((aset, U, X_basis),) = calls
-            ref = elimination_reference.invertible_points(entry.algebra, U, X_basis)
-            assert np.array_equal(aset.member_array(), ref), (entry.name, aset.kind)
-            m, s, h = _heads(entry.algebra, U, X_basis)
-            assert aset.size == h * p ** (m - s), (entry.name, aset.kind)
+            assert aset == run.central
+            cases.append((aset, U, X_basis))
+        if _abelian_second_center(alg) and not isinstance(run.commuting, BudgetExceededError):
+            U = commuting_reference.second_center_columns(alg)
+            cases.append((derivation_sets(alg), U, commuting_reference.commuting_derivations(alg, U)))
+        for aset, U, X_basis in cases:
+            ref = elimination_reference.invertible_points(alg, U, X_basis)
+            assert np.array_equal(aset.member_array(), ref), (run.name, aset.kind)
+            m, s, h = _heads(alg, U, X_basis)
+            assert aset.size == h * p ** (m - s), (run.name, aset.kind)
             checked[aset.kind] += 1
     assert checked == {3: {"commuting": 10, "central": 18}, 5: {"commuting": 8, "central": 15}, 7: {"commuting": 8, "central": 15}}[p]
 
@@ -514,9 +509,9 @@ def test_filiform_points_are_all_members(monkeypatch, p):
     for entry in default_catalog(FieldSpec.prime(p)):
         if not entry.name.startswith("filiform_") or "plus" in entry.name:
             continue
-        for enumerate_set in (enumerate_commuting, enumerate_central):
+        for enumerate_set in (commuting_reference.derivation_path, enumerate_central):
             calls.clear()
-            aset = enumerate_set(entry.algebra, budget=SUITE_BUDGET)
+            aset = enumerate_set(entry.algebra)
             ((_, U, X_basis),) = calls
             m, s, h = _heads(entry.algebra, U, X_basis)
             assert (s, h) == (0, 1) and aset.size == p**m, (entry.name, aset.kind)
