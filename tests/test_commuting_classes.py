@@ -24,7 +24,7 @@ from coclass_lab.search import BudgetExceededError
 GOLDEN = Path(__file__).resolve().parent / "golden" / "catalog_sets.json"
 # catalog rows within SUITE_BUDGET at each prime
 WITHIN_BUDGET = {3: 16, 5: 11, 7: 9}
-# N, the number of classes, by row, measured with a prototype outside the library
+# N, the number of classes, at F3, F5 and F7 (None: refused at that prime or not pinned)
 CLASSES = {
     "filiform_6": (1, 1, 1),
     "heisenberg_1_1": (2, 4, 6),
