@@ -80,11 +80,12 @@ D(L) in Z_2 and B_D = 0, which holds every f - I for f in S (above).
 
 So only the p^(dim V') points g + V', V = Z^r ⊕ V', go through the class
 test (choosing central parts) and the filter, in blocks of CHUNK rows,
-which leaves one invertible representative of each of the N classes.  S is listed as the N |Aut_c| products r ∘ c, with
-candidate inverses c^-1 ∘ r^-1 that ``_finish_set`` proves as any other;
-for N = 1 the one class is the identity's and S = Aut_c.  The paths this
-replaced, the filter over all of g + V and, where [Z_2, Z_2] = 0, the
-invertible points of I + W, are in ``tests/commuting_reference.py``.
+which leaves one invertible representative of each of the N classes.
+S is listed as the N |Aut_c| products r ∘ c, with candidate inverses
+c^-1 ∘ r^-1 that ``_finish_set`` proves as any other; for N = 1 the one
+class is the identity's and S = Aut_c.  The paths this replaced, the
+filter over all of g + V and, where [Z_2, Z_2] = 0, the invertible
+points of I + W, are in ``tests/commuting_reference.py``.
 
 The central set is enumerated by ``_invertible_points``: I + U X is
 invertible exactly when the k x k block I + X U is (Sylvester), which
@@ -442,7 +443,8 @@ def _class_representatives(algebra: LieAlgebra, g: np.ndarray, V: np.ndarray) ->
     count = p ** len(V_prime)
     kept = [np.zeros((0, n, n), dtype=np.int64)]
     for start in range(0, count, CHUNK):
-        block = keep(modp.residue(g + _span_points(V_prime, p, np.arange(start, min(count, start + CHUNK))).reshape(-1, r, n), p))
+        points = _span_points(V_prime, p, np.arange(start, min(count, start + CHUNK))).reshape(-1, r, n)
+        block = keep(modp.residue(g + points, p))
         if len(block):
             kept.append(_filter_assignments(algebra, pres, T, block))
     return np.concatenate(kept)
@@ -468,9 +470,8 @@ def _class_test(algebra: LieAlgebra, center: np.ndarray):
         coords, pivots, assignments = coords[spans], pivots[spans], assignments[spans]
         free = np.ones(coords.shape[:2], dtype=bool)
         np.put_along_axis(free, pivots, False, axis=1)
-        b, t = np.nonzero(free)
-        target = np.zeros((len(coords), r, c), dtype=np.int64)
-        target[b, t, (np.cumsum(free, axis=1) - 1)[b, t]] = 1
+        rank = np.cumsum(free, axis=1) - 1  # row t outside the pivots gets unit vector rank[t]
+        target = (free[:, :, None] & (rank[:, :, None] == np.arange(c))).astype(np.int64)
         return modp.residue(assignments + (target - coords[:, :, :c]) @ lift, p)
 
     return keep

@@ -33,10 +33,9 @@ def assignment_blocks(algebra, budget: int):
     n = algebra.dim
     g, V = search._assignment_space(algebra, budget)
     count = p ** len(V)
-    return (
-        modp.residue(g + search._span_points(V, p, np.arange(start, min(count, start + search.CHUNK))).reshape(-1, len(g), n), p)
-        for start in range(0, count, search.CHUNK)
-    )
+    starts = range(0, count, search.CHUNK)
+    points = (search._span_points(V, p, np.arange(start, min(count, start + search.CHUNK))) for start in starts)
+    return (modp.residue(g + block.reshape(-1, len(g), n), p) for block in points)
 
 
 def filtered_commuting(algebra, budget: int):
