@@ -16,6 +16,7 @@ one algebra shares one computation.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -26,11 +27,11 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    _span,
     basis_vec,
     invert,
     kernel,
     vec,
-    zero_vec,
 )
 
 
@@ -63,7 +64,7 @@ def _normalize_sc(field: FieldSpec, dim: int, sc) -> dict:
         for k, c in terms:
             if not 0 <= k < dim:
                 raise ValueError(f"bracket target index {k} out of range")
-            acc[k] = field.add(acc.get(k, field.zero), field.canon(c))
+            acc[k] = field.canon(acc.get(k, 0) + field.canon(c))
         cleaned = tuple((k, c) for k, c in sorted(acc.items()) if c)
         if cleaned:
             table[(i, j)] = cleaned
@@ -79,6 +80,7 @@ class LieAlgebra:
         self.field = field
         self.dim = dim
         self.sc = _normalize_sc(field, dim, dict(sc))
+        self._zeros = (field.zero,) * dim
 
     def __eq__(self, other) -> bool:
         return (
@@ -98,23 +100,14 @@ class LieAlgebra:
 
     def bracket_basis(self, i: int, j: int) -> Vector:
         """[e_i, e_j] as a coordinate vector."""
-        f = self.field
-        if i == j:
-            return zero_vec(f, self.dim)
-        sign = f.one
-        if i > j:
-            i, j = j, i
-            sign = f.neg(f.one)
-        out = [f.zero] * self.dim
-        for k, c in self.sc.get((i, j), ()):
-            out[k] = f.mul(sign, c)
-        return tuple(out)
+        out = list(self._zeros)
+        for k, c in self.sc.get((min(i, j), max(i, j)), ()):
+            out[k] = c
+        return tuple(self.field.scale(-1, out)) if i > j else tuple(out)
 
     def bracket(self, x: Iterable, y: Iterable) -> Vector:
         """Bilinear extension of the structure constants."""
-        f = self.field
-        x = vec(f, x)
-        y = vec(f, y)
+        x, y = vec(self.field, x), vec(self.field, y)
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("vector length != algebra dimension")
         return self._bracket(x, y)
@@ -122,11 +115,12 @@ class LieAlgebra:
     @cached_property
     def _adjacency(self) -> tuple:
         """For each i, the pairs (j, signed terms of [e_i, e_j]) with a nonzero bracket."""
-        f = self.field
+        scale = self.field.scale
         adj = [[] for _ in range(self.dim)]
         for (i, j), terms in self.sc.items():
             adj[i].append((j, terms))
-            adj[j].append((i, tuple((k, f.neg(c)) for k, c in terms)))
+            ks, cs = zip(*terms)
+            adj[j].append((i, tuple(zip(ks, scale(-1, cs)))))
         return tuple(map(tuple, adj))
 
     def _bracket(self, x: Vector, y: Vector) -> Vector:
@@ -135,7 +129,7 @@ class LieAlgebra:
         Walks only x's nonzero coordinates and their nonzero brackets,
         accumulating exactly and reducing once at the end.
         """
-        out = [self.field.zero] * self.dim
+        out = list(self._zeros)
         adj = self._adjacency
         for i, xi in enumerate(x):
             if xi:
@@ -146,7 +140,7 @@ class LieAlgebra:
                         for k, t in terms:
                             out[k] += c * t
         p = self.field.p
-        return tuple(v % p for v in out) if p else tuple(out)
+        return tuple([v % p for v in out]) if p else tuple(out)
 
     def ad_matrix(self, j: int) -> Matrix:
         """Matrix of x -> [x, e_j] acting on coordinates."""
@@ -167,12 +161,12 @@ class LieAlgebra:
         p = self.field.p
         violations = []
         for i, j, k in combinations(range(self.dim), 3):
-            out = [self.field.zero] * self.dim
+            out = list(self._zeros)
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
                 for m, x in table[a].get(b, ()):
                     for l, y in table[m].get(c, ()):
                         out[l] += x * y
-            r = tuple(v % p for v in out) if p else tuple(out)
+            r = tuple([v % p for v in out]) if p else tuple(out)
             if any(r):
                 violations.append(JacobiViolation((i, j, k), r))
         return violations
@@ -190,7 +184,7 @@ class LieAlgebra:
         if a.ambient_dim != self.dim or b.ambient_dim != self.dim:
             raise ValueError("ambient dimension mismatch")
         vecs = [self._bracket(x, y) for x in a.basis.rows for y in b.basis.rows]
-        return Subspace.from_vectors(self.field, self.dim, vecs)
+        return _span(self.field, self.dim, vecs)
 
     def derived(self) -> Subspace:
         """[L, L]; the lower series stops at L itself when [L, L] = L."""
@@ -208,15 +202,18 @@ class LieAlgebra:
     def _center_preimage(self, z: Subspace) -> Subspace:
         """{x : [x, e_j] in z for all j}: the kernel of c . [e_i, e_j] over constraints c of z."""
         f = self.field
-        constraints = z.annihilator().rows
+        columns = tuple(zip(*z.annihilator().rows))  # columns[k][ci] is constraint ci's entry k
         # row (c, j), column i holds c . [e_i, e_j]; only nonzero brackets contribute
-        rows = {}
+        rows = defaultdict(list(self._zeros).copy)
         for i, pairs in enumerate(self._adjacency):
             for j, terms in pairs:
-                for ci, c in enumerate(constraints):
-                    value = f.canon(sum(c[k] * t for k, t in terms))
+                (k, t), *rest = terms
+                values = f.scale(t, columns[k])  # c . [e_i, e_j] for every constraint c at once
+                for k, t in rest:
+                    values = f.sub_multiple(values, -t, columns[k])
+                for ci, value in enumerate(values):
                     if value:
-                        rows.setdefault((ci, j), [f.zero] * self.dim)[i] = value
+                        rows[ci, j][i] = value
         if not rows:
             return self.full_space()
         return kernel(Matrix(self.field, tuple(map(tuple, rows.values()))))
@@ -319,7 +316,7 @@ class LieAlgebra:
         n = self.dim
         generators = tuple(self.generator_indices())
         values = [basis_vec(f, n, g) for g in generators]
-        span = Subspace.from_vectors(f, n, values)
+        span = _span(f, n, values)
         steps = []
         s = 0
         while not span.is_full():
@@ -330,7 +327,7 @@ class LieAlgebra:
                 if not span.contains(w):
                     steps.append((t, s))
                     values.append(w)
-                    span = Subspace.from_vectors(f, n, span.basis.rows + (w,))
+                    span = _span(f, n, span.basis.rows + (w,))
             s += 1
         return GeneratorPresentation(generators, tuple(steps), invert(Matrix(f, tuple(zip(*values)))))
 

@@ -1,15 +1,22 @@
-"""Exact scalar arithmetic over odd prime fields F_p and the rationals.
+"""Exact arithmetic over odd prime fields F_p and the rationals.
 
 Scalars are plain Python values: canonical residues (``int`` in ``[0, p)``)
 for prime fields, :class:`fractions.Fraction` for the rationals.  A
 :class:`FieldSpec` bundles the arithmetic so matrices, subspaces and
 structure constants never have to special-case the field kind.
+
+Arithmetic works per row: ``scale``, ``sub_multiple`` and ``dot`` choose
+their form (``% p`` inline over F_p, plain ``Fraction`` arithmetic over Q)
+once per call, not once per scalar, on canonical rows.  Vectors the package
+makes are canonical and are not checked again; outside input goes through
+``canon``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Union
 
 Scalar = Union[int, Fraction]
@@ -71,11 +78,11 @@ class FieldSpec:
 
     @property
     def zero(self) -> Scalar:
-        return 0 if self.is_prime else Fraction(0)
+        return 0 if self.p else Fraction(0)
 
     @property
     def one(self) -> Scalar:
-        return 1 if self.is_prime else Fraction(1)
+        return 1 if self.p else Fraction(1)
 
     def canon(self, x) -> Scalar:
         """Canonical form of an int/Fraction (residue or reduced fraction)."""
@@ -89,22 +96,28 @@ class FieldSpec:
             return x % self.p
         return x if isinstance(x, Fraction) else Fraction(x)
 
-    def add(self, a: Scalar, b: Scalar) -> Scalar:
-        return (a + b) % self.p if self.is_prime else a + b
+    def scale(self, c: Scalar, row) -> list:
+        """c * row; c is canonical or a plain int."""
+        p = self.p
+        return [c * x % p for x in row] if p else [c * x if x else x for x in row]
 
-    def sub(self, a: Scalar, b: Scalar) -> Scalar:
-        return (a - b) % self.p if self.is_prime else a - b
+    def sub_multiple(self, a, c: Scalar, b) -> list:
+        """a - c * b for rows a and b; c is canonical or a plain int."""
+        p = self.p
+        if p:
+            return [(x - c * y) % p for x, y in zip(a, b)]
+        return [x - c * y if y else x for x, y in zip(a, b)]
 
-    def mul(self, a: Scalar, b: Scalar) -> Scalar:
-        return (a * b) % self.p if self.is_prime else a * b
-
-    def neg(self, a: Scalar) -> Scalar:
-        return (-a) % self.p if self.is_prime else -a
+    def dot(self, a, b) -> Scalar:
+        """Sum of a_i b_i."""
+        if self.p:
+            return sum(map(mul, a, b)) % self.p
+        return sum((x * y for x, y in zip(a, b) if x and y), Fraction(0))
 
     def inv(self, a: Scalar) -> Scalar:
         if not a:
             raise ZeroDivisionError("inverse of zero")
-        return pow(a, -1, self.p) if self.is_prime else 1 / a
+        return pow(a, -1, self.p) if self.p else 1 / a
 
     def parse(self, text) -> Scalar:
         """Scalar from catalog-file form: int, or "num/den" for rationals."""

@@ -7,7 +7,10 @@ equality and lets closure/equality verdicts compare sets of subspaces
 without quotienting logic.
 
 Sizes here are desk scale (n <= 10 or so); clarity and exactness beat
-asymptotics.
+asymptotics.  Arithmetic works per row (the :class:`FieldSpec` row
+operations) in one Gauss-Jordan for both field kinds.  Vectors the package
+makes are canonical and are not checked again (``kernel`` and ``_span`` take
+them as they are); outside input is canonicalised, through ``vec``.
 """
 
 from __future__ import annotations
@@ -15,13 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .fields import FieldSpec, Scalar
+from .fields import FieldSpec
 
 Vector = tuple
 
 
 def vec(field: FieldSpec, entries: Iterable) -> Vector:
-    return tuple(field.canon(x) for x in entries)
+    return tuple([field.canon(x) for x in entries])
 
 
 def zero_vec(field: FieldSpec, n: int) -> Vector:
@@ -29,15 +32,15 @@ def zero_vec(field: FieldSpec, n: int) -> Vector:
 
 
 def basis_vec(field: FieldSpec, n: int, i: int) -> Vector:
-    return tuple(field.one if j == i else field.zero for j in range(n))
+    return (field.zero,) * i + (field.one,) + (field.zero,) * (n - i - 1)
 
 
 def add_vec(field: FieldSpec, a: Vector, b: Vector) -> Vector:
-    return tuple(field.add(x, y) for x, y in zip(a, b))
+    return tuple(field.sub_multiple(a, -1, b))
 
 
 def sub_vec(field: FieldSpec, a: Vector, b: Vector) -> Vector:
-    return tuple(field.sub(x, y) for x, y in zip(a, b))
+    return tuple(field.sub_multiple(a, 1, b))
 
 
 def is_zero_vec(a: Vector) -> bool:
@@ -78,39 +81,28 @@ class Matrix:
 
     def apply(self, v: Vector) -> Vector:
         """Matrix-vector product."""
-        f = self.field
         if len(v) != self.ncols:
             raise ValueError("dimension mismatch")
-        out = []
-        for row in self.rows:
-            acc = f.zero
-            for a, x in zip(row, v):
-                if a and x:
-                    acc = f.add(acc, f.mul(a, x))
-            out.append(acc)
-        return tuple(out)
+        dot = self.field.dot
+        return tuple(dot(row, v) for row in self.rows)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch")
-        f = self.field
+        dot = self.field.dot
         cols = other.transpose().rows
-        return Matrix(f, tuple(tuple(_dot(f, r, c) for c in cols) for r in self.rows))
+        return Matrix(self.field, tuple(tuple(dot(r, c) for c in cols) for r in self.rows))
 
 
-def _dot(field: FieldSpec, a: Sequence, b: Sequence) -> Scalar:
-    acc = field.zero
-    for x, y in zip(a, b):
-        if x and y:
-            acc = field.add(acc, field.mul(x, y))
-    return acc
+def _rref_rows(field: FieldSpec, rows: Sequence) -> tuple[list, list]:
+    """Gauss-Jordan on a copy of canonical rows; returns (reduced rows, pivot column list).
 
-
-def _rref_rows(field: FieldSpec, rows: list) -> tuple[list, list]:
-    """In-place Gauss-Jordan; returns (reduced rows, pivot column list)."""
+    The rows from column c's pivot row down are zero left of c, so row operations start at c.
+    """
     rows = [list(r) for r in rows]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
+    scale, sub_multiple = field.scale, field.sub_multiple
     pivots = []
     r = 0
     for c in range(ncols):
@@ -118,12 +110,13 @@ def _rref_rows(field: FieldSpec, rows: list) -> tuple[list, list]:
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, x) for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [field.sub(x, field.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
+        head = rows[r]
+        if head[c] != 1:
+            head[c:] = scale(field.inv(head[c]), head[c:])
+        tail = head[c:]
+        for i, row in enumerate(rows):
+            if row[c] and i != r:
+                row[c:] = sub_multiple(row[c:], row[c], tail)
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -132,7 +125,7 @@ def _rref_rows(field: FieldSpec, rows: list) -> tuple[list, list]:
 
 
 def rank(m: Matrix) -> int:
-    _, pivots = _rref_rows(m.field, list(m.rows))
+    _, pivots = _rref_rows(m.field, m.rows)
     return len(pivots)
 
 
@@ -145,7 +138,7 @@ def invert(m: Matrix) -> Optional[Matrix]:
     if m.nrows != m.ncols:
         return None
     n = m.nrows
-    aug = [list(row) + list(basis_vec(m.field, n, i)) for i, row in enumerate(m.rows)]
+    aug = [[*row, *basis_vec(m.field, n, i)] for i, row in enumerate(m.rows)]
     rows, pivots = _rref_rows(m.field, aug)
     if pivots != list(range(n)):
         return None
@@ -165,18 +158,13 @@ class Subspace:
     @staticmethod
     def from_vectors(field: FieldSpec, ambient_dim: int, vectors: Iterable) -> "Subspace":
         vs = [vec(field, v) for v in vectors]
-        for v in vs:
-            if len(v) != ambient_dim:
-                raise ValueError("vector length != ambient dimension")
-        if not vs:
-            return Subspace(ambient_dim, Matrix(field, ()))
-        rows, pivots = _rref_rows(field, vs)
-        keep = tuple(tuple(rows[i]) for i in range(len(pivots)))
-        return Subspace(ambient_dim, Matrix(field, keep))
+        if any(len(v) != ambient_dim for v in vs):
+            raise ValueError("vector length != ambient dimension")
+        return _span(field, ambient_dim, vs)
 
     @staticmethod
     def zero(field: FieldSpec, ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, Matrix(field, ()))
+        return Subspace.from_vectors(field, ambient_dim, ())
 
     @staticmethod
     def full(field: FieldSpec, ambient_dim: int) -> "Subspace":
@@ -199,14 +187,12 @@ class Subspace:
 
     def contains(self, v: Vector) -> bool:
         """Membership via residual after elimination against the rref basis."""
-        f = self.field
-        v = vec(f, v)
-        residual = list(v)
+        sub_multiple = self.field.sub_multiple
+        residual = vec(self.field, v)
         for row in self.basis.rows:
             c = next(i for i, x in enumerate(row) if x)  # pivot column
             if residual[c]:
-                factor = residual[c]
-                residual = [f.sub(x, f.mul(factor, y)) for x, y in zip(residual, row)]
+                residual = sub_multiple(residual, residual[c], row)
         return not any(residual)
 
     def contains_subspace(self, other: "Subspace") -> bool:
@@ -224,17 +210,22 @@ class Subspace:
         return kernel(self.basis).basis
 
 
+def _span(field: FieldSpec, ambient_dim: int, rows: Sequence) -> Subspace:
+    """Span of canonical rows of length ambient_dim, as they are (no check, no canonicalisation)."""
+    reduced, pivots = _rref_rows(field, rows)
+    return Subspace(ambient_dim, Matrix(field, tuple(map(tuple, reduced[: len(pivots)]))))
+
+
 def kernel(m: Matrix) -> Subspace:
     """Solution space {x : m x = 0}, canonical basis."""
-    f = m.field
-    n = m.ncols
-    rows, pivots = _rref_rows(f, list(m.rows))
-    free = [c for c in range(n) if c not in pivots]
+    f, n = m.field, m.ncols
+    rows, pivots = _rref_rows(f, m.rows)
+    negated = [f.scale(-1, row) for row in rows[: len(pivots)]]
     basis = []
-    for fc in free:
+    for fc in (c for c in range(n) if c not in pivots):
         v = [f.zero] * n
         v[fc] = f.one
-        for r, pc in enumerate(pivots):
-            v[pc] = f.neg(rows[r][fc])
-        basis.append(tuple(v))
-    return Subspace.from_vectors(f, n, basis)
+        for row, pc in zip(negated, pivots):
+            v[pc] = row[fc]
+        basis.append(v)
+    return _span(f, n, basis)

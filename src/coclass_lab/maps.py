@@ -73,8 +73,8 @@ class LinearMap:
             if j in assignments:
                 img = [f.zero] * algebra.dim
                 for k, c in assignments[j]:
-                    img[k] = f.add(img[k], f.canon(c))
-                images.append(tuple(img))
+                    img[k] += f.canon(c)
+                images.append(img)
             else:
                 images.append(basis_vec(f, algebra.dim, j))
         return LinearMap.from_images(algebra, images)
@@ -134,10 +134,11 @@ def is_homomorphism(algebra: LieAlgebra, f: LinearMap) -> DefectReport:
     if f.dim != algebra.dim:
         raise ValueError("map/algebra dimension mismatch")
     witnesses = []
+    images = f.matrix.transpose().rows
     for i in range(algebra.dim):
         for j in range(i + 1, algebra.dim):
-            lhs = f.apply(algebra.bracket_basis(i, j))
-            rhs = algebra.bracket(f.image_of_basis(i), f.image_of_basis(j))
+            lhs = f.matrix.apply(algebra.bracket_basis(i, j))
+            rhs = algebra._bracket(images[i], images[j])
             residual = sub_vec(algebra.field, lhs, rhs)
             if not is_zero_vec(residual):
                 witnesses.append(((i, j), residual))
@@ -158,19 +159,15 @@ def is_automorphism(algebra: LieAlgebra, f: LinearMap) -> DefectReport:
 def commuting_defect(algebra: LieAlgebra, f: LinearMap) -> DefectReport:
     """Residuals of B(e_i) = [f(e_i), e_i] and S(e_i, e_j), see module docstring."""
     witnesses = []
-    images = [f.image_of_basis(i) for i in range(algebra.dim)]
+    bracket, images = algebra._bracket, f.matrix.transpose().rows
     basis = [basis_vec(algebra.field, algebra.dim, i) for i in range(algebra.dim)]
     for i in range(algebra.dim):
-        b = algebra.bracket(images[i], basis[i])
+        b = bracket(images[i], basis[i])
         if not is_zero_vec(b):
             witnesses.append(((i,), b))
     for i in range(algebra.dim):
         for j in range(i + 1, algebra.dim):
-            s = add_vec(
-                algebra.field,
-                algebra.bracket(images[i], basis[j]),
-                algebra.bracket(images[j], basis[i]),
-            )
+            s = add_vec(algebra.field, bracket(images[i], basis[j]), bracket(images[j], basis[i]))
             if not is_zero_vec(s):
                 witnesses.append(((i, j), s))
     return DefectReport(None if not witnesses else NOT_COMMUTING, tuple(witnesses))
@@ -221,7 +218,7 @@ def commuting_witness(algebra: LieAlgebra, f: LinearMap):
             basis_vec(algebra.field, algebra.dim, i),
             basis_vec(algebra.field, algebra.dim, j),
         )
-    return x, algebra.bracket(f.apply(x), x)
+    return x, algebra._bracket(f.matrix.apply(x), x)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ tests require the library to agree with them.
 
 from itertools import product
 
+from elimination_reference import add, mul, sub
 from coclass_lab.algebra import JacobiViolation, LieAlgebra, NotSubalgebraError
 from coclass_lab.linalg import Matrix, Subspace, add_vec, basis_vec, is_zero_vec, kernel, vec
 
@@ -26,7 +27,7 @@ def span_vectors(s: Subspace) -> set:
     for coeffs in product(range(f.p), repeat=s.dim):
         v = [f.zero] * s.ambient_dim
         for c, row in zip(coeffs, s.basis.rows):
-            v = [f.add(x, f.mul(c, y)) for x, y in zip(v, row)]
+            v = [add(f, x, mul(f, c, y)) for x, y in zip(v, row)]
         vectors.add(tuple(v))
     return vectors
 
@@ -37,10 +38,10 @@ def bracket(alg, x, y) -> tuple:
     y = vec(f, y)
     out = [f.zero] * alg.dim
     for (i, j), terms in alg.sc.items():
-        coeff = f.sub(f.mul(x[i], y[j]), f.mul(x[j], y[i]))
+        coeff = sub(f, mul(f, x[i], y[j]), mul(f, x[j], y[i]))
         if coeff:
             for k, c in terms:
-                out[k] = f.add(out[k], f.mul(coeff, c))
+                out[k] = add(f, out[k], mul(f, coeff, c))
     return tuple(out)
 
 

@@ -33,7 +33,7 @@ from coclass_lab.search import BudgetExceededError, _finish_set
 
 
 def scale_vec(field, c, a) -> Vector:
-    return tuple(field.mul(c, x) for x in a)
+    return tuple(field.scale(c, a))
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,7 @@ def enumerate_commuting(algebra, budget: int, prune_second_center: bool = True):
         rhs.extend(zero_vec(field, n))
         for s in range(t):
             b = algebra.bracket(images[s], gen_vectors[t])
-            rhs.extend(scale_vec(field, field.neg(field.one), b))
+            rhs.extend(scale_vec(field, -1, b))
         return tuple(rhs)
 
     assignments = []

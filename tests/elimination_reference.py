@@ -1,5 +1,10 @@
 """Eliminations the library no longer runs, kept as references for the tests.
 
+* ``rref_rows``, ``rank``, ``reference_invert``, ``kernel`` and ``contains``: the
+  exact core's Gauss-Jordan as it was before arithmetic moved to rows,
+  one scalar at a time through ``add``, ``sub``, ``mul``, ``neg`` and
+  ``canon``, over the whole row at every step, with every input vector
+  canonicalised and the kernel's basis built by per-scalar negation.
 * ``spanning_rows``: the pivot columns of one forward elimination of the
   (m, N) transpose, across all N rows at once.
 * ``batch_invertible`` and ``batch_inverse``: Gaussian and Gauss-Jordan
@@ -27,6 +32,94 @@ import numpy as np
 
 from coclass_lab import modp
 from coclass_lab.linalg import Matrix, basis_vec, invert
+
+
+def add(field, a, b):
+    return (a + b) % field.p if field.p else a + b
+
+
+def sub(field, a, b):
+    return (a - b) % field.p if field.p else a - b
+
+
+def mul(field, a, b):
+    return (a * b) % field.p if field.p else a * b
+
+
+def neg(field, a):
+    return (-a) % field.p if field.p else -a
+
+
+def rref_rows(field, rows) -> tuple:
+    """Gauss-Jordan over whole rows, one scalar at a time: (reduced rows, pivot columns)."""
+    rows = [[field.canon(x) for x in r] for r in rows]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = field.inv(rows[r][c])
+        rows[r] = [mul(field, inv, x) for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                factor = rows[i][c]
+                rows[i] = [sub(field, x, mul(field, factor, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def rank(field, rows) -> int:
+    return len(rref_rows(field, rows)[1])
+
+
+def reference_invert(field, rows):
+    """Rows of the inverse of a square matrix, or None when it is singular."""
+    n = len(rows)
+    one, zero = field.canon(1), field.canon(0)
+    aug = [list(row) + [one if j == i else zero for j in range(n)] for i, row in enumerate(rows)]
+    reduced, pivots = rref_rows(field, aug)
+    if pivots != list(range(n)):
+        return None
+    return tuple(tuple(r[n:]) for r in reduced)
+
+
+def span_rows(field, rows) -> tuple:
+    """The reduced row-echelon basis of the span of rows."""
+    if not rows:
+        return ()
+    reduced, pivots = rref_rows(field, rows)
+    return tuple(tuple(reduced[i]) for i in range(len(pivots)))
+
+
+def kernel(field, rows, ncols: int) -> tuple:
+    """The reduced row-echelon basis of {x : rows x = 0}."""
+    reduced, pivots = rref_rows(field, rows)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [field.canon(0)] * ncols
+        v[fc] = field.canon(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = neg(field, reduced[r][fc])
+        basis.append(v)
+    return span_rows(field, basis)
+
+
+def contains(field, basis_rows, v) -> bool:
+    """v in the span of a reduced row-echelon basis, by the residual after elimination."""
+    residual = [field.canon(x) for x in v]
+    for row in basis_rows:
+        c = next(i for i, x in enumerate(row) if x)
+        if residual[c]:
+            factor = residual[c]
+            residual = [sub(field, x, mul(field, factor, y)) for x, y in zip(residual, row)]
+    return not any(residual)
 
 
 def spanning_rows(rows: np.ndarray, p: int) -> list:

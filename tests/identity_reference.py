@@ -49,7 +49,7 @@ def lemma_identity_suite(algebra: LieAlgebra, f: LinearMap) -> IdentitySuiteRepo
     pair_brackets = [[algebra.bracket_basis(j, k) for k in range(n)] for j in range(n)]
     center = algebra.center()
     second = algebra.second_center()
-    two = fld.add(fld.one, fld.one)
+    two = fld.canon(2)
 
     v = {name: [] for name in IDENTITY_NAMES}
 
@@ -100,7 +100,7 @@ def lemma_identity_suite(algebra: LieAlgebra, f: LinearMap) -> IdentitySuiteRepo
                     v["displacement_bracket_swap"].append(((i, j, k), r))
                 inner = algebra.bracket(basis[j], disp[i])
                 rhs = algebra.bracket(basis[k], inner)
-                r = sub_vec(fld, lhs, tuple(fld.mul(two, x) for x in rhs))
+                r = sub_vec(fld, lhs, fld.scale(two, rhs))
                 if not is_zero_vec(r):
                     v["double_bracket_factor"].append(((i, j, k), r))
                 if not is_zero_vec(lhs):

@@ -8,9 +8,10 @@ from coclass_lab.fields import FieldError, FieldSpec
 def test_prime_field_basics():
     f = FieldSpec.prime(5)
     assert f.is_prime and f.p == 5
-    assert f.add(3, 4) == 2
-    assert f.mul(3, 4) == 2
-    assert f.neg(2) == 3
+    assert f.scale(3, [4, 1, 0]) == [2, 3, 0]
+    assert f.sub_multiple([3, 0, 1], 4, [3, 2, 1]) == [1, 2, 2]
+    assert f.sub_multiple([3], -1, [4]) == [2]  # a plain int multiplier
+    assert f.dot([3, 4, 1], [4, 3, 0]) == 4
     assert f.inv(2) == 3
     assert f.canon(-1) == 4
     assert f.canon(Fraction(1, 2)) == 3  # 2^-1 = 3 mod 5
@@ -21,6 +22,14 @@ def test_rational_field_basics():
     assert not f.is_prime
     assert f.inv(Fraction(2, 3)) == Fraction(3, 2)
     assert f.canon(7) == Fraction(7)
+    half, zero = Fraction(1, 2), Fraction(0)
+    assert f.scale(half, [Fraction(4), zero]) == [2, 0]
+    assert f.sub_multiple([Fraction(1), half], -1, [half, zero]) == [Fraction(3, 2), half]
+    assert f.dot([half, zero], [half, Fraction(5)]) == Fraction(1, 4)
+    assert f.dot([], []) == 0
+    for row in (f.scale(half, [Fraction(4), zero]), f.sub_multiple([zero], 3, [Fraction(1)])):
+        assert all(type(x) is Fraction for x in row)
+    assert type(f.dot([zero], [zero])) is Fraction
 
 
 def test_characteristic_two_rejected():

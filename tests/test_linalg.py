@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from algebra_reference import span_vectors
 from dfs_reference import solve_affine
+from coclass_lab.constructions import filiform
 from coclass_lab.fields import FieldSpec
 from coclass_lab.linalg import (
     Matrix,
@@ -17,6 +18,7 @@ from coclass_lab.linalg import (
     rank,
     vec,
 )
+from coclass_lab.maps import LinearMap
 
 F3 = FieldSpec.prime(3)
 F5 = FieldSpec.prime(5)
@@ -136,6 +138,60 @@ def test_contains_agrees_with_exhaustive_membership():
             explicit.add(tuple((a * x + b * y) % 3 for x, y in zip(*basis)))
     for v in all_vectors(3, 3):
         assert s.contains(v) == (v in explicit)
+
+
+# -- outside input ----------------------------------------------------------
+
+# over F5, each raw entry and its canonical residue
+RAW_F5 = (-1, 5, 11, Fraction(1, 2))
+CANON_F5 = (4, 0, 1, 3)
+
+
+def typed(values):
+    """Nested tuples with every scalar paired with its type, so 1 and Fraction(1) differ."""
+    if isinstance(values, (tuple, list)):
+        return tuple(typed(v) for v in values)
+    return (type(values), values)
+
+
+def _outside_results(field, vectors):
+    """What each canonicalising entry point returns on the same four length-4 vectors."""
+    algebra = filiform(4, field)
+    x, y, u, w = vectors
+    f = LinearMap.from_images(algebra, vectors)
+    line = Subspace.from_vectors(field, 4, [(1, 0, 0, 0)])
+    return {
+        "from_vectors": Subspace.from_vectors(field, 4, vectors).basis.rows,
+        "bracket": tuple(algebra.bracket(a, b) for a in vectors for b in vectors),
+        "from_images": f.matrix.rows,
+        "apply": (LinearMap.identity(algebra).apply(x), f.apply(y)),
+        "contains": (
+            Subspace.zero(field, 4).contains(w),
+            line.contains(w),
+            line.contains(x),
+            Subspace.from_vectors(field, 4, [u]).contains(u),
+        ),
+    }
+
+
+def test_outside_input_is_canonicalised_over_f5():
+    # indices into RAW_F5/CANON_F5; the last vector is all 5s, zero written as a multiple of p
+    layout = [(0, 1, 2, 3), (3, 0, 1, 2), (2, 3, 0, 1), (1, 1, 1, 1)]
+    raw = [tuple(RAW_F5[i] for i in row) for row in layout]
+    canonical = [tuple(CANON_F5[i] for i in row) for row in layout]
+    got, want = _outside_results(F5, raw), _outside_results(F5, canonical)
+    assert want["contains"][0]  # the zero vector lies in every subspace
+    for name in want:
+        assert typed(got[name]) == typed(want[name]), name
+
+
+def test_outside_input_is_canonicalised_over_q():
+    ints = [(1, -2, 0, 3), (0, 4, -1, 0), (2, 0, 0, 5), (0, 0, 0, 0)]
+    fractions = [tuple(Fraction(x) for x in row) for row in ints]
+    got, want = _outside_results(Q, ints), _outside_results(Q, fractions)
+    for name in want:
+        assert typed(got[name]) == typed(want[name]), name
+    assert all(t is Fraction for row in typed(got["from_images"]) for t, _ in row)
 
 
 # -- invert -----------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from identity_reference import lemma_identity_suite
 from coclass_lab.constructions import dim5_example, filiform, heisenberg
 from coclass_lab.fields import FieldSpec
-from coclass_lab.linalg import Matrix, basis_vec
+from coclass_lab.linalg import Matrix, basis_vec, sub_vec
 from coclass_lab.maps import (
     NOT_COMMUTING,
     NOT_HOMOMORPHISM,
@@ -205,10 +205,7 @@ def test_suite_over_enumerated_filiform5_members():
         report = lemma_identity_suite(L, f)
         assert report.passed
         for i in range(5):
-            d = tuple(
-                L.field.sub(a, b)
-                for a, b in zip(f.image_of_basis(i), basis_vec(F3, 5, i))
-            )
+            d = sub_vec(L.field, f.image_of_basis(i), basis_vec(F3, 5, i))
             assert second.contains(d)
 
 

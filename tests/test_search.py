@@ -13,7 +13,7 @@ from coclass_lab.constructions import (
     heisenberg,
 )
 from coclass_lab.fields import FieldSpec
-from coclass_lab.linalg import Matrix, basis_vec
+from coclass_lab.linalg import Matrix, add_vec, basis_vec, sub_vec
 from coclass_lab.maps import LinearMap, commuting_defect, compose, inverse, is_commuting
 from coclass_lab.search import (
     AbelianShortCircuit,
@@ -74,9 +74,7 @@ def test_filiform4_members_are_central_shifts(sets):
     center = L.center()
     for f in members(aset):
         for i in range(4):
-            d = tuple(
-                F3.sub(a, b) for a, b in zip(f.image_of_basis(i), basis_vec(F3, 4, i))
-            )
+            d = sub_vec(F3, f.image_of_basis(i), basis_vec(F3, 4, i))
             assert center.contains(d)
 
 
@@ -191,7 +189,7 @@ def test_central_members_fix_everything_mod_center(sets):
     center = L.center()
     for f in members(aset):
         for i in range(L.dim):
-            d = tuple(F3.sub(a, b) for a, b in zip(f.image_of_basis(i), basis_vec(F3, 5, i)))
+            d = sub_vec(F3, f.image_of_basis(i), basis_vec(F3, 5, i))
             assert center.contains(d)
 
 
@@ -420,12 +418,8 @@ def test_composition_commuting_iff_symmetric_form_vanishes(sets):
                 if any(L.bracket(fi, gi)):
                     form_ok = False
                 for j in range(i + 1, L.dim):
-                    s = tuple(
-                        F3.add(a, b)
-                        for a, b in zip(
-                            L.bracket(fi, g.image_of_basis(j)),
-                            L.bracket(f.image_of_basis(j), gi),
-                        )
+                    s = add_vec(
+                        F3, L.bracket(fi, g.image_of_basis(j)), L.bracket(f.image_of_basis(j), gi)
                     )
                     if any(s):
                         form_ok = False
