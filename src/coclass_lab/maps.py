@@ -158,6 +158,8 @@ def is_automorphism(algebra: LieAlgebra, f: LinearMap) -> DefectReport:
 
 def commuting_defect(algebra: LieAlgebra, f: LinearMap) -> DefectReport:
     """Residuals of B(e_i) = [f(e_i), e_i] and S(e_i, e_j), see module docstring."""
+    if f.dim != algebra.dim:
+        raise ValueError("map/algebra dimension mismatch")
     witnesses = []
     bracket, images = algebra._bracket, f.matrix.transpose().rows
     basis = [basis_vec(algebra.field, algebra.dim, i) for i in range(algebra.dim)]

@@ -174,6 +174,14 @@ def test_inverse_of_singular_raises():
 # -- identity suite ------------------------------------------------------------------
 
 
+def test_predicates_reject_a_map_of_another_dimension():
+    L = filiform(4, F3)
+    f = LinearMap.identity(filiform(3, F3))
+    for predicate in (is_homomorphism, commuting_defect):
+        with pytest.raises(ValueError):
+            predicate(L, f)
+
+
 def test_identity_map_passes_suite_everywhere():
     for L in (filiform(5, F3), heisenberg(2, 1, F5), dim5_example(Q)):
         report = lemma_identity_suite(L, LinearMap.identity(L))
