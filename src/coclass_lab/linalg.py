@@ -27,10 +27,6 @@ def vec(field: FieldSpec, entries: Iterable) -> Vector:
     return tuple([field.canon(x) for x in entries])
 
 
-def zero_vec(field: FieldSpec, n: int) -> Vector:
-    return (field.zero,) * n
-
-
 def basis_vec(field: FieldSpec, n: int, i: int) -> Vector:
     return (field.zero,) * i + (field.one,) + (field.zero,) * (n - i - 1)
 
@@ -63,10 +59,6 @@ class Matrix:
     @staticmethod
     def identity(field: FieldSpec, n: int) -> "Matrix":
         return Matrix(field, tuple(basis_vec(field, n, i) for i in range(n)))
-
-    @staticmethod
-    def zeros(field: FieldSpec, nrows: int, ncols: int) -> "Matrix":
-        return Matrix(field, tuple(zero_vec(field, ncols) for _ in range(nrows)))
 
     @property
     def nrows(self) -> int:

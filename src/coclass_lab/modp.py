@@ -22,6 +22,7 @@ and the bound in ``_eliminate`` keeps every unreduced entry exact.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -73,7 +74,7 @@ def subspace_constraints(s) -> np.ndarray:
     return matrix_to_array(s.annihilator(), s.ambient_dim)
 
 
-def spanning_rows(rows: np.ndarray, p: int) -> list:
+def spanning_rows(rows: np.ndarray, p: int, rank: Optional[int] = None) -> list:
     """Indices of the rows of an (N, m) array that span its row space mod p.
 
     Each row that is not a combination of earlier rows is kept.  Rows are
@@ -84,14 +85,20 @@ def spanning_rows(rows: np.ndarray, p: int) -> list:
     block joins the basis at a time; the rest of the block after it is
     reduced by that one row.  The work is O(N m r) for a span of dimension
     r, instead of an elimination across all N rows.
+
+    The scan stops once it has m rows, or ``rank`` rows when the caller
+    knows the dimension of the row space: no block after the one holding
+    the last pick is read.  A ``rank`` below the true dimension returns
+    only that many of the spanning rows.
     """
     inv = inverse_table(p)
     m = rows.shape[1]
+    limit = m if rank is None else rank
     basis = np.zeros((0, m), dtype=np.int64)
     pivots = []
     picked = []
     for start in range(0, len(rows), SPAN_BLOCK):
-        if len(picked) == m:
+        if len(picked) == limit:
             break
         R = residue(rows[start : start + SPAN_BLOCK].astype(np.int64), p)
         if pivots:

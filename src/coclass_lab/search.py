@@ -82,14 +82,22 @@ So only the p^(dim V') points g + V', V = Z^r ⊕ V', go through the class
 test (choosing central parts) and the filter, in blocks of CHUNK rows,
 which leaves one invertible representative of each of the N classes.
 S is listed as the N |Aut_c| products r ∘ c, with candidate inverses
-c^-1 ∘ r^-1 that ``_finish_set`` proves as any other; for N = 1 the one
-class is the identity's and S = Aut_c.  The paths this replaced, the
-filter over all of g + V and, where [Z_2, Z_2] = 0, the invertible
+c^-1 ∘ r^-1 that ``_finish_set`` proves as any other; c^-1 is read from
+Aut_c's inverse index, which its own ``_finish_set`` proved.  For N = 1
+the one class is the identity's and S = Aut_c.  The paths this replaced,
+the filter over all of g + V and, where [Z_2, Z_2] = 0, the invertible
 points of I + W, are in ``tests/commuting_reference.py``.
 
 The central set is enumerated by ``_invertible_points``: I + U X is
 invertible exactly when the k x k block I + X U is (Sylvester), which
 takes only p^s values, and members' inverses come from Woodbury.
+
+Each set carries a basis of its linear span, from how it was built, for
+``closure_check``.  Aut_c lists every invertible head I + U X_y with
+every tail combination, so its members span what the heads and the tail
+maps U T_j span.  Composition is bilinear, so S = R ∘ Aut_c spans what
+the products r ∘ b span, r over a basis of span(R) and b over Aut_c's
+basis.  ``modp.spanning_rows`` of these few maps is the basis.
 """
 
 from __future__ import annotations
@@ -151,21 +159,37 @@ class AutomorphismSet:
 
     Stored once, as a read-only (B, n, n) int64 array of member matrices,
     entries in [0, p), sorted in row-major entry order (the order that
-    LinearMap.key() also gives) without duplicates, beside the sorted row
-    keys that ``outside`` searches (computed from the array unless the
-    builder hands them over).  A member is named by its index in that
-    array; only a closure witness builds LinearMaps.  == compares members.
+    LinearMap.key() also gives) without duplicates.  Beside it are two
+    facts about the members, each handed over by a builder that has
+    proved it and otherwise computed here from the array:
+
+      * ``_keys``, the sorted row keys that ``outside`` searches;
+      * ``_span``, a (d, n, n) basis of the members' linear span mod p
+        (None over Q), which ``closure_check`` reads; its rows need not
+        be members.
+
+    ``_inverse`` holds, when ``_finish_set`` built the set, the index of
+    each member's inverse; it is None otherwise.  A member is named by its
+    index in the array; only a closure witness builds LinearMaps.  ==
+    compares members.
     """
 
     algebra: LieAlgebra
     kind: str  # "commuting" | "central" | "full"
     _array: np.ndarray = dataclass_field(repr=False)
     _keys: Optional[np.ndarray] = dataclass_field(default=None, repr=False)
+    _inverse: Optional[np.ndarray] = dataclass_field(default=None, repr=False)
+    _span: Optional[np.ndarray] = dataclass_field(default=None, repr=False)
 
     def __post_init__(self):
+        p = self.algebra.field.p
         if self._keys is None:
-            object.__setattr__(self, "_keys", _row_keys(self._array, self.algebra.field.p))
-        self._keys.flags.writeable = False
+            object.__setattr__(self, "_keys", _row_keys(self._array, p))
+        if self._span is None and self.algebra.field.is_prime:
+            object.__setattr__(self, "_span", _basis_of(self._array, p))
+        for fact in (self._keys, self._inverse, self._span):
+            if fact is not None:
+                fact.flags.writeable = False
 
     @property
     def size(self) -> int:
@@ -189,22 +213,34 @@ class AutomorphismSet:
 
 
 def _row_keys(mats: np.ndarray, p: int) -> np.ndarray:
-    """One opaque key per matrix whose byte order is the order of LinearMap.key().
+    """One opaque key per matrix whose order is the order of LinearMap.key().
 
     The flattened entries, residues in [0, p), are packed base p, first
-    entry most significant, into big-endian int64 words of d digits each,
-    d the most with p^d < 2^63.  Big-endian bytes of non-negative integers
-    compare like the integers, so comparing the keys compares the
-    flattened entry tuples lexicographically.
+    entry most significant, into int64 words of d digits each, d the most
+    with p^d < 2^63, so each word is non-negative.  When one word holds
+    every entry, that word is the key, a native int64.  Otherwise the
+    words are big-endian and the key is their bytes (``void``):
+    big-endian bytes of non-negative integers compare like the integers.
+    Either way comparing the keys compares the flattened entry tuples
+    lexicographically.
     """
     flat = mats.reshape(len(mats), mats.shape[1] * mats.shape[2])
     d = next(d for d in range(63, 0, -1) if p**d < 2**63)
-    words = np.empty((len(mats), -(-flat.shape[1] // d)), dtype=">i8")
-    for w in range(words.shape[1]):
+    count = -(-flat.shape[1] // d)
+    words = np.empty((len(mats), count), dtype=np.int64 if count == 1 else ">i8")
+    for w in range(count):
         digits = flat[:, w * d : (w + 1) * d]
         powers = np.array([p**e for e in range(digits.shape[1] - 1, -1, -1)], dtype=np.int64)
         words[:, w] = digits @ powers
-    return words.view(np.dtype((np.void, words.shape[1] * 8))).ravel()
+    if count == 1:
+        return words[:, 0]
+    return words.view(np.dtype((np.void, count * 8))).ravel()
+
+
+def _basis_of(maps: np.ndarray, p: int) -> np.ndarray:
+    """The maps of a (B, n, n) array that ``modp.spanning_rows`` keeps, as (d, n, n)."""
+    count, n, _ = maps.shape
+    return maps[np.array(modp.spanning_rows(maps.reshape(count, n * n), p), dtype=np.int64)]
 
 
 def _contains_rows(sorted_keys: np.ndarray, query: np.ndarray) -> np.ndarray:
@@ -215,7 +251,7 @@ def _contains_rows(sorted_keys: np.ndarray, query: np.ndarray) -> np.ndarray:
     return sorted_keys[at] == query
 
 
-def _finish_set(algebra: LieAlgebra, kind: str, mats, inverses=None) -> AutomorphismSet:
+def _finish_set(algebra: LieAlgebra, kind: str, mats, inverses=None, span=None) -> AutomorphismSet:
     """Canonical set from member matrices, entries in [0, p), as one
     (B, n, n) int64 array or a list of blocks: sorted in LinearMap.key()
     order without duplicates, filled block by block from the row keys, so
@@ -228,7 +264,13 @@ def _finish_set(algebra: LieAlgebra, kind: str, mats, inverses=None) -> Automorp
     trusted: it must satisfy f g = I mod p and be found among the members,
     and then g^-1 = f needs no check of its own.  So blocks of
     INVERSE_BLOCK members, in canonical order, ask only for the members
-    that no earlier check has paired.
+    that no earlier check has paired.  Each proof is kept: f at index a
+    and g at index b give inverse[a] = b and inverse[b] = a, the set's
+    inverse index (8 bytes per member).
+
+    ``span``, a (d, n, n) basis of the members' linear span that the
+    builder derived from how it made them, is handed to the set as is;
+    without it the set picks spanning members itself.
     """
     p = algebra.field.p
     n = algebra.dim
@@ -241,7 +283,8 @@ def _finish_set(algebra: LieAlgebra, kind: str, mats, inverses=None) -> Automorp
     start = offset = 0
     for block, stop in zip(blocks, stops):
         at = order[start:stop]
-        arr[at] = block[first[at] - offset]
+        # a block without repeats is all first occurrences, in its own order
+        arr[at] = block if len(at) == len(block) else block[first[at] - offset]
         start, offset = stop, offset + len(block)
     eye = np.eye(n, dtype=np.int64)
     if not _contains_rows(keys, _row_keys(eye[None], p))[0]:
@@ -252,6 +295,7 @@ def _finish_set(algebra: LieAlgebra, kind: str, mats, inverses=None) -> Automorp
             return modp.batch_inverse(members, p)[0]
 
     paired = np.zeros(len(arr), dtype=bool)
+    inverse = np.empty(len(arr), dtype=np.int64)
     for start in range(0, len(arr), INVERSE_BLOCK):
         todo = start + np.flatnonzero(~paired[start : start + INVERSE_BLOCK])
         members = arr[todo]
@@ -262,8 +306,10 @@ def _finish_set(algebra: LieAlgebra, kind: str, mats, inverses=None) -> Automorp
         if not (proven and (keys[at] == inverse_keys).all()):
             raise AssertionError(f"{kind} enumeration is not closed under inverse")
         paired[at] = True
+        inverse[todo] = at
+        inverse[at] = todo
     arr.flags.writeable = False
-    return AutomorphismSet(algebra, kind, arr, keys)
+    return AutomorphismSet(algebra, kind, arr, keys, inverse, span)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +346,12 @@ def _invertible_points(algebra: LieAlgebra, kind: str, U: np.ndarray, X_basis: n
     heads times all p^(m-s) tails, and each member's inverse is, by
     Woodbury, I - U M_y X, which ``_finish_set`` proves.  dim6_center3's
     central set over F3 (m = 9, s = 3) needs 27 k x k eliminations.
+
+    The members span what the h heads I + U X_y (tail part 0) and the
+    m - s tail maps U T_j span: every head is listed with every tail
+    combination, so a member minus its head is any combination of the
+    U T_j.  ``modp.spanning_rows`` of those h + m - s maps is the set's
+    span basis.
     """
     p = algebra.field.p
     n, k = U.shape
@@ -330,7 +382,11 @@ def _invertible_points(algebra: LieAlgebra, kind: str, U: np.ndarray, X_basis: n
         modp.residue(np.matmul(U, points(np.arange(start, min(count, start + CHUNK)))) + eye_n, p)
         for start in range(0, count, CHUNK)
     ]
-    return _finish_set(algebra, kind, kept, woodbury)
+    span = _basis_of(np.concatenate([
+        modp.residue(np.matmul(U, X_heads.reshape(len(X_heads), k, n)) + eye_n, p),
+        modp.residue(np.matmul(U, tail_flat.reshape(len(tail_flat), k, n)), p),
+    ]), p)
+    return _finish_set(algebra, kind, kept, woodbury, span)
 
 
 # ---------------------------------------------------------------------------
@@ -357,23 +413,30 @@ def _commuting_and_central(algebra: LieAlgebra, budget: int) -> tuple:
     central = enumerate_central(algebra, budget)  # p^(d r) <= p^(dim V): no refusal
     reps = _class_representatives(algebra, g, V)
     if len(reps) == 1:  # only the identity's class, I + Φ: S = Aut_c
-        return AutomorphismSet(algebra, "commuting", central.member_array(), central._keys), central
+        same = (central.member_array(), central._keys, central._inverse, central._span)
+        return AutomorphismSet(algebra, "commuting", *same), central
     C = central.member_array()
     m = len(C)
+    n = algebra.dim
     reps_inv = modp.batch_inverse(reps, p)[0]
-    # where each central member's inverse is; a wrong one fails f g = I in _finish_set
-    c_inv = np.searchsorted(central._keys, _row_keys(modp.batch_inverse(C, p)[0], p))
-    count = len(reps) * m
-    products = [
-        modp.residue(np.matmul(reps[j // m], C[j % m]), p)
-        for j in (np.arange(start, min(count, start + CHUNK)) for start in range(0, count, CHUNK))
-    ]
+    c_inv = central._inverse  # proven by _finish_set; a wrong one fails f g = I there again
+    # r ∘ c in source order i m + c, at most CHUNK per block: CHUNK // m reps times all of
+    # Aut_c, or one rep times a slice of CHUNK members when m >= CHUNK
+    step, width = max(1, CHUNK // m), min(m, CHUNK)
+    products = []
+    for i in range(0, len(reps), step):
+        for j in range(0, m, width):
+            block = modp.residue(np.matmul(reps[i : i + step, None], C[None, j : j + width]), p)
+            products.append(block.reshape(block.shape[0] * block.shape[1], n, n))
+    # composition is bilinear: a basis of span(R) composed with one of span(Aut_c) spans S = R ∘ Aut_c
+    left, right = _basis_of(reps, p), central._span
+    span = _basis_of(modp.residue(np.matmul(left[:, None], right[None]), p).reshape(len(left) * len(right), n, n), p)
 
     def inverses(members: np.ndarray, sources: np.ndarray) -> np.ndarray:
         """(r ∘ c)^-1 = c^-1 ∘ r^-1 for the product r ∘ c at each source."""
         return modp.residue(np.matmul(C[c_inv[sources % m]], reps_inv[sources // m]), p)
 
-    return _finish_set(algebra, "commuting", products, inverses), central
+    return _finish_set(algebra, "commuting", products, inverses, span), central
 
 
 def _level_rows(algebra: LieAlgebra, budget: int) -> tuple:
@@ -602,16 +665,21 @@ def _make_witness(algebra, arr, fi, gi) -> ClosureWitness:
 def closure_check(aset: AutomorphismSet) -> ClosureVerdict:
     """Decide whether the commuting set is closed under composition.
 
+    The commuting defect of g o f is bilinear in (f, g), so the set is
+    closed exactly when all d^2 ordered pairs of any basis of its linear
+    span (d <= n^2) compose to commuting maps.  The set's own basis
+    (``_span``, from its builder) decides this without reading the
+    members, and ``pair_count`` is d^2.
+
     The witness, when there is one, is the first ordered pair (f, g) in
     canonical member order whose composition g o f does not commute.
-    Both come from the d <= n^2 members that span the set's linear span,
-    picked greedily in canonical order.  The commuting defect of g o f is
-    bilinear in (f, g), so the set is closed exactly when all d^2 ordered
-    pairs of these representatives compose to commuting maps, and the
-    first failing pair of all members is a pair of representatives (were
-    f a combination of earlier members, which pass against every g, it
-    would pass too; likewise g).  ``pair_count`` is d^2.  The ordered scan
-    over all N^2 pairs is ``closure_scan`` in ``tests/closure_reference.py``.
+    Only a set that is not closed looks for it: the d members that span
+    the set, picked greedily in canonical order (``modp.spanning_rows``,
+    which stops at the d-th), hold it, as the first failing pair of all
+    members is a pair of these representatives (were f a combination of
+    earlier members, which pass against every g, it would pass too;
+    likewise g).  The ordered scan over all N^2 pairs is ``closure_scan``
+    in ``tests/closure_reference.py``.
     """
     if aset.kind != "commuting":
         raise ValueError("closure_check applies to commuting sets")
@@ -622,14 +690,21 @@ def closure_check(aset: AutomorphismSet) -> ClosureVerdict:
     p = algebra.field.p
     n = algebra.dim
     T = modp.structure_tensor(algebra)
-    arr = aset.member_array()
-    reps = modp.spanning_rows(arr.reshape(len(arr), n * n), p)
-    d = len(reps)
-    rep_arr = arr[reps]
-    comps = modp.residue(np.matmul(rep_arr[None], rep_arr[:, None]), p)  # [a, b] = rep_b o rep_a
-    ok = modp.batch_is_commuting(comps.reshape(d * d, n, n), T, p).reshape(d, d)
-    if ok.all():
+
+    def pairs_commute(basis: np.ndarray) -> np.ndarray:
+        """(d, d) mask: [a, b] is whether basis[b] o basis[a] commutes."""
+        d = len(basis)
+        comps = modp.residue(np.matmul(basis[None], basis[:, None]), p)
+        return modp.batch_is_commuting(comps.reshape(d * d, n, n), T, p).reshape(d, d)
+
+    d = len(aset._span)
+    if pairs_commute(aset._span).all():
         return ClosureVerdict(True, None, d * d, "span")
+    arr = aset.member_array()
+    reps = modp.spanning_rows(arr.reshape(len(arr), n * n), p, d)
+    ok = pairs_commute(arr[reps])
+    if ok.all():
+        raise AssertionError("the set's span basis fails a pair that its members pass")
     a = int(np.argmin(ok.all(axis=1)))
     witness = _make_witness(algebra, arr, reps[a], reps[int(np.argmin(ok[a]))])
     return ClosureVerdict(False, witness, d * d, "span")

@@ -18,6 +18,7 @@ from itertools import product
 from typing import Optional
 
 from elimination_reference import filter_assignments
+from linalg_helpers import zero_vec
 from coclass_lab.linalg import (
     Matrix,
     Subspace,
@@ -27,7 +28,6 @@ from coclass_lab.linalg import (
     basis_vec,
     kernel,
     vec,
-    zero_vec,
 )
 from coclass_lab.search import BudgetExceededError, _finish_set
 

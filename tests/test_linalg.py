@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from algebra_reference import span_vectors
 from dfs_reference import solve_affine
+from linalg_helpers import zero_matrix
 from coclass_lab.constructions import filiform
 from coclass_lab.fields import FieldSpec
 from coclass_lab.linalg import (
@@ -49,7 +50,7 @@ def test_rref_identity_fixed_point():
 
 
 def test_rref_zero_fixed_point():
-    m = Matrix.zeros(F3, 2, 4)
+    m = zero_matrix(F3, 2, 4)
     assert rref(m) == m
 
 
@@ -73,7 +74,7 @@ def test_kernel_identity_is_zero_space():
 
 
 def test_kernel_zero_matrix_full_space():
-    k = kernel(Matrix.zeros(F3, 2, 3))
+    k = kernel(zero_matrix(F3, 2, 3))
     assert k.dim == 3 and k.ambient_dim == 3
 
 
@@ -96,7 +97,7 @@ def test_solve_identity():
 
 
 def test_solve_inconsistent():
-    assert solve_affine(Matrix.zeros(F3, 2, 2), (1, 0)) is None
+    assert solve_affine(zero_matrix(F3, 2, 2), (1, 0)) is None
 
 
 def test_solve_hand_example_with_enumeration_oracle():

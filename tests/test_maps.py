@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from identity_reference import lemma_identity_suite
+from linalg_helpers import zero_matrix
 from coclass_lab.constructions import dim5_example, filiform, heisenberg
 from coclass_lab.fields import FieldSpec
 from coclass_lab.linalg import Matrix, basis_vec, sub_vec
@@ -71,7 +72,7 @@ def test_dim5_beta1_clean_homomorphism():
 
 def test_singular_map_not_invertible_with_kernel_witness():
     L = heisenberg(1, 1, F3)
-    f = LinearMap(Matrix.zeros(F3, 3, 3))
+    f = LinearMap(zero_matrix(F3, 3, 3))
     report = is_automorphism(L, f)
     assert report.kind == NOT_INVERTIBLE
     idx, kernel_vec = report.witnesses[0]
@@ -113,7 +114,7 @@ def test_composition_not_commuting_with_published_witness():
 def test_is_commuting_requires_automorphism():
     # the zero map trivially satisfies [f(x), x] = 0 but is not an automorphism
     L = heisenberg(1, 1, F3)
-    zero = LinearMap(Matrix.zeros(F3, 3, 3))
+    zero = LinearMap(zero_matrix(F3, 3, 3))
     assert commuting_defect(L, zero).clean
     assert not is_commuting(L, zero)
 
@@ -168,7 +169,7 @@ def test_inverse_of_commuting_is_commuting():
 
 def test_inverse_of_singular_raises():
     with pytest.raises(ValueError):
-        inverse(LinearMap(Matrix.zeros(F3, 2, 2)))
+        inverse(LinearMap(zero_matrix(F3, 2, 2)))
 
 
 # -- identity suite ------------------------------------------------------------------

@@ -111,10 +111,41 @@ def test_row_keys_sort_like_linear_map_keys(p, n):
     mats[:50] = mats[50:100]
     mats[0] = p - 1
     keys = search._row_keys(mats, p)
+    if (p, n) == (3, 6):  # one word is the key itself, a native int64
+        assert keys.dtype == np.int64
+    else:
+        assert keys.dtype.kind == "V" and keys.dtype.itemsize == 8 * {5: 2, 65521: 6}[p]
     order = np.argsort(keys, kind="stable")
     assert [tuple(m.ravel().tolist()) for m in mats[order]] == sorted(tuple(m.ravel().tolist()) for m in mats)
     same = keys[:, None] == keys[None, :]
     assert (same == (mats[:, None] == mats[None, :]).all(axis=(2, 3))).all()
+
+
+@pytest.mark.parametrize("p,n", [(3, 6), (5, 6), (65521, 4)])
+def test_sets_equal_and_outside_at_every_key_width(p, n):
+    # the same three word counts as above: membership through int64 and void keys
+    rng = np.random.default_rng(p + 1)
+    mats = rng.integers(0, p, size=(300, n, n), dtype=np.int64)
+    mats[:, : n - 1] = mats[rng.integers(0, 3, size=300), : n - 1]  # long shared prefixes
+    L = abelian(n, FieldSpec.prime(p))
+
+    def built(rows):
+        unique = sorted({tuple(m.ravel().tolist()) for m in rows})
+        arr = np.array(unique, dtype=np.int64).reshape(len(unique), n, n)
+        arr.flags.writeable = False
+        return AutomorphismSet(L, "commuting", arr)
+
+    a, b = built(mats[:200]), built(mats[100:])
+    in_b = {tuple(m.ravel().tolist()) for m in b.member_array()}
+    in_a = {tuple(m.ravel().tolist()) for m in a.member_array()}
+    expected_a = [tuple(m.ravel().tolist()) not in in_b for m in a.member_array()]
+    expected_b = [tuple(m.ravel().tolist()) not in in_a for m in b.member_array()]
+    assert a.outside(b).tolist() == expected_a and b.outside(a).tolist() == expected_b
+    report = sets_equal(a, b)
+    assert not report.equal and len(report.only_in_a) == len(report.only_in_b) == 5
+    assert report.only_in_a == tuple(np.flatnonzero(expected_a)[:5].tolist())
+    assert report.only_in_b == tuple(np.flatnonzero(expected_b)[:5].tolist())
+    assert sets_equal(a, built(mats[:200])).equal
 
 
 def test_dim5_cardinality_regression(sets):

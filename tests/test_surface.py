@@ -4,8 +4,10 @@ A function, class or method defined in ``src/coclass_lab/`` (dunders
 aside) must be referenced somewhere in ``src/`` outside the imports of
 ``__init__.py``, referenced in ``perfbench/``, or exported through
 ``coclass_lab.__all__``.  A reference is a name or attribute read in the
-code; a definition, an import or a mention in a docstring is none.
-Tests do not count: a helper only tests call belongs with the tests.
+code; a definition, an import or a mention in a docstring is none, and
+neither is an attribute of numpy (``np.zeros`` is not a read of a
+package method named ``zeros``).  Tests do not count: a helper only
+tests call belongs with the tests.
 """
 
 import ast
@@ -27,12 +29,17 @@ def _defined(tree: ast.Module) -> set:
     return {name for name in names if not (name.startswith("__") and name.endswith("__"))}
 
 
+def _on_numpy(node: ast.Attribute) -> bool:
+    """Whether the attribute is read from numpy itself, as in ``np.zeros``."""
+    return isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+
+
 def _referenced(tree: ast.Module) -> set:
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and not _on_numpy(node):
             names.add(node.attr)
     return names
 
