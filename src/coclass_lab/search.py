@@ -160,8 +160,8 @@ class AutomorphismSet:
     Stored once, as a read-only (B, n, n) int64 array of member matrices,
     entries in [0, p), sorted in row-major entry order (the order that
     LinearMap.key() also gives) without duplicates.  Beside it are two
-    facts about the members, each handed over by a builder that has
-    proved it and otherwise computed here from the array:
+    facts about the members, each handed over by the enumerator that
+    made and proved it and otherwise computed here from the array:
 
       * ``_keys``, the sorted row keys that ``outside`` searches;
       * ``_span``, a (d, n, n) basis of the members' linear span mod p
@@ -269,7 +269,7 @@ def _finish_set(algebra: LieAlgebra, kind: str, mats, inverses=None, span=None) 
     inverse index (8 bytes per member).
 
     ``span``, a (d, n, n) basis of the members' linear span that the
-    builder derived from how it made them, is handed to the set as is;
+    caller derived from how it made them, is handed to the set as is;
     without it the set picks spanning members itself.
     """
     p = algebra.field.p
@@ -412,10 +412,9 @@ def _commuting_and_central(algebra: LieAlgebra, budget: int) -> tuple:
     g, V = _assignment_space(algebra, budget)  # refuses before V or the presentation is built
     central = enumerate_central(algebra, budget)  # p^(d r) <= p^(dim V): no refusal
     reps = _class_representatives(algebra, g, V)
-    if len(reps) == 1:  # only the identity's class, I + Φ: S = Aut_c
-        same = (central.member_array(), central._keys, central._inverse, central._span)
-        return AutomorphismSet(algebra, "commuting", *same), central
     C = central.member_array()
+    if len(reps) == 1:  # only the identity's class, I + Φ: S = Aut_c
+        return AutomorphismSet(algebra, "commuting", C, central._keys, central._inverse, central._span), central
     m = len(C)
     n = algebra.dim
     reps_inv = modp.batch_inverse(reps, p)[0]
@@ -668,7 +667,7 @@ def closure_check(aset: AutomorphismSet) -> ClosureVerdict:
     The commuting defect of g o f is bilinear in (f, g), so the set is
     closed exactly when all d^2 ordered pairs of any basis of its linear
     span (d <= n^2) compose to commuting maps.  The set's own basis
-    (``_span``, from its builder) decides this without reading the
+    (``_span``, from its enumerator) decides this without reading the
     members, and ``pair_count`` is d^2.
 
     The witness, when there is one, is the first ordered pair (f, g) in

@@ -1,4 +1,4 @@
-"""The two facts an AutomorphismSet takes from its builder, checked against its members.
+"""The two facts an AutomorphismSet takes from its enumerator, checked against its members.
 
 ``_finish_set`` records the inverse index it proves, and the enumerators
 hand over a basis of the members' linear span that they derive from how
