@@ -33,10 +33,9 @@ from .search import (
     ClosureVerdict,
     ClosureWitness,
     EqualityReport,
+    _bruteforce,
     _commuting_and_central,
     closure_check,
-    enumerate_central_bruteforce,
-    enumerate_commuting_bruteforce,
     gl_order,
     sets_equal,
 )
@@ -636,11 +635,10 @@ def run_suite(p: int = 3, budget: int = SUITE_BUDGET) -> SuiteReport:
         verdicts.append(report)
         if commuting is None:
             continue
-        identity_counts[entry.name] = identity_suite_batch(alg, commuting.member_array())
+        identity_counts[entry.name] = identity_suite_batch(alg, commuting.member_array(), moves=commuting._moves)
         if alg.dim <= 3:
             try:
-                brute_c = enumerate_commuting_bruteforce(alg)
-                brute_z = enumerate_central_bruteforce(alg)
+                brute_c, brute_z = _bruteforce(alg, ("commuting", "central"))
             except BudgetExceededError as exc:
                 oracle_skipped.append((entry.name, f"brute force {exc}"))
                 continue

@@ -248,7 +248,7 @@ def _count_nonzero_residues(a: np.ndarray, p: int) -> int:
     return int(np.count_nonzero(a.any(axis=-1)))
 
 
-def identity_suite_batch(algebra: LieAlgebra, mats: np.ndarray) -> dict:
+def identity_suite_batch(algebra: LieAlgebra, mats: np.ndarray, *, moves: Optional[np.ndarray] = None) -> dict:
     """Violation counts of the identity family over a (B, n, n) member batch.
 
     Vectorized for prime fields, so the suite can sweep every enumerated
@@ -264,14 +264,17 @@ def identity_suite_batch(algebra: LieAlgebra, mats: np.ndarray) -> dict:
     included, where the reference lists unordered ones.  Only zero versus
     nonzero is comparable between the two.
 
-    The family is decided on the d <= n^2 members whose displacements
-    D = F - I span all of them.  Each residue is linear in D (``bracket_swap``
+    Each residue is linear in the displacement D = F - I (``bracket_swap``
     is linear in F and vanishes at F = I, ``center_preserved`` is
     C_Z F z = C_Z D z as C_Z z = 0, the rest are built from D), so it
-    vanishes on the batch when it vanishes on those members; only a nonzero
-    count sends every member through the sweep, so counts stay exact.  Spanning
-    F would not do: a residue is only affine in F, so on [I, 2I] the member I
-    spans every F and passes while 2I, whose displacement is I, can fail.
+    vanishes on the batch when it vanishes on maps I + D whose D span the
+    batch's displacements.  ``moves``, a (d, n, n) basis of that span that
+    the caller holds (an ``AutomorphismSet``'s ``_moves``), gives those
+    maps as I + moves; without it they are the d <= n^2 members whose
+    displacements ``modp.spanning_rows`` picks.  Only a nonzero count sends
+    every member through the sweep, so counts stay exact.  Spanning F would
+    not do: a residue is only affine in F, so on [I, 2I] the member I spans
+    every F and passes while 2I, whose displacement is I, can fail.
 
     The sweep is two two-operand contractions, each reduced mod p:
     U[b,i,l,:] = [d_i, e_l] (d_i the displacement f(e_i) - e_i) and
@@ -285,8 +288,13 @@ def identity_suite_batch(algebra: LieAlgebra, mats: np.ndarray) -> dict:
     if not p:
         raise ValueError("batch suite needs a prime field")
     n = algebra.dim
-    displacements = (mats - np.eye(n, dtype=np.int64)).reshape(len(mats), n * n)
-    counts = _identity_counts(algebra, mats[modp.spanning_rows(displacements, p)])
+    eye = np.eye(n, dtype=np.int64)
+    if moves is None:
+        displacements = (mats - eye).reshape(len(mats), n * n)
+        spanning = mats[modp.spanning_rows(displacements, p)]
+    else:
+        spanning = moves + eye
+    counts = _identity_counts(algebra, spanning)
     return _identity_counts(algebra, mats) if any(counts.values()) else counts
 
 

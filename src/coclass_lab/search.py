@@ -90,14 +90,30 @@ points of I + W, are in ``tests/commuting_reference.py``.
 
 The central set is enumerated by ``_invertible_points``: I + U X is
 invertible exactly when the k x k block I + X U is (Sylvester), which
-takes only p^s values, and members' inverses come from Woodbury.
+takes only p^s values.  Every member is one invertible head plus one
+tail combination, I + U X_h + U T_t with T_t U = 0, so the h head maps
+I + U X_h are computed once, each of the p^(m-s) tail maps U T_t once
+for all heads, and a member is their sum.  Its inverse comes from
+Woodbury, split the same way: (I + U X_h + U T_t)^-1 = G_h - (U M_h) T_t,
+with M_h = (I + X_h U)^-1 and G_h = I - U M_h X_h.
 
-Each set carries a basis of its linear span, from how it was built, for
-``closure_check``.  Aut_c lists every invertible head I + U X_y with
-every tail combination, so its members span what the heads and the tail
-maps U T_j span.  Composition is bilinear, so S = R ∘ Aut_c spans what
-the products r ∘ b span, r over a basis of span(R) and b over Aut_c's
-basis.  ``modp.spanning_rows`` of these few maps is the basis.
+Each set carries a basis ``_moves`` of the span of its displacements
+F - I, from how it was built, on which the identity sweep decides, and
+from it a basis ``_span`` of its linear span, for ``closure_check``.
+
+  * Aut_c: a member minus I is U X_h + sum_j t_j U T_j, T_j the tail
+    basis.  Each I + U X_h is a member (tail 0).  The zero head has
+    K = I, so it is invertible, and U T_j is the difference of the two
+    members I + U T_j and I.  So the displacements span what the h head
+    displacements U X_h and the m - s tail maps U T_j span.
+  * S = R ∘ Aut_c: r c - I = (r - I) + r (c - I).  Every r is a member,
+    r ∘ I, and composition is bilinear, so the displacements span what
+    the r - I (r in R) and the products b ∘ m span, b over a basis of
+    span(R) and m over Aut_c's ``_moves``.
+  * Every set holds I, which ``_finish_set`` asserts, so its span is
+    span{F - I} + <I>.
+
+``modp.spanning_rows`` of these few maps is the basis each time.
 """
 
 from __future__ import annotations
@@ -159,14 +175,17 @@ class AutomorphismSet:
 
     Stored once, as a read-only (B, n, n) int64 array of member matrices,
     entries in [0, p), sorted in row-major entry order (the order that
-    LinearMap.key() also gives) without duplicates.  Beside it are two
+    LinearMap.key() also gives) without duplicates.  Beside it are three
     facts about the members, each handed over by the enumerator that
     made and proved it and otherwise computed here from the array:
 
       * ``_keys``, the sorted row keys that ``outside`` searches;
       * ``_span``, a (d, n, n) basis of the members' linear span mod p
         (None over Q), which ``closure_check`` reads; its rows need not
-        be members.
+        be members;
+      * ``_moves``, a (d', n, n) basis of the span of the displacements
+        F - I mod p (None over Q), on which ``run_suite``'s identity
+        sweep decides.
 
     ``_inverse`` holds, when ``_finish_set`` built the set, the index of
     each member's inverse; it is None otherwise.  A member is named by its
@@ -180,14 +199,18 @@ class AutomorphismSet:
     _keys: Optional[np.ndarray] = dataclass_field(default=None, repr=False)
     _inverse: Optional[np.ndarray] = dataclass_field(default=None, repr=False)
     _span: Optional[np.ndarray] = dataclass_field(default=None, repr=False)
+    _moves: Optional[np.ndarray] = dataclass_field(default=None, repr=False)
 
     def __post_init__(self):
         p = self.algebra.field.p
         if self._keys is None:
             object.__setattr__(self, "_keys", _row_keys(self._array, p))
-        if self._span is None and self.algebra.field.is_prime:
-            object.__setattr__(self, "_span", _basis_of(self._array, p))
-        for fact in (self._keys, self._inverse, self._span):
+        if self.algebra.field.is_prime:
+            if self._span is None:
+                object.__setattr__(self, "_span", _basis_of(self._array, p))
+            if self._moves is None:
+                object.__setattr__(self, "_moves", _displacement_basis(self._array, p))
+        for fact in (self._keys, self._inverse, self._span, self._moves):
             if fact is not None:
                 fact.flags.writeable = False
 
@@ -196,7 +219,8 @@ class AutomorphismSet:
         return len(self._array)
 
     def member_keys(self) -> frozenset:
-        return frozenset(map(tuple, self._array.reshape(self.size, -1).tolist()))
+        n = self.algebra.dim
+        return frozenset(map(tuple, self._array.reshape(self.size, n * n).tolist()))
 
     def member_array(self) -> np.ndarray:
         return self._array
@@ -243,6 +267,11 @@ def _basis_of(maps: np.ndarray, p: int) -> np.ndarray:
     return maps[np.array(modp.spanning_rows(maps.reshape(count, n * n), p), dtype=np.int64)]
 
 
+def _displacement_basis(maps: np.ndarray, p: int) -> np.ndarray:
+    """A (d, n, n) basis of the span of the displacements F - I of a (B, n, n) array of maps."""
+    return _basis_of(modp.residue(maps - np.eye(maps.shape[1], dtype=np.int64), p), p)
+
+
 def _contains_rows(sorted_keys: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Mask: which query keys occur in the sorted key array."""
     if len(sorted_keys) == 0:
@@ -251,7 +280,7 @@ def _contains_rows(sorted_keys: np.ndarray, query: np.ndarray) -> np.ndarray:
     return sorted_keys[at] == query
 
 
-def _finish_set(algebra: LieAlgebra, kind: str, mats, inverses=None, span=None) -> AutomorphismSet:
+def _finish_set(algebra: LieAlgebra, kind: str, mats, inverses=None, moves=None) -> AutomorphismSet:
     """Canonical set from member matrices, entries in [0, p), as one
     (B, n, n) int64 array or a list of blocks: sorted in LinearMap.key()
     order without duplicates, filled block by block from the row keys, so
@@ -268,9 +297,12 @@ def _finish_set(algebra: LieAlgebra, kind: str, mats, inverses=None, span=None) 
     and g at index b give inverse[a] = b and inverse[b] = a, the set's
     inverse index (8 bytes per member).
 
-    ``span``, a (d, n, n) basis of the members' linear span that the
-    caller derived from how it made them, is handed to the set as is;
-    without it the set picks spanning members itself.
+    ``moves``, a (d, n, n) basis of the span of the members'
+    displacements F - I that the caller derived from how it made them, is
+    handed to the set as is; without it the set keeps the displacements
+    that ``modp.spanning_rows`` picks from its members.  The set holds I,
+    so its linear span is span{F - I} + <I>: the span basis is what
+    ``modp.spanning_rows`` keeps of I and the displacement basis.
     """
     p = algebra.field.p
     n = algebra.dim
@@ -309,7 +341,10 @@ def _finish_set(algebra: LieAlgebra, kind: str, mats, inverses=None, span=None) 
         inverse[todo] = at
         inverse[at] = todo
     arr.flags.writeable = False
-    return AutomorphismSet(algebra, kind, arr, keys, inverse, span)
+    if moves is None:
+        moves = _displacement_basis(arr, p)
+    span = _basis_of(np.concatenate([eye[None], moves]), p)
+    return AutomorphismSet(algebra, kind, arr, keys, inverse, span, moves)
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +367,24 @@ def _span_points(basis: np.ndarray, p: int, idx: np.ndarray) -> np.ndarray:
     return modp.residue(_digits(p, len(basis), idx) @ basis, p)
 
 
+def _pair_blocks(left: np.ndarray, right: np.ndarray, combine) -> list:
+    """The (n, n) maps combine makes of every pair (i, j), pair (i, j) at source i len(right) + j.
+
+    Blocks hold at most CHUNK pairs, in source order: CHUNK // len(right)
+    left rows times all of right, or one left row times a CHUNK slice of
+    right when len(right) >= CHUNK.  combine takes a block of a left rows
+    and one of b right rows and returns their (a, b, n, n) maps.
+    """
+    m = len(right)
+    step, width = max(1, CHUNK // m), min(m, CHUNK)
+    blocks = []
+    for i in range(0, len(left), step):
+        for j in range(0, m, width):
+            block = combine(left[i : i + step], right[j : j + width])
+            blocks.append(block.reshape(block.shape[0] * block.shape[1], *block.shape[2:]))
+    return blocks
+
+
 def _invertible_points(algebra: LieAlgebra, kind: str, U: np.ndarray, X_basis: np.ndarray) -> AutomorphismSet:
     """The invertible points of I + W, W = {U X : X in the span of X_basis}.
 
@@ -339,19 +392,26 @@ def _invertible_points(algebra: LieAlgebra, kind: str, U: np.ndarray, X_basis: n
     (m, k, n) array of independent k x n matrices.  By Sylvester's identity
     det(I_n + U X) = det(I_k + X U).  With N_i = X_i U, the s heads are the
     X_i whose N_i are independent (``modp.spanning_rows``) and the m - s
-    tails a basis of the X with X U = 0 (the left kernel of N), so I + U X
-    is invertible exactly when its head part y gives an invertible K_y =
-    I_k + sum y_h N_h.  One ``modp.batch_inverse`` over the p^s blocks K_y
-    gives the h invertible heads and M_y = K_y^-1; the members are those
-    heads times all p^(m-s) tails, and each member's inverse is, by
-    Woodbury, I - U M_y X, which ``_finish_set`` proves.  dim6_center3's
-    central set over F3 (m = 9, s = 3) needs 27 k x k eliminations.
+    tails a basis T_j of the X with X U = 0 (the left kernel of N), so
+    I + U X is invertible exactly when its head part y gives an invertible
+    K_y = I_k + sum y_h N_h.  One ``modp.batch_inverse`` over the p^s
+    blocks K_y gives the h invertible heads X_h and M_h = K_h^-1.
+    dim6_center3's central set over F3 (m = 9, s = 3) needs 27 k x k
+    eliminations and has 18 heads times 729 tails.
 
-    The members span what the h heads I + U X_y (tail part 0) and the
-    m - s tail maps U T_j span: every head is listed with every tail
-    combination, so a member minus its head is any combination of the
-    U T_j.  ``modp.spanning_rows`` of those h + m - s maps is the set's
-    span basis.
+    The head maps H_h = I + U X_h and the p^(m-s) tail combinations T_t
+    are computed once.  Member (h, t), at source t c + h (c the number of
+    heads), is H_h + U T_t, listed tail by tail in blocks of at most CHUNK
+    rows (``_pair_blocks``): each block makes the tail maps U T_t of its
+    tails once for all heads, and no more than one block of them is held,
+    which a listing head by head would need all of at once.  Its
+    candidate inverse is Woodbury's I - U M_h (X_h + T_t) =
+    G_h - (U M_h) T_t, with G_h = I - U M_h X_h: T_t U = 0 leaves K_h as
+    it is.  ``_finish_set`` proves it.
+
+    The displacements span what the h head displacements U X_h and the
+    m - s tail maps U T_j span (module docstring); ``modp.spanning_rows``
+    of those maps is the set's displacement basis.
     """
     p = algebra.field.p
     n, k = U.shape
@@ -365,28 +425,23 @@ def _invertible_points(algebra: LieAlgebra, kind: str, U: np.ndarray, X_basis: n
     K = modp.residue(head_coeffs @ xu[heads], p).reshape(len(head_coeffs), k, k) + np.eye(k, dtype=np.int64)
     M, invertible = modp.batch_inverse(K, p)
     M = M[invertible]
-    X_heads = modp.residue(head_coeffs[invertible] @ flat[heads], p)
+    X_heads = modp.residue(head_coeffs[invertible] @ flat[heads], p).reshape(len(M), k, n)
     tails = p ** len(tail_flat)
+    T = _span_points(tail_flat, p, np.arange(tails)).reshape(tails, k, n)
     eye_n = np.eye(n, dtype=np.int64)
-
-    def points(j: np.ndarray) -> np.ndarray:
-        """X of members j: head j // tails, tail j % tails, as (B, k, n)."""
-        X = X_heads[j // tails] + _digits(p, len(tail_flat), j % tails) @ tail_flat
-        return modp.residue(X, p).reshape(len(j), k, n)
+    head_moves = modp.residue(np.matmul(U, X_heads), p)
+    head_maps = modp.residue(head_moves + eye_n, p)
+    UM = modp.residue(np.matmul(U, M), p)
+    G = modp.residue(eye_n - modp.residue(np.matmul(UM, X_heads), p), p)
+    h_count = len(M)
 
     def woodbury(members: np.ndarray, sources: np.ndarray) -> np.ndarray:
-        return modp.residue(eye_n - np.matmul(U, modp.residue(np.matmul(M[sources // tails], points(sources)), p)), p)
+        h = sources % h_count
+        return modp.residue(G[h] - modp.residue(np.matmul(UM[h], T[sources // h_count]), p), p)
 
-    count = len(M) * tails
-    kept = [
-        modp.residue(np.matmul(U, points(np.arange(start, min(count, start + CHUNK)))) + eye_n, p)
-        for start in range(0, count, CHUNK)
-    ]
-    span = _basis_of(np.concatenate([
-        modp.residue(np.matmul(U, X_heads.reshape(len(X_heads), k, n)) + eye_n, p),
-        modp.residue(np.matmul(U, tail_flat.reshape(len(tail_flat), k, n)), p),
-    ]), p)
-    return _finish_set(algebra, kind, kept, woodbury, span)
+    kept = _pair_blocks(T, head_maps, lambda t, heads: modp.residue(np.matmul(U, t)[:, None] + heads[None], p))
+    tail_basis = modp.residue(np.matmul(U, tail_flat.reshape(len(tail_flat), k, n)), p)
+    return _finish_set(algebra, kind, kept, woodbury, _basis_of(np.concatenate([head_moves, tail_basis]), p))
 
 
 # ---------------------------------------------------------------------------
@@ -414,28 +469,27 @@ def _commuting_and_central(algebra: LieAlgebra, budget: int) -> tuple:
     reps = _class_representatives(algebra, g, V)
     C = central.member_array()
     if len(reps) == 1:  # only the identity's class, I + Φ: S = Aut_c
-        return AutomorphismSet(algebra, "commuting", C, central._keys, central._inverse, central._span), central
+        return AutomorphismSet(
+            algebra, "commuting", C, central._keys, central._inverse, central._span, central._moves
+        ), central
     m = len(C)
     n = algebra.dim
     reps_inv = modp.batch_inverse(reps, p)[0]
     c_inv = central._inverse  # proven by _finish_set; a wrong one fails f g = I there again
-    # r ∘ c in source order i m + c, at most CHUNK per block: CHUNK // m reps times all of
-    # Aut_c, or one rep times a slice of CHUNK members when m >= CHUNK
-    step, width = max(1, CHUNK // m), min(m, CHUNK)
-    products = []
-    for i in range(0, len(reps), step):
-        for j in range(0, m, width):
-            block = modp.residue(np.matmul(reps[i : i + step, None], C[None, j : j + width]), p)
-            products.append(block.reshape(block.shape[0] * block.shape[1], n, n))
-    # composition is bilinear: a basis of span(R) composed with one of span(Aut_c) spans S = R ∘ Aut_c
-    left, right = _basis_of(reps, p), central._span
-    span = _basis_of(modp.residue(np.matmul(left[:, None], right[None]), p).reshape(len(left) * len(right), n, n), p)
+    products = _pair_blocks(reps, C, lambda a, b: modp.residue(np.matmul(a[:, None], b[None]), p))
+    # r c - I = (r - I) + r (c - I): the r - I and a basis of span(R) composed with
+    # Aut_c's displacement basis span S's displacements (composition is bilinear)
+    left, right = _basis_of(reps, p), central._moves
+    moves = _basis_of(np.concatenate([
+        modp.residue(reps - np.eye(n, dtype=np.int64), p),
+        modp.residue(np.matmul(left[:, None], right[None]), p).reshape(len(left) * len(right), n, n),
+    ]), p)
 
     def inverses(members: np.ndarray, sources: np.ndarray) -> np.ndarray:
         """(r ∘ c)^-1 = c^-1 ∘ r^-1 for the product r ∘ c at each source."""
         return modp.residue(np.matmul(C[c_inv[sources % m]], reps_inv[sources // m]), p)
 
-    return _finish_set(algebra, "commuting", products, inverses, span), central
+    return _finish_set(algebra, "commuting", products, inverses, moves), central
 
 
 def _level_rows(algebra: LieAlgebra, budget: int) -> tuple:
@@ -600,19 +654,20 @@ def enumerate_central(algebra: LieAlgebra, budget: int = DEFAULT_BUDGET) -> Auto
 
 def enumerate_aut_bruteforce(algebra: LieAlgebra) -> AutomorphismSet:
     """Ground truth: filter all p^(n^2) matrices by the automorphism predicate."""
-    return _bruteforce(algebra, "full")
+    return _bruteforce(algebra, ("full",))[0]
 
 
 def enumerate_commuting_bruteforce(algebra: LieAlgebra) -> AutomorphismSet:
-    return _bruteforce(algebra, "commuting")
+    return _bruteforce(algebra, ("commuting",))[0]
 
 
 def enumerate_central_bruteforce(algebra: LieAlgebra) -> AutomorphismSet:
-    return _bruteforce(algebra, "central")
+    return _bruteforce(algebra, ("central",))[0]
 
 
-def _bruteforce(algebra: LieAlgebra, kind: str) -> AutomorphismSet:
-    """The automorphisms among all p^(n^2) <= BRUTE_FORCE_LIMIT matrices, then the kind's own mask."""
+def _bruteforce(algebra: LieAlgebra, kinds: tuple) -> tuple:
+    """One set per kind: the automorphisms among all p^(n^2) <= BRUTE_FORCE_LIMIT
+    matrices, found once, then each kind's own mask ("full" keeps them all)."""
     if not algebra.field.is_prime:
         raise ValueError("brute force needs a prime field")
     p, n = algebra.field.p, algebra.dim
@@ -623,13 +678,16 @@ def _bruteforce(algebra: LieAlgebra, kind: str) -> AutomorphismSet:
     T = modp.structure_tensor(algebra)
     mats = mats[modp.batch_invertible(mats, p)]
     mats = mats[modp.batch_is_homomorphism(mats, T, p)]
-    if kind == "commuting":
-        mats = mats[modp.batch_is_commuting(mats, T, p)]
-    elif kind == "central":
-        disp = modp.residue(mats - np.eye(n, dtype=np.int64), p)
-        outside = modp.batch_outside(disp, modp.subspace_constraints(algebra.center()), p)
-        mats = mats[~outside.any(axis=1)]
-    return _finish_set(algebra, kind, mats)
+    sets = []
+    for kind in kinds:
+        keep = slice(None)
+        if kind == "commuting":
+            keep = modp.batch_is_commuting(mats, T, p)
+        elif kind == "central":
+            disp = modp.residue(mats - np.eye(n, dtype=np.int64), p)
+            keep = ~modp.batch_outside(disp, modp.subspace_constraints(algebra.center()), p).any(axis=1)
+        sets.append(_finish_set(algebra, kind, mats[keep]))
+    return tuple(sets)
 
 
 # ---------------------------------------------------------------------------

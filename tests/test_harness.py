@@ -357,3 +357,33 @@ def test_suite_records_oracle_over_its_limit_as_skipped(monkeypatch, p):
         {"entry": name, "commuting_match": None, "central_match": None, "skipped": reason}
     ]
     assert f"oracle heisenberg_1_1: skipped ({reason})" in report.to_text()
+
+
+def test_suite_sweeps_on_set_bases_and_filters_the_oracle_matrices_once(monkeypatch):
+    # the identity sweep decides on each commuting set's displacement basis,
+    # picking no spanning members, and the 3^9 matrices of heisenberg_1_1 are
+    # filtered once for both oracles
+    from coclass_lab import modp
+
+    sweeping, scanned, filtered = [], [], []
+    real_sweep, real_span, real_invertible = harness.identity_suite_batch, modp.spanning_rows, modp.batch_invertible
+
+    def sweep(alg, mats, **kwargs):
+        sweeping.append(True)
+        try:
+            return real_sweep(alg, mats, **kwargs)
+        finally:
+            sweeping.pop()
+
+    def span(rows, p, rank=None):
+        if sweeping:
+            scanned.append(len(rows))
+        return real_span(rows, p, rank)
+
+    monkeypatch.setattr(harness, "identity_suite_batch", sweep)
+    monkeypatch.setattr(modp, "spanning_rows", span)
+    monkeypatch.setattr(modp, "batch_invertible", lambda mats, p: filtered.append(len(mats)) or real_invertible(mats, p))
+    report = harness.run_suite(3, 20_000)
+    assert report.ok and len(report.identity_counts) >= 10
+    assert scanned == []
+    assert filtered.count(3**9) == 1

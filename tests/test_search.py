@@ -6,6 +6,7 @@ from coclass_lab import modp, search
 from coclass_lab.constructions import (
     abelian,
     coclass2_indecomposable,
+    default_catalog,
     dim5_example,
     dim6_center1,
     dim6_center3,
@@ -100,6 +101,11 @@ def test_membership_queries_reuse_the_cached_keys(sets, monkeypatch):
     keys = aset.member_keys()
     assert [contains(aset, f) for f in queries] == [f.key() in keys for f in queries]
     assert built == [1] * len(queries)  # each query keys its own row; the set's keys are cached
+
+
+def test_member_keys_of_an_empty_set():
+    L = heisenberg(1, 1, F3)
+    assert AutomorphismSet(L, "commuting", np.zeros((0, 3, 3), dtype=np.int64)).member_keys() == frozenset()
 
 
 @pytest.mark.parametrize("p,n", [(3, 6), (5, 6), (65521, 4)])
@@ -269,6 +275,37 @@ def test_bruteforce_reads_limit_at_call_time(monkeypatch, oracle):
     assert (err.value.budget, err.value.projected) == (80, 81)
     monkeypatch.setattr(search, "BRUTE_FORCE_LIMIT", 81)
     assert oracle(L).size == 48
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_one_bruteforce_filter_serves_every_kind(p, monkeypatch):
+    # the automorphisms among all p^(n^2) matrices are found once and each kind
+    # masks them; the sets equal the per-kind oracles', refusals included
+    kinds = ("full", "commuting", "central")
+    oracles = (enumerate_aut_bruteforce, enumerate_commuting_bruteforce, enumerate_central_bruteforce)
+    filtered = []
+    real = modp.batch_invertible
+    monkeypatch.setattr(modp, "batch_invertible", lambda mats, q: filtered.append(len(mats)) or real(mats, q))
+    entries = [e for e in default_catalog(FieldSpec.prime(p)) if e.algebra.dim <= 3]
+    assert entries
+    for entry in entries:
+        alg = entry.algebra
+        count = p ** (alg.dim**2)
+        if count > search.BRUTE_FORCE_LIMIT:
+            for call in [lambda: search._bruteforce(alg, kinds)] + [lambda f=f: f(alg) for f in oracles]:
+                with pytest.raises(BudgetExceededError) as err:
+                    call()
+                assert (err.value.budget, err.value.projected) == (search.BRUTE_FORCE_LIMIT, count)
+            continue
+        filtered.clear()
+        together = search._bruteforce(alg, kinds)
+        assert filtered == [count], entry.name
+        for aset, kind, oracle in zip(together, kinds, oracles):
+            alone = oracle(alg)
+            assert aset.kind == alone.kind == kind
+            assert np.array_equal(aset.member_array(), alone.member_array()), (entry.name, kind)
+            assert np.array_equal(aset._inverse, alone._inverse), (entry.name, kind)
+            assert np.array_equal(aset._moves, alone._moves), (entry.name, kind)
 
 
 # -- closure ------------------------------------------------------------------------

@@ -1,12 +1,14 @@
-"""The two facts an AutomorphismSet takes from its enumerator, checked against its members.
+"""The facts an AutomorphismSet takes from its enumerator, checked against its members.
 
 ``_finish_set`` records the inverse index it proves, and the enumerators
-hand over a basis of the members' linear span that they derive from how
-they made the members (Aut_c from its heads and tails, S from products
-r ∘ b).  Neither is recomputed from the members, so both are checked
-here against the members alone: every set within SUITE_BUDGET in the
-catalog at F3, F5 and F7, and seeded random 2-step algebras.  The rank
-comes from the reference elimination, not from ``modp.spanning_rows``.
+hand over a basis of the span of the members' displacements F - I that
+they derive from how they made the members (Aut_c from its heads and
+tails, S from the r - I and the products r ∘ m); ``_finish_set`` derives
+the basis of the members' linear span from it.  None is recomputed from
+the members, so each is checked here against the members alone: every
+set within SUITE_BUDGET in the catalog at F3, F5 and F7, and seeded
+random 2-step algebras.  The rank comes from the reference elimination,
+not from ``modp.spanning_rows``.
 """
 
 import numpy as np
@@ -16,9 +18,11 @@ from closure_reference import closure_scan
 from elimination_reference import spanning_rows as reference_spanning_rows
 from coclass_lab import modp, search
 from coclass_lab.algebra import LieAlgebra
+from coclass_lab.constructions import heisenberg
 from coclass_lab.fields import FieldSpec
 from coclass_lab.harness import SUITE_BUDGET
-from coclass_lab.search import AutomorphismSet, BudgetExceededError, closure_check
+from coclass_lab.maps import _identity_counts, identity_suite_batch
+from coclass_lab.search import AutomorphismSet, BudgetExceededError, closure_check, enumerate_aut_bruteforce
 
 # closure_scan composes up to N^2 pairs; larger closed sets are compared
 # with a copy of the set that picks its own spanning members instead
@@ -81,16 +85,46 @@ def _flat(mats: np.ndarray) -> np.ndarray:
     return mats.reshape(count, n * n)
 
 
+def _assert_basis_of(basis: np.ndarray, rows: np.ndarray, p: int, label) -> None:
+    """basis is independent and spans the rows mod p, by the reference elimination."""
+    assert len(basis) == len(reference_spanning_rows(rows, p)), label
+    # the reference picks rows greedily in order: only the basis rows
+    # means they are independent and every row reduces to 0 against them
+    picked = reference_spanning_rows(np.concatenate([basis, rows]), p)
+    assert picked == list(range(len(basis))), label
+
+
 def test_span_basis_is_a_basis_of_the_members_span(built_sets):
     for label, commuting, central in built_sets:
         for aset in (commuting, central):
             p = aset.algebra.field.p
-            basis, members = _flat(aset._span), _flat(aset.member_array())
-            assert len(basis) == len(reference_spanning_rows(members, p)), (label, aset.kind)
-            # the reference picks rows greedily in order: only the basis rows
-            # means they are independent and every member reduces to 0 against them
-            picked = reference_spanning_rows(np.concatenate([basis, members]), p)
-            assert picked == list(range(len(basis))), (label, aset.kind)
+            _assert_basis_of(_flat(aset._span), _flat(aset.member_array()), p, (label, aset.kind))
+
+
+def test_moves_are_a_basis_of_the_members_displacements(built_sets):
+    for label, commuting, central in built_sets:
+        for aset in (commuting, central):
+            p, n = aset.algebra.field.p, aset.algebra.dim
+            displacements = _flat(aset.member_array() - np.eye(n, dtype=np.int64))  # the reference reduces mod p
+            _assert_basis_of(_flat(aset._moves), displacements, p, (label, aset.kind))
+
+
+def test_identity_sweep_on_moves_matches_the_sweep_on_spanning_members(built_sets):
+    for label, commuting, central in built_sets:
+        for aset in (commuting, central):
+            alg, arr = aset.algebra, aset.member_array()
+            assert identity_suite_batch(alg, arr, moves=aset._moves) == identity_suite_batch(alg, arr), label
+
+
+def test_identity_sweep_on_moves_counts_a_planted_violation_exactly():
+    # Aut(heisenberg(1, 1)) over F3 holds automorphisms that do not commute:
+    # both ways of deciding see a nonzero count and sweep every member
+    L = heisenberg(1, 1, FieldSpec.prime(3))
+    arr = enumerate_aut_bruteforce(L).member_array()
+    aset = AutomorphismSet(L, "commuting", arr)  # hand-built: it picks its own moves
+    counts = identity_suite_batch(L, arr, moves=aset._moves)
+    assert counts == identity_suite_batch(L, arr) == _identity_counts(L, arr)
+    assert counts["bracket_swap"] > 0
 
 
 def test_inverse_index_names_each_members_inverse(built_sets):
@@ -140,26 +174,29 @@ def test_closed_set_is_decided_without_reading_its_members(built_sets, monkeypat
 
 @pytest.mark.parametrize("chunk", [7, 200])
 def test_product_blocks_stay_within_chunk_and_in_source_order(catalog_runs, monkeypatch, chunk):
-    # at 7 every Aut_c here is wider than a block (one rep, sliced members);
-    # at 200 some blocks hold several reps times all of Aut_c
+    # products r ∘ c: at 7 every Aut_c here is wider than a block (one rep,
+    # sliced members); at 200 some blocks hold several reps times all of Aut_c.
+    # Aut_c's own members, tails times heads, are blocked the same way
     monkeypatch.setattr(search, "CHUNK", chunk)
     real = search._finish_set
     blocks = []
 
-    def record(algebra, kind, mats, inverses=None, span=None):
-        if kind == "commuting":
-            blocks.append([len(b) for b in mats])
-        return real(algebra, kind, mats, inverses, span)
+    def record(algebra, kind, mats, inverses=None, moves=None):
+        blocks.append((kind, [len(b) for b in mats]))
+        return real(algebra, kind, mats, inverses, moves)
 
     monkeypatch.setattr(search, "_finish_set", record)
     checked = 0
     for run in catalog_runs(3):
-        if run.name in ("heisenberg_1_2", "dim6_center1", "dim5_example"):
-            again, _ = search._commuting_and_central(run.algebra, SUITE_BUDGET)
-            assert np.array_equal(again.member_array(), run.commuting.member_array()), run.name
-            assert np.array_equal(again._inverse, run.commuting._inverse), run.name
-            assert np.array_equal(again._span, run.commuting._span), run.name
+        if run.name in ("heisenberg_1_2", "dim6_center1", "dim5_example", "dim6_center3"):
+            again = search._commuting_and_central(run.algebra, SUITE_BUDGET)
+            for made, kept in zip(again, (run.commuting, run.central)):
+                assert np.array_equal(made.member_array(), kept.member_array()), (run.name, kept.kind)
+                assert np.array_equal(made._inverse, kept._inverse), (run.name, kept.kind)
+                assert np.array_equal(made._moves, kept._moves), (run.name, kept.kind)
+                assert np.array_equal(made._span, kept._span), (run.name, kept.kind)
             checked += 1
-    assert checked == 3
-    sizes = [size for sizes in blocks for size in sizes]
-    assert max(sizes) <= chunk and len(set(sizes)) > 1
+    assert checked == 4
+    for kind in ("commuting", "central"):
+        sizes = [size for made, sizes in blocks if made == kind for size in sizes]
+        assert max(sizes) <= chunk and len(set(sizes)) > 1, kind
