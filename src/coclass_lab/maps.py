@@ -93,10 +93,6 @@ class LinearMap:
     def image_of_basis(self, j: int) -> Vector:
         return tuple(row[j] for row in self.matrix.rows)
 
-    def key(self) -> tuple:
-        """Flattened entries; the canonical sort key for member lists."""
-        return tuple(x for row in self.matrix.rows for x in row)
-
 
 @dataclass(frozen=True)
 class DefectReport:
@@ -270,8 +266,8 @@ def identity_suite_batch(algebra: LieAlgebra, mats: np.ndarray, *, moves: Option
     vanishes on the batch when it vanishes on maps I + D whose D span the
     batch's displacements.  ``moves``, a (d, n, n) basis of that span that
     the caller holds (an ``AutomorphismSet``'s ``_moves``), gives those
-    maps as I + moves; without it they are the d <= n^2 members whose
-    displacements ``modp.spanning_rows`` picks.  Only a nonzero count sends
+    maps as I + moves; without it ``modp.displacement_basis`` computes the
+    basis from the batch.  Only a nonzero count sends
     every member through the sweep, so counts stay exact.  Spanning F would
     not do: a residue is only affine in F, so on [I, 2I] the member I spans
     every F and passes while 2I, whose displacement is I, can fail.
@@ -287,14 +283,9 @@ def identity_suite_batch(algebra: LieAlgebra, mats: np.ndarray, *, moves: Option
     p = algebra.field.p
     if not p:
         raise ValueError("batch suite needs a prime field")
-    n = algebra.dim
-    eye = np.eye(n, dtype=np.int64)
     if moves is None:
-        displacements = (mats - eye).reshape(len(mats), n * n)
-        spanning = mats[modp.spanning_rows(displacements, p)]
-    else:
-        spanning = moves + eye
-    counts = _identity_counts(algebra, spanning)
+        moves = modp.displacement_basis(mats, p)
+    counts = _identity_counts(algebra, moves + np.eye(algebra.dim, dtype=np.int64))
     return _identity_counts(algebra, mats) if any(counts.values()) else counts
 
 

@@ -119,6 +119,18 @@ def spanning_rows(rows: np.ndarray, p: int, rank: Optional[int] = None) -> list:
     return picked
 
 
+def spanning_maps(maps: np.ndarray, p: int) -> np.ndarray:
+    """The maps of a (B, n, n) array that ``spanning_rows`` keeps, as (d, n, n)."""
+    count, n, _ = maps.shape
+    return maps[np.array(spanning_rows(maps.reshape(count, n * n), p), dtype=np.int64)]
+
+
+def displacement_basis(maps: np.ndarray, p: int) -> np.ndarray:
+    """A (d, n, n) basis of span{F - I} mod p for a (B, n, n) array of maps F:
+    the displacements, reduced to [0, p), that ``spanning_maps`` keeps."""
+    return spanning_maps(residue(maps - np.eye(maps.shape[1], dtype=np.int64), p), p)
+
+
 def _eliminate(M: np.ndarray, n: int, p: int, full: bool) -> tuple:
     """Eliminate the first n columns of a (B, h, w) batch, h >= n, in place, without row swaps.
 

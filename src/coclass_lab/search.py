@@ -98,8 +98,8 @@ Woodbury, split the same way: (I + U X_h + U T_t)^-1 = G_h - (U M_h) T_t,
 with M_h = (I + X_h U)^-1 and G_h = I - U M_h X_h.
 
 Each set carries a basis ``_moves`` of the span of its displacements
-F - I, from how it was built, on which the identity sweep decides, and
-from it a basis ``_span`` of its linear span, for ``closure_check``.
+F - I, from how it was built.  The identity sweep decides on it, and
+``closure_check`` on the basis of the set's linear span it gives.
 
   * Aut_c: a member minus I is U X_h + sum_j t_j U T_j, T_j the tail
     basis.  Each I + U X_h is a member (tail 0).  The zero head has
@@ -110,15 +110,17 @@ from it a basis ``_span`` of its linear span, for ``closure_check``.
     r ∘ I, and composition is bilinear, so the displacements span what
     the r - I (r in R) and the products b ∘ m span, b over a basis of
     span(R) and m over Aut_c's ``_moves``.
-  * Every set holds I, which ``_finish_set`` asserts, so its span is
-    span{F - I} + <I>.
+  * A set that holds I has the linear span span{F - I} + <I>: every
+    member is I + D with D in span{F - I}, and I is a member.  Every
+    enumerated set holds I, which ``_finish_set`` asserts, and
+    ``closure_check`` rejects a set without it.
 
-``modp.spanning_rows`` of these few maps is the basis each time.
+``modp.spanning_maps`` of these few maps is the basis each time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from typing import Optional
 
 import numpy as np
@@ -142,7 +144,6 @@ class BudgetExceededError(RuntimeError):
     def __init__(self, budget: int, projected: int, detail: str = ""):
         self.budget = budget
         self.projected = projected
-        self.detail = detail
         msg = f"projected {projected} candidates exceeds budget {budget}"
         if detail:
             msg += f" ({detail})"
@@ -153,7 +154,6 @@ class AbelianShortCircuit(Exception):
     """Abelian algebras are not enumerated: the commuting set is all of GL(n, p)."""
 
     def __init__(self, algebra: LieAlgebra):
-        self.algebra = algebra
         self.aut_order = gl_order(algebra.field.p, algebra.dim)
         super().__init__(
             f"abelian algebra: commuting set = GL({algebra.dim}, {algebra.field.p}) "
@@ -174,18 +174,15 @@ class AutomorphismSet:
     """A finite, canonically ordered set of automorphisms of one algebra.
 
     Stored once, as a read-only (B, n, n) int64 array of member matrices,
-    entries in [0, p), sorted in row-major entry order (the order that
-    LinearMap.key() also gives) without duplicates.  Beside it are three
-    facts about the members, each handed over by the enumerator that
-    made and proved it and otherwise computed here from the array:
+    entries in [0, p), sorted in row-major entry order without
+    duplicates.  Beside it are two facts about the members, each handed
+    over by the enumerator that made and proved it and otherwise computed
+    here from the array:
 
       * ``_keys``, the sorted row keys that ``outside`` searches;
-      * ``_span``, a (d, n, n) basis of the members' linear span mod p
-        (None over Q), which ``closure_check`` reads; its rows need not
-        be members;
-      * ``_moves``, a (d', n, n) basis of the span of the displacements
+      * ``_moves``, a (d, n, n) basis of the span of the displacements
         F - I mod p (None over Q), on which ``run_suite``'s identity
-        sweep decides.
+        sweep and ``closure_check`` decide; its rows are not members.
 
     ``_inverse`` holds, when ``_finish_set`` built the set, the index of
     each member's inverse; it is None otherwise.  A member is named by its
@@ -198,19 +195,15 @@ class AutomorphismSet:
     _array: np.ndarray = dataclass_field(repr=False)
     _keys: Optional[np.ndarray] = dataclass_field(default=None, repr=False)
     _inverse: Optional[np.ndarray] = dataclass_field(default=None, repr=False)
-    _span: Optional[np.ndarray] = dataclass_field(default=None, repr=False)
     _moves: Optional[np.ndarray] = dataclass_field(default=None, repr=False)
 
     def __post_init__(self):
         p = self.algebra.field.p
         if self._keys is None:
             object.__setattr__(self, "_keys", _row_keys(self._array, p))
-        if self.algebra.field.is_prime:
-            if self._span is None:
-                object.__setattr__(self, "_span", _basis_of(self._array, p))
-            if self._moves is None:
-                object.__setattr__(self, "_moves", _displacement_basis(self._array, p))
-        for fact in (self._keys, self._inverse, self._span, self._moves):
+        if self._moves is None and self.algebra.field.is_prime:
+            object.__setattr__(self, "_moves", modp.displacement_basis(self._array, p))
+        for fact in (self._keys, self._inverse, self._moves):
             if fact is not None:
                 fact.flags.writeable = False
 
@@ -237,7 +230,7 @@ class AutomorphismSet:
 
 
 def _row_keys(mats: np.ndarray, p: int) -> np.ndarray:
-    """One opaque key per matrix whose order is the order of LinearMap.key().
+    """One opaque key per matrix whose order is row-major entry order.
 
     The flattened entries, residues in [0, p), are packed base p, first
     entry most significant, into int64 words of d digits each, d the most
@@ -261,17 +254,6 @@ def _row_keys(mats: np.ndarray, p: int) -> np.ndarray:
     return words.view(np.dtype((np.void, count * 8))).ravel()
 
 
-def _basis_of(maps: np.ndarray, p: int) -> np.ndarray:
-    """The maps of a (B, n, n) array that ``modp.spanning_rows`` keeps, as (d, n, n)."""
-    count, n, _ = maps.shape
-    return maps[np.array(modp.spanning_rows(maps.reshape(count, n * n), p), dtype=np.int64)]
-
-
-def _displacement_basis(maps: np.ndarray, p: int) -> np.ndarray:
-    """A (d, n, n) basis of the span of the displacements F - I of a (B, n, n) array of maps."""
-    return _basis_of(modp.residue(maps - np.eye(maps.shape[1], dtype=np.int64), p), p)
-
-
 def _contains_rows(sorted_keys: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Mask: which query keys occur in the sorted key array."""
     if len(sorted_keys) == 0:
@@ -280,9 +262,14 @@ def _contains_rows(sorted_keys: np.ndarray, query: np.ndarray) -> np.ndarray:
     return sorted_keys[at] == query
 
 
+def _holds_identity(keys: np.ndarray, p: int, n: int) -> bool:
+    """Whether the sorted row keys of a set of n x n maps hold the identity's."""
+    return bool(_contains_rows(keys, _row_keys(np.eye(n, dtype=np.int64)[None], p))[0])
+
+
 def _finish_set(algebra: LieAlgebra, kind: str, mats, inverses=None, moves=None) -> AutomorphismSet:
     """Canonical set from member matrices, entries in [0, p), as one
-    (B, n, n) int64 array or a list of blocks: sorted in LinearMap.key()
+    (B, n, n) int64 array or a list of blocks: sorted in row-major entry
     order without duplicates, filled block by block from the row keys, so
     the blocks and that array are the only member copies alive.
 
@@ -299,10 +286,8 @@ def _finish_set(algebra: LieAlgebra, kind: str, mats, inverses=None, moves=None)
 
     ``moves``, a (d, n, n) basis of the span of the members'
     displacements F - I that the caller derived from how it made them, is
-    handed to the set as is; without it the set keeps the displacements
-    that ``modp.spanning_rows`` picks from its members.  The set holds I,
-    so its linear span is span{F - I} + <I>: the span basis is what
-    ``modp.spanning_rows`` keeps of I and the displacement basis.
+    handed to the set as is; without it the set computes one from its
+    members.
     """
     p = algebra.field.p
     n = algebra.dim
@@ -318,9 +303,9 @@ def _finish_set(algebra: LieAlgebra, kind: str, mats, inverses=None, moves=None)
         # a block without repeats is all first occurrences, in its own order
         arr[at] = block if len(at) == len(block) else block[first[at] - offset]
         start, offset = stop, offset + len(block)
-    eye = np.eye(n, dtype=np.int64)
-    if not _contains_rows(keys, _row_keys(eye[None], p))[0]:
+    if not _holds_identity(keys, p, n):
         raise AssertionError(f"{kind} enumeration lost the identity map")
+    eye = np.eye(n, dtype=np.int64)
     if inverses is None:
 
         def inverses(members, sources):
@@ -341,10 +326,7 @@ def _finish_set(algebra: LieAlgebra, kind: str, mats, inverses=None, moves=None)
         inverse[todo] = at
         inverse[at] = todo
     arr.flags.writeable = False
-    if moves is None:
-        moves = _displacement_basis(arr, p)
-    span = _basis_of(np.concatenate([eye[None], moves]), p)
-    return AutomorphismSet(algebra, kind, arr, keys, inverse, span, moves)
+    return AutomorphismSet(algebra, kind, arr, keys, inverse, moves)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +392,7 @@ def _invertible_points(algebra: LieAlgebra, kind: str, U: np.ndarray, X_basis: n
     it is.  ``_finish_set`` proves it.
 
     The displacements span what the h head displacements U X_h and the
-    m - s tail maps U T_j span (module docstring); ``modp.spanning_rows``
+    m - s tail maps U T_j span (module docstring); ``modp.spanning_maps``
     of those maps is the set's displacement basis.
     """
     p = algebra.field.p
@@ -441,7 +423,7 @@ def _invertible_points(algebra: LieAlgebra, kind: str, U: np.ndarray, X_basis: n
 
     kept = _pair_blocks(T, head_maps, lambda t, heads: modp.residue(np.matmul(U, t)[:, None] + heads[None], p))
     tail_basis = modp.residue(np.matmul(U, tail_flat.reshape(len(tail_flat), k, n)), p)
-    return _finish_set(algebra, kind, kept, woodbury, _basis_of(np.concatenate([head_moves, tail_basis]), p))
+    return _finish_set(algebra, kind, kept, woodbury, modp.spanning_maps(np.concatenate([head_moves, tail_basis]), p))
 
 
 # ---------------------------------------------------------------------------
@@ -469,9 +451,7 @@ def _commuting_and_central(algebra: LieAlgebra, budget: int) -> tuple:
     reps = _class_representatives(algebra, g, V)
     C = central.member_array()
     if len(reps) == 1:  # only the identity's class, I + Φ: S = Aut_c
-        return AutomorphismSet(
-            algebra, "commuting", C, central._keys, central._inverse, central._span, central._moves
-        ), central
+        return replace(central, kind="commuting"), central
     m = len(C)
     n = algebra.dim
     reps_inv = modp.batch_inverse(reps, p)[0]
@@ -479,8 +459,8 @@ def _commuting_and_central(algebra: LieAlgebra, budget: int) -> tuple:
     products = _pair_blocks(reps, C, lambda a, b: modp.residue(np.matmul(a[:, None], b[None]), p))
     # r c - I = (r - I) + r (c - I): the r - I and a basis of span(R) composed with
     # Aut_c's displacement basis span S's displacements (composition is bilinear)
-    left, right = _basis_of(reps, p), central._moves
-    moves = _basis_of(np.concatenate([
+    left, right = modp.spanning_maps(reps, p), central._moves
+    moves = modp.spanning_maps(np.concatenate([
         modp.residue(reps - np.eye(n, dtype=np.int64), p),
         modp.residue(np.matmul(left[:, None], right[None]), p).reshape(len(left) * len(right), n, n),
     ]), p)
@@ -724,9 +704,11 @@ def closure_check(aset: AutomorphismSet) -> ClosureVerdict:
 
     The commuting defect of g o f is bilinear in (f, g), so the set is
     closed exactly when all d^2 ordered pairs of any basis of its linear
-    span (d <= n^2) compose to commuting maps.  The set's own basis
-    (``_span``, from its enumerator) decides this without reading the
-    members, and ``pair_count`` is d^2.
+    span (d <= n^2) compose to commuting maps.  The set must hold I, and
+    then that span is span{F - I} + <I> (module docstring): the basis is
+    what ``modp.spanning_maps`` keeps of I followed by the set's
+    ``_moves``.  So a closed set is decided without reading its members,
+    and ``pair_count`` is d^2.
 
     The witness, when there is one, is the first ordered pair (f, g) in
     canonical member order whose composition g o f does not commute.
@@ -743,9 +725,10 @@ def closure_check(aset: AutomorphismSet) -> ClosureVerdict:
     algebra = aset.algebra
     if not algebra.field.is_prime:
         raise ValueError("closure check needs a prime field")
-
     p = algebra.field.p
     n = algebra.dim
+    if not _holds_identity(aset._keys, p, n):
+        raise ValueError("closure check needs a set that holds the identity")
     T = modp.structure_tensor(algebra)
 
     def pairs_commute(basis: np.ndarray) -> np.ndarray:
@@ -754,8 +737,9 @@ def closure_check(aset: AutomorphismSet) -> ClosureVerdict:
         comps = modp.residue(np.matmul(basis[None], basis[:, None]), p)
         return modp.batch_is_commuting(comps.reshape(d * d, n, n), T, p).reshape(d, d)
 
-    d = len(aset._span)
-    if pairs_commute(aset._span).all():
+    span = modp.spanning_maps(np.concatenate([np.eye(n, dtype=np.int64)[None], aset._moves]), p)
+    d = len(span)
+    if pairs_commute(span).all():
         return ClosureVerdict(True, None, d * d, "span")
     arr = aset.member_array()
     reps = modp.spanning_rows(arr.reshape(len(arr), n * n), p, d)
@@ -769,16 +753,12 @@ def closure_check(aset: AutomorphismSet) -> ClosureVerdict:
 
 @dataclass(frozen=True)
 class EqualityReport:
-    """only_in_a: indices into a's member array (row-major entry order, as
-    LinearMap.key() gives) of the first five members missing from b;
-    only_in_b likewise for b."""
+    """only_in_a: indices into a's member array (row-major entry order) of
+    the first five members missing from b; only_in_b likewise for b."""
 
     equal: bool
     only_in_a: tuple
     only_in_b: tuple
-
-    def __bool__(self) -> bool:
-        return self.equal
 
 
 def sets_equal(a: AutomorphismSet, b: AutomorphismSet) -> EqualityReport:

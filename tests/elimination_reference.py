@@ -273,4 +273,4 @@ def invertible_points(algebra, U: np.ndarray, X_basis: np.ndarray) -> np.ndarray
     rows = np.dtype((np.void, 8 * n * n))  # one opaque item per matrix, for np.unique
     assert invertible.all()
     assert len(np.unique(flat.view(rows))) == len(flat) == len(np.unique(closure.view(rows)))
-    return flat[np.lexsort(flat.T[::-1])].reshape(-1, n, n)  # LinearMap.key() order
+    return flat[np.lexsort(flat.T[::-1])].reshape(-1, n, n)  # row-major entry order

@@ -47,9 +47,14 @@ def sets():
     return get
 
 
+def map_key(f: LinearMap) -> tuple:
+    """The map's entries in row-major order: the canonical sort key for member lists."""
+    return tuple(x for row in f.matrix.rows for x in row)
+
+
 def hand_built(algebra, maps) -> AutomorphismSet:
     """A commuting set holding the given maps, sorted into its canonical array."""
-    keys = sorted({m.key() for m in maps})
+    keys = sorted({map_key(m) for m in maps})
     arr = np.array(keys, dtype=np.int64).reshape(len(keys), algebra.dim, algebra.dim)
     arr.flags.writeable = False
     return AutomorphismSet(algebra, "commuting", arr)
@@ -99,7 +104,7 @@ def test_membership_queries_reuse_the_cached_keys(sets, monkeypatch):
         LinearMap.from_image_map(L, {0: [(1, 1)], 1: [(0, 1)]}),
     ]
     keys = aset.member_keys()
-    assert [contains(aset, f) for f in queries] == [f.key() in keys for f in queries]
+    assert [contains(aset, f) for f in queries] == [map_key(f) in keys for f in queries]
     assert built == [1] * len(queries)  # each query keys its own row; the set's keys are cached
 
 
@@ -199,7 +204,7 @@ def test_enumeration_deterministic(sets):
     L = coclass2_indecomposable(F3)
     a = enumerate_commuting(L)
     b = enumerate_commuting(L)
-    assert [m.key() for m in members(a)] == [m.key() for m in members(b)]
+    assert [map_key(m) for m in members(a)] == [map_key(m) for m in members(b)]
 
 
 # -- central enumeration -----------------------------------------------------------
@@ -354,8 +359,9 @@ def test_closure_kind_guard():
 def test_span_and_pairs_methods_agree(sets):
     h11 = sets("h11", lambda: heisenberg(1, 1, F3))
     dim5 = sets("dim5", lambda: dim5_example(F3))
-    # a hand-built prefix of the dim-5 set that holds its first failing pair
-    prefix = hand_built(dim5.algebra, members(dim5)[:120])
+    # a hand-built prefix of the dim-5 set that holds its first failing pair;
+    # I, at index 3,888 of the set, sorts after it and fails no pair
+    prefix = hand_built(dim5.algebra, members(dim5)[:120] + [LinearMap.identity(dim5.algebra)])
     for aset, closed in ((h11, True), (prefix, False)):
         span = closure_check(aset)
         pairs = closure_scan(aset)
@@ -368,10 +374,9 @@ def test_span_and_pairs_methods_agree(sets):
 
 
 def test_closure_of_empty_hand_built_set():
-    # an empty set spans the zero space: d = 0, so the span check is closed after 0 pairs
-    verdict = closure_check(hand_built(heisenberg(1, 1, F3), []))
-    assert (verdict.closed, verdict.witness, verdict.pair_count) == (True, None, 0)
-    assert verdict.method == "span"
+    # the span basis is made from I and the displacements, so a set without I is refused
+    with pytest.raises(ValueError, match="identity"):
+        closure_check(hand_built(heisenberg(1, 1, F3), []))
 
 
 def test_dim6_center1_open_case_not_closed(sets):
@@ -415,11 +420,9 @@ def test_dim5_commuting_strictly_larger(sets):
     report = sets_equal(aset, central)
     assert not report.equal
     assert report.only_in_a and not report.only_in_b
-    beta1_key = LinearMap.from_image_map(
-        L, {0: [(2, 1)], 1: [(3, 1)], 2: [(0, 1)], 3: [(1, 1)]}
-    ).key()
-    assert beta1_key in {m.key() for m in members(aset)}
-    assert beta1_key not in {m.key() for m in members(central)}
+    beta1_key = map_key(LinearMap.from_image_map(L, {0: [(2, 1)], 1: [(3, 1)], 2: [(0, 1)], 3: [(1, 1)]}))
+    assert beta1_key in {map_key(m) for m in members(aset)}
+    assert beta1_key not in {map_key(m) for m in members(central)}
 
 
 def test_central_subset_of_commuting(sets):
@@ -499,7 +502,7 @@ def test_inverse_closure_over_enumerated_set(sets):
     aset = sets("dim5", lambda: L)
     keys = aset.member_keys()
     for f in members(aset)[::500]:
-        assert LinearMap(inverse(f).matrix).key() in keys
+        assert map_key(inverse(f)) in keys
 
 
 def test_central_implies_commuting_over_enumerated_set(sets):
@@ -527,12 +530,12 @@ def test_membership_spot_check_random_dim4(sets):
     for _ in range(300):
         mat = Matrix(F3, tuple(tuple(rng.randrange(3) for _ in range(4)) for _ in range(4)))
         f = LinearMap(mat)
-        assert (f.key() in keys) == is_commuting(L, f)
+        assert (map_key(f) in keys) == is_commuting(L, f)
     for f in members(aset)[::97]:
         rows = [list(r) for r in f.matrix.rows]
         rows[0][0] = (rows[0][0] + 1) % 3
         g = LinearMap(Matrix(F3, tuple(tuple(r) for r in rows)))
-        assert (g.key() in keys) == is_commuting(L, g)
+        assert (map_key(g) in keys) == is_commuting(L, g)
 
 
 # -- array canonicalisation and the extension filter ----------------------------------
@@ -540,7 +543,7 @@ def test_membership_spot_check_random_dim4(sets):
 
 def test_members_sorted_by_key_and_array_cached(sets):
     aset = sets("h12", lambda: heisenberg(1, 2, F3))
-    keys = [m.key() for m in members(aset)]
+    keys = [map_key(m) for m in members(aset)]
     assert keys == sorted(set(keys))
     arr = aset.member_array()
     assert arr is aset.member_array()
@@ -556,8 +559,8 @@ def test_members_in_array_order_after_verdicts():
     keys = aset.member_keys()
     assert aset.size == 972 and aset.outside(central).sum() == 972 - central.size
     rows = aset.member_array().reshape(aset.size, -1).tolist()
-    assert [list(m.key()) for m in members(aset)] == rows
-    assert keys == {m.key() for m in members(aset)}
+    assert [list(map_key(m)) for m in members(aset)] == rows
+    assert keys == {map_key(m) for m in members(aset)}
 
 
 def test_set_equality_compares_members():
@@ -607,7 +610,7 @@ def test_finish_set_sorts_dedups_and_checks_inverses():
     group = [np.diag(d) for d in ([1, 1, 1], [a, a, a * a % p], [a_inv, a_inv, a_inv * a_inv % p])]
     shuffled = np.array(group[::-1] + group, dtype=np.int64)
     aset = _finish_set(L, "commuting", shuffled)
-    keys = [m.key() for m in members(aset)]
+    keys = [map_key(m) for m in members(aset)]
     assert keys == sorted({tuple(int(x) for x in g.ravel()) for g in group})
     with pytest.raises(AssertionError, match="inverse"):
         _finish_set(L, "commuting", np.array(group[:2], dtype=np.int64))
@@ -636,7 +639,7 @@ def test_enumeration_peaks_below_two_and_a_half_member_arrays():
 
 
 def _canonical(mats) -> np.ndarray:
-    """(B, n, n) array of the matrices, sorted in LinearMap.key() order."""
+    """(B, n, n) array of the matrices, sorted in row-major entry order."""
     return np.array(sorted(np.asarray(m).tolist() for m in mats), dtype=np.int64)
 
 

@@ -381,7 +381,7 @@ def test_central_matches_full_invertibility_mask(p):
         mats, invertible = elimination_reference.central_candidates(alg)
         n = alg.dim
         flat = mats[invertible].reshape(-1, n * n)
-        ref = flat[np.lexsort(flat.T[::-1])].reshape(-1, n, n)  # LinearMap.key() order
+        ref = flat[np.lexsort(flat.T[::-1])].reshape(-1, n, n)  # row-major entry order
         assert np.array_equal(aset.member_array(), ref), entry.name
         if not invertible.all():
             singular_seen.append(entry.name)

@@ -3,13 +3,15 @@
 ``_finish_set`` records the inverse index it proves, and the enumerators
 hand over a basis of the span of the members' displacements F - I that
 they derive from how they made the members (Aut_c from its heads and
-tails, S from the r - I and the products r ∘ m); ``_finish_set`` derives
-the basis of the members' linear span from it.  None is recomputed from
-the members, so each is checked here against the members alone: every
-set within SUITE_BUDGET in the catalog at F3, F5 and F7, and seeded
-random 2-step algebras.  The rank comes from the reference elimination,
-not from ``modp.spanning_rows``.
+tails, S from the r - I and the products r ∘ m); ``closure_check``
+derives the basis of the members' linear span from it and I.  None is
+recomputed from the members, so each is checked here against the members
+alone: every set within SUITE_BUDGET in the catalog at F3, F5 and F7, and
+seeded random 2-step algebras.  The rank comes from the reference
+elimination, not from ``modp.spanning_rows``, once per set.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -80,25 +82,41 @@ def built_sets(catalog_runs):
     return runs + draws
 
 
+@pytest.fixture(scope="module")
+def member_rank():
+    """aset -> the rank of its members by the reference elimination, computed once per set."""
+    ranks = {}
+
+    def rank(aset) -> int:
+        if id(aset) not in ranks:  # the set is kept beside its rank, so its id is not reused
+            ranks[id(aset)] = aset, len(reference_spanning_rows(_flat(aset.member_array()), aset.algebra.field.p))
+        return ranks[id(aset)][1]
+
+    return rank
+
+
 def _flat(mats: np.ndarray) -> np.ndarray:
     count, n, _ = mats.shape
     return mats.reshape(count, n * n)
 
 
-def _assert_basis_of(basis: np.ndarray, rows: np.ndarray, p: int, label) -> None:
-    """basis is independent and spans the rows mod p, by the reference elimination."""
-    assert len(basis) == len(reference_spanning_rows(rows, p)), label
+def _assert_basis_of(basis: np.ndarray, rows: np.ndarray, p: int, label, rank=None) -> None:
+    """basis is independent and spans the rows mod p, by the reference elimination;
+    rank, when given, is the rows' rank by that elimination."""
+    assert len(basis) == (len(reference_spanning_rows(rows, p)) if rank is None else rank), label
     # the reference picks rows greedily in order: only the basis rows
     # means they are independent and every row reduces to 0 against them
     picked = reference_spanning_rows(np.concatenate([basis, rows]), p)
     assert picked == list(range(len(basis))), label
 
 
-def test_span_basis_is_a_basis_of_the_members_span(built_sets):
+def test_span_basis_is_a_basis_of_the_members_span(built_sets, member_rank):
+    # the basis closure_check decides on: what spanning_maps keeps of I followed by _moves
     for label, commuting, central in built_sets:
         for aset in (commuting, central):
-            p = aset.algebra.field.p
-            _assert_basis_of(_flat(aset._span), _flat(aset.member_array()), p, (label, aset.kind))
+            p, n = aset.algebra.field.p, aset.algebra.dim
+            span = modp.spanning_maps(np.concatenate([np.eye(n, dtype=np.int64)[None], aset._moves]), p)
+            _assert_basis_of(_flat(span), _flat(aset.member_array()), p, (label, aset.kind), member_rank(aset))
 
 
 def test_moves_are_a_basis_of_the_members_displacements(built_sets):
@@ -137,17 +155,16 @@ def test_inverse_index_names_each_members_inverse(built_sets):
             assert np.array_equal(inverse[inverse], np.arange(aset.size)), label
 
 
-def test_closure_from_the_span_basis_matches_the_ordered_scan(built_sets):
+def test_closure_from_the_span_basis_matches_the_ordered_scan(built_sets, member_rank):
     scanned = not_closed = 0
     for label, commuting, _ in built_sets:
         verdict = closure_check(commuting)
-        rank = len(reference_spanning_rows(_flat(commuting.member_array()), commuting.algebra.field.p))
-        assert verdict.pair_count == rank**2, label
+        assert verdict.pair_count == member_rank(commuting) ** 2, label
         if commuting.size <= SCAN_LIMIT or not verdict.closed:
             ref = closure_scan(commuting)
             scanned += 1
         else:
-            # the same members, with the span picked from them rather than handed over
+            # the same members, with the moves picked from them rather than handed over
             ref = closure_check(AutomorphismSet(commuting.algebra, "commuting", commuting.member_array()))
         assert verdict.closed == ref.closed, label
         if not ref.closed:
@@ -158,16 +175,19 @@ def test_closure_from_the_span_basis_matches_the_ordered_scan(built_sets):
 
 
 def test_closed_set_is_decided_without_reading_its_members(built_sets, monkeypatch):
-    # a closed set needs only its basis; a set that is not closed scans its
-    # members for the greedy representatives, and stops at the rank
+    # a closed set needs only its basis, made from I and _moves; a set that is
+    # not closed also scans its members for the greedy representatives, and
+    # stops at the rank
     calls = []
     real = modp.spanning_rows
-    monkeypatch.setattr(modp, "spanning_rows", lambda rows, p, rank=None: calls.append(rank) or real(rows, p, rank))
+    monkeypatch.setattr(modp, "spanning_rows", lambda rows, p, rank=None: calls.append((rows, rank)) or real(rows, p, rank))
     seen = set()
     for label, commuting, _ in built_sets:
         calls.clear()
         verdict = closure_check(commuting)
-        assert calls == ([] if verdict.closed else [len(commuting._span)]), label
+        reads = [rank for rows, rank in calls if np.may_share_memory(rows, commuting.member_array())]
+        assert len(calls) == 1 + len(reads), label
+        assert reads == ([] if verdict.closed else [math.isqrt(verdict.pair_count)]), label
         seen.add(verdict.closed)
     assert seen == {True, False}
 
@@ -194,7 +214,6 @@ def test_product_blocks_stay_within_chunk_and_in_source_order(catalog_runs, monk
                 assert np.array_equal(made.member_array(), kept.member_array()), (run.name, kept.kind)
                 assert np.array_equal(made._inverse, kept._inverse), (run.name, kept.kind)
                 assert np.array_equal(made._moves, kept._moves), (run.name, kept.kind)
-                assert np.array_equal(made._span, kept._span), (run.name, kept.kind)
             checked += 1
     assert checked == 4
     for kind in ("commuting", "central"):
