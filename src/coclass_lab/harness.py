@@ -36,7 +36,6 @@ from .search import (
     _bruteforce,
     _commuting_and_central,
     closure_check,
-    gl_order,
     sets_equal,
 )
 
@@ -251,8 +250,7 @@ def _consistency(verdict: str, summary: EnumerationSummary) -> bool:
     return True
 
 
-def _abelian_summary(algebra: LieAlgebra) -> EnumerationSummary:
-    order = gl_order(algebra.field.p, algebra.dim)
+def _abelian_summary(order: int) -> EnumerationSummary:
     return EnumerationSummary(
         commuting_size=order,
         central_size=order,
@@ -294,8 +292,8 @@ def _verify(algebra: LieAlgebra, budget: int, name: str) -> tuple:
     else:
         try:
             commuting, central = _commuting_and_central(algebra, budget)
-        except AbelianShortCircuit:
-            summary = _abelian_summary(algebra)
+        except AbelianShortCircuit as exc:
+            summary = _abelian_summary(exc.aut_order)
         except BudgetExceededError as exc:
             commuting, reason = None, f"unverified: {exc}"
     if commuting is not None:

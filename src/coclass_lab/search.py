@@ -97,6 +97,17 @@ for all heads, and a member is their sum.  Its inverse comes from
 Woodbury, split the same way: (I + U X_h + U T_t)^-1 = G_h - (U M_h) T_t,
 with M_h = (I + X_h U)^-1 and G_h = I - U M_h X_h.
 
+Every listing is of distinct members, and ``_finish_set`` checks it: a
+repeated member is an error, so each listed size is exact, |S| = N |Aut_c|
+and |Aut_c| = h p^(m-s).
+
+  * Aut_c's members I + U (X_h + T_t) are distinct: U has independent
+    columns, and a head combination with (sum y_i X_i) U = 0 has y = 0, as
+    the N_i = X_i U are independent, so the span of the heads meets the
+    span of the tails only in 0.
+  * The products r ∘ c are distinct (above).
+  * The brute-force oracle filters the p^(n^2) distinct matrices.
+
 Each set carries a basis ``_moves`` of the span of its displacements
 F - I, from how it was built.  The identity sweep decides on it, and
 ``closure_check`` on the basis of the set's linear span it gives.
@@ -179,7 +190,10 @@ class AutomorphismSet:
     over by the enumerator that made and proved it and otherwise computed
     here from the array:
 
-      * ``_keys``, the sorted row keys that ``outside`` searches;
+      * ``_keys``, the sorted row keys that ``outside`` searches; when
+        they are computed here, the array is checked canonical first (a
+        hand-built array that is unsorted, repeats a member or, over F_p,
+        has an entry outside [0, p) raises ValueError);
       * ``_moves``, a (d, n, n) basis of the span of the displacements
         F - I mod p (None over Q), on which ``run_suite``'s identity
         sweep and ``closure_check`` decide; its rows are not members.
@@ -200,7 +214,12 @@ class AutomorphismSet:
     def __post_init__(self):
         p = self.algebra.field.p
         if self._keys is None:
-            object.__setattr__(self, "_keys", _row_keys(self._array, p))
+            if self.algebra.field.is_prime and not ((self._array >= 0) & (self._array < p)).all():
+                raise ValueError(f"a set's entries must lie in [0, {p})")
+            keys = _row_keys(self._array, p)
+            if not np.array_equal(np.unique(keys), keys):
+                raise ValueError("a set's members must be sorted in row-major entry order, without repeats")
+            object.__setattr__(self, "_keys", keys)
         if self._moves is None and self.algebra.field.is_prime:
             object.__setattr__(self, "_moves", modp.displacement_basis(self._array, p))
         for fact in (self._keys, self._inverse, self._moves):
@@ -270,8 +289,10 @@ def _holds_identity(keys: np.ndarray, p: int, n: int) -> bool:
 def _finish_set(algebra: LieAlgebra, kind: str, mats, inverses=None, moves=None) -> AutomorphismSet:
     """Canonical set from member matrices, entries in [0, p), as one
     (B, n, n) int64 array or a list of blocks: sorted in row-major entry
-    order without duplicates, filled block by block from the row keys, so
-    the blocks and that array are the only member copies alive.
+    order; a repeated member is an error, as every enumerator lists
+    distinct members (module docstring).  Each block is written to the
+    canonical positions of its rows, so the blocks and that array are the
+    only member copies alive.
 
     The set must hold the identity and every member's inverse.
     ``inverses(members, sources)`` (default ``modp.batch_inverse``) gives
@@ -292,17 +313,16 @@ def _finish_set(algebra: LieAlgebra, kind: str, mats, inverses=None, moves=None)
     p = algebra.field.p
     n = algebra.dim
     blocks = [mats] if isinstance(mats, np.ndarray) else mats
-    keys, first = np.unique(np.concatenate([_row_keys(b, p) for b in blocks]), return_index=True)
+    source_keys = np.concatenate([_row_keys(b, p) for b in blocks])
+    keys, first = np.unique(source_keys, return_index=True)
+    if len(keys) < len(source_keys):
+        raise AssertionError(f"{kind} enumeration listed a member twice")
+    at = np.argsort(first)  # the canonical position of each source
     arr = np.empty((len(keys), n, n), dtype=np.int64)
-    # first[at] for the canonical positions at, in the order the blocks hold them
-    order = np.argsort(first)
-    stops = np.searchsorted(first[order], np.cumsum([len(b) for b in blocks]))
-    start = offset = 0
-    for block, stop in zip(blocks, stops):
-        at = order[start:stop]
-        # a block without repeats is all first occurrences, in its own order
-        arr[at] = block if len(at) == len(block) else block[first[at] - offset]
-        start, offset = stop, offset + len(block)
+    start = 0
+    for block in blocks:
+        arr[at[start : start + len(block)]] = block
+        start += len(block)
     if not _holds_identity(keys, p, n):
         raise AssertionError(f"{kind} enumeration lost the identity map")
     eye = np.eye(n, dtype=np.int64)

@@ -600,7 +600,7 @@ def test_equality_examples_are_first_five_member_indices(sets):
     assert sets_equal(commuting, central).only_in_a  # 486 members are not central
 
 
-def test_finish_set_sorts_dedups_and_checks_inverses():
+def test_finish_set_sorts_rejects_repeats_and_checks_inverses():
     from coclass_lab.search import _finish_set
 
     p = 65521
@@ -608,14 +608,64 @@ def test_finish_set_sorts_dedups_and_checks_inverses():
     a = p - 2
     a_inv = pow(a, -1, p)
     group = [np.diag(d) for d in ([1, 1, 1], [a, a, a * a % p], [a_inv, a_inv, a_inv * a_inv % p])]
-    shuffled = np.array(group[::-1] + group, dtype=np.int64)
+    shuffled = np.array(group[::-1], dtype=np.int64)
     aset = _finish_set(L, "commuting", shuffled)
     keys = [map_key(m) for m in members(aset)]
-    assert keys == sorted({tuple(int(x) for x in g.ravel()) for g in group})
+    assert keys == sorted(tuple(int(x) for x in g.ravel()) for g in group) != [tuple(g.ravel()) for g in shuffled]
+    with pytest.raises(AssertionError, match="commuting enumeration listed a member twice"):
+        _finish_set(L, "commuting", np.array(group[::-1] + group, dtype=np.int64))
     with pytest.raises(AssertionError, match="inverse"):
         _finish_set(L, "commuting", np.array(group[:2], dtype=np.int64))
     with pytest.raises(AssertionError, match="identity"):
         _finish_set(L, "commuting", np.array(group[1:], dtype=np.int64))
+
+
+def test_finish_set_rejects_a_repeat_across_blocks():
+    from coclass_lab.search import _finish_set
+
+    L = heisenberg(1, 1, F3)
+    central = enumerate_central(L).member_array()
+    _finish_set(L, "central", [central[:4], central[4:]])
+    with pytest.raises(AssertionError, match="central enumeration listed a member twice"):
+        _finish_set(L, "central", [central[:5], central[4:]])
+
+
+@pytest.mark.parametrize(
+    "maker,classes",
+    [(lambda: heisenberg(1, 2, F3), 2), (lambda: filiform(5, F3), 1)],
+    ids=["heisenberg_1_2", "filiform_5"],
+)
+def test_a_class_listed_twice_is_an_error(monkeypatch, maker, classes):
+    # the products r ∘ c are distinct only for distinct classes: listing one
+    # class twice must fail, also where the one class would give S = Aut_c
+    alg = maker()
+    real = search._class_representatives
+    assert len(real(alg, *search._assignment_space(alg, search.DEFAULT_BUDGET))) == classes
+
+    def first_class_twice(*args):
+        reps = real(*args)
+        return np.concatenate([reps, reps[:1]])
+
+    monkeypatch.setattr(search, "_class_representatives", first_class_twice)
+    with pytest.raises(AssertionError, match="commuting enumeration listed a member twice"):
+        enumerate_commuting(alg)
+
+
+def test_hand_built_set_must_be_canonical():
+    L = heisenberg(1, 1, F3)
+    central = enumerate_central(L)
+    arr = central.member_array()
+    with pytest.raises(ValueError, match="sorted"):
+        AutomorphismSet(L, "central", arr[::-1].copy())
+    with pytest.raises(ValueError, match="without repeats"):
+        AutomorphismSet(L, "central", np.concatenate([arr[:1], arr]))
+    out_of_range = arr.copy()
+    out_of_range[-1, 0, 0] += 3  # the same map mod 3, still in sorted order
+    with pytest.raises(ValueError, match=r"\[0, 3\)"):
+        AutomorphismSet(L, "central", out_of_range)
+    assert sets_equal(AutomorphismSet(L, "central", arr.copy()), central).equal
+    # a set handed its keys, as _finish_set and dataclasses.replace hand them, is not checked again
+    AutomorphismSet(L, "central", arr[::-1].copy(), central._keys)
 
 
 def test_enumeration_peaks_below_two_and_a_half_member_arrays():

@@ -8,7 +8,9 @@ derives the basis of the members' linear span from it and I.  None is
 recomputed from the members, so each is checked here against the members
 alone: every set within SUITE_BUDGET in the catalog at F3, F5 and F7, and
 seeded random 2-step algebras.  The rank comes from the reference
-elimination, not from ``modp.spanning_rows``, once per set.
+elimination, not from ``modp.spanning_rows``: one pass over a set's rows
+followed by the basis under test gives both the rows' rank and whether the
+basis lies in their span, and the members' pass runs once per set.
 """
 
 import math
@@ -83,16 +85,31 @@ def built_sets(catalog_runs):
 
 
 @pytest.fixture(scope="module")
-def member_rank():
-    """aset -> the rank of its members by the reference elimination, computed once per set."""
-    ranks = {}
+def member_span():
+    """aset -> _reduce of its members followed by its span basis, computed once per set."""
+    facts = {}
 
-    def rank(aset) -> int:
-        if id(aset) not in ranks:  # the set is kept beside its rank, so its id is not reused
-            ranks[id(aset)] = aset, len(reference_spanning_rows(_flat(aset.member_array()), aset.algebra.field.p))
-        return ranks[id(aset)][1]
+    def reduced(aset) -> tuple:
+        if id(aset) not in facts:  # the set is kept beside its facts, so its id is not reused
+            facts[id(aset)] = aset, _reduce(_flat(aset.member_array()), _span_basis(aset), aset.algebra.field.p)
+        return facts[id(aset)][1]
 
-    return rank
+    return reduced
+
+
+def _span_basis(aset) -> np.ndarray:
+    """The basis closure_check decides on: what spanning_maps keeps of I followed by _moves."""
+    n = aset.algebra.dim
+    return _flat(modp.spanning_maps(np.concatenate([np.eye(n, dtype=np.int64)[None], aset._moves]), aset.algebra.field.p))
+
+
+def _reduce(rows: np.ndarray, basis: np.ndarray, p: int) -> tuple:
+    """(the rows' rank, whether basis lies in their span), by one reference
+    elimination of the rows followed by the basis: it picks greedily in
+    order, so it picks rank rows among the rows and a basis row only when
+    that row lies outside their span."""
+    picked = reference_spanning_rows(np.concatenate([rows, basis]), p)
+    return sum(i < len(rows) for i in picked), all(i < len(rows) for i in picked)
 
 
 def _flat(mats: np.ndarray) -> np.ndarray:
@@ -100,34 +117,30 @@ def _flat(mats: np.ndarray) -> np.ndarray:
     return mats.reshape(count, n * n)
 
 
-def _assert_basis_of(basis: np.ndarray, rows: np.ndarray, p: int, label, rank=None) -> None:
-    """basis is independent and spans the rows mod p, by the reference elimination;
-    rank, when given, is the rows' rank by that elimination."""
-    assert len(basis) == (len(reference_spanning_rows(rows, p)) if rank is None else rank), label
-    # the reference picks rows greedily in order: only the basis rows
-    # means they are independent and every row reduces to 0 against them
-    picked = reference_spanning_rows(np.concatenate([basis, rows]), p)
-    assert picked == list(range(len(basis))), label
+def _assert_basis_of(basis: np.ndarray, rank: int, inside: bool, p: int, label) -> None:
+    """basis lies in a span of the given rank (inside, from _reduce), has rank
+    rows and, by the reference elimination of the basis alone, is independent:
+    so it is a basis of that span."""
+    assert inside and len(basis) == rank, label
+    assert reference_spanning_rows(basis, p) == list(range(len(basis))), label
 
 
-def test_span_basis_is_a_basis_of_the_members_span(built_sets, member_rank):
-    # the basis closure_check decides on: what spanning_maps keeps of I followed by _moves
+def test_span_basis_is_a_basis_of_the_members_span(built_sets, member_span):
     for label, commuting, central in built_sets:
         for aset in (commuting, central):
-            p, n = aset.algebra.field.p, aset.algebra.dim
-            span = modp.spanning_maps(np.concatenate([np.eye(n, dtype=np.int64)[None], aset._moves]), p)
-            _assert_basis_of(_flat(span), _flat(aset.member_array()), p, (label, aset.kind), member_rank(aset))
+            _assert_basis_of(_span_basis(aset), *member_span(aset), aset.algebra.field.p, (label, aset.kind))
 
 
 def test_moves_are_a_basis_of_the_members_displacements(built_sets):
     for label, commuting, central in built_sets:
         for aset in (commuting, central):
             p, n = aset.algebra.field.p, aset.algebra.dim
+            moves = _flat(aset._moves)
             displacements = _flat(aset.member_array() - np.eye(n, dtype=np.int64))  # the reference reduces mod p
-            _assert_basis_of(_flat(aset._moves), displacements, p, (label, aset.kind))
+            _assert_basis_of(moves, *_reduce(displacements, moves, p), p, (label, aset.kind))
 
 
-def test_identity_sweep_on_moves_matches_the_sweep_on_spanning_members(built_sets):
+def test_identity_sweep_on_moves_matches_the_sweep_on_a_basis_from_the_members(built_sets):
     for label, commuting, central in built_sets:
         for aset in (commuting, central):
             alg, arr = aset.algebra, aset.member_array()
@@ -155,11 +168,11 @@ def test_inverse_index_names_each_members_inverse(built_sets):
             assert np.array_equal(inverse[inverse], np.arange(aset.size)), label
 
 
-def test_closure_from_the_span_basis_matches_the_ordered_scan(built_sets, member_rank):
+def test_closure_from_the_span_basis_matches_the_ordered_scan(built_sets, member_span):
     scanned = not_closed = 0
     for label, commuting, _ in built_sets:
         verdict = closure_check(commuting)
-        assert verdict.pair_count == member_rank(commuting) ** 2, label
+        assert verdict.pair_count == member_span(commuting)[0] ** 2, label
         if commuting.size <= SCAN_LIMIT or not verdict.closed:
             ref = closure_scan(commuting)
             scanned += 1
