@@ -184,6 +184,11 @@ def gl_order(p: int, n: int) -> int:
 class AutomorphismSet:
     """A finite, canonically ordered set of automorphisms of one algebra.
 
+    The algebra's field must be F_p: every enumerator works over F_p, and
+    the row keys below pack residues base p, so a set over Q raises
+    ValueError before its array is read.  This is the one place that
+    rule is checked for a set.
+
     Stored once, as a read-only (B, n, n) int64 array of member matrices,
     entries in [0, p), sorted in row-major entry order without
     duplicates.  Beside it are two facts about the members, each handed
@@ -192,11 +197,11 @@ class AutomorphismSet:
 
       * ``_keys``, the sorted row keys that ``outside`` searches; when
         they are computed here, the array is checked canonical first (a
-        hand-built array that is unsorted, repeats a member or, over F_p,
-        has an entry outside [0, p) raises ValueError);
+        hand-built array that is unsorted, repeats a member or has an
+        entry outside [0, p) raises ValueError);
       * ``_moves``, a (d, n, n) basis of the span of the displacements
-        F - I mod p (None over Q), on which ``run_suite``'s identity
-        sweep and ``closure_check`` decide; its rows are not members.
+        F - I mod p, on which ``run_suite``'s identity sweep and
+        ``closure_check`` decide; its rows are not members.
 
     ``_inverse`` holds, when ``_finish_set`` built the set, the index of
     each member's inverse; it is None otherwise.  A member is named by its
@@ -212,15 +217,17 @@ class AutomorphismSet:
     _moves: Optional[np.ndarray] = dataclass_field(default=None, repr=False)
 
     def __post_init__(self):
+        if not self.algebra.field.is_prime:
+            raise ValueError("an automorphism set needs a prime field")
         p = self.algebra.field.p
         if self._keys is None:
-            if self.algebra.field.is_prime and not ((self._array >= 0) & (self._array < p)).all():
+            if not ((self._array >= 0) & (self._array < p)).all():
                 raise ValueError(f"a set's entries must lie in [0, {p})")
             keys = _row_keys(self._array, p)
             if not np.array_equal(np.unique(keys), keys):
                 raise ValueError("a set's members must be sorted in row-major entry order, without repeats")
             object.__setattr__(self, "_keys", keys)
-        if self._moves is None and self.algebra.field.is_prime:
+        if self._moves is None:
             object.__setattr__(self, "_moves", modp.displacement_basis(self._array, p))
         for fact in (self._keys, self._inverse, self._moves):
             if fact is not None:
@@ -743,8 +750,6 @@ def closure_check(aset: AutomorphismSet) -> ClosureVerdict:
     if aset.kind != "commuting":
         raise ValueError("closure_check applies to commuting sets")
     algebra = aset.algebra
-    if not algebra.field.is_prime:
-        raise ValueError("closure check needs a prime field")
     p = algebra.field.p
     n = algebra.dim
     if not _holds_identity(aset._keys, p, n):

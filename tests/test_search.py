@@ -60,6 +60,12 @@ def hand_built(algebra, maps) -> AutomorphismSet:
     return AutomorphismSet(algebra, "commuting", arr)
 
 
+def member_set(aset) -> frozenset:
+    """The set's members as row-major entry tuples, read from its array."""
+    n = aset.algebra.dim
+    return frozenset(map(tuple, aset.member_array().reshape(aset.size, n * n).tolist()))
+
+
 def members(aset) -> list:
     """The set's members as LinearMaps, in canonical order."""
     field = aset.algebra.field
@@ -103,7 +109,7 @@ def test_membership_queries_reuse_the_cached_keys(sets, monkeypatch):
         LinearMap.from_image_map(L, {0: [(0, 2)]}),  # not an automorphism
         LinearMap.from_image_map(L, {0: [(1, 1)], 1: [(0, 1)]}),
     ]
-    keys = aset.member_keys()
+    keys = member_set(aset)
     assert [contains(aset, f) for f in queries] == [map_key(f) in keys for f in queries]
     assert built == [1] * len(queries)  # each query keys its own row; the set's keys are cached
 
@@ -432,7 +438,7 @@ def test_central_subset_of_commuting(sets):
     ):
         aset = sets(name, maker)
         central = enumerate_central(aset.algebra)
-        assert central.member_keys() <= aset.member_keys()
+        assert member_set(central) <= member_set(aset)
 
 
 def test_dim6_center3_commuting_equals_central(sets):
@@ -500,7 +506,7 @@ def test_composition_commuting_iff_symmetric_form_vanishes(sets):
 def test_inverse_closure_over_enumerated_set(sets):
     L = dim5_example(F3)
     aset = sets("dim5", lambda: L)
-    keys = aset.member_keys()
+    keys = member_set(aset)
     for f in members(aset)[::500]:
         assert map_key(inverse(f)) in keys
 
@@ -525,7 +531,7 @@ def test_membership_spot_check_random_dim4(sets):
 
     L = heisenberg(1, 2, F3)
     aset = sets("h12", lambda: L)
-    keys = aset.member_keys()
+    keys = member_set(aset)
     rng = random.Random(7)
     for _ in range(300):
         mat = Matrix(F3, tuple(tuple(rng.randrange(3) for _ in range(4)) for _ in range(4)))
@@ -556,7 +562,7 @@ def test_members_in_array_order_after_verdicts():
     central = enumerate_central(aset.algebra)
     closure_check(aset)
     sets_equal(aset, central)
-    keys = aset.member_keys()
+    keys = member_set(aset)
     assert aset.size == 972 and aset.outside(central).sum() == 972 - central.size
     rows = aset.member_array().reshape(aset.size, -1).tolist()
     assert [list(map_key(m)) for m in members(aset)] == rows
@@ -664,6 +670,11 @@ def test_hand_built_set_must_be_canonical():
     with pytest.raises(ValueError, match=r"\[0, 3\)"):
         AutomorphismSet(L, "central", out_of_range)
     assert sets_equal(AutomorphismSet(L, "central", arr.copy()), central).equal
+    # a set is over F_p: over Q even a canonical array of distinct maps is refused first
+    LQ = heisenberg(1, 1, Q)
+    for maps in ([np.diag([2, 2, 1])], [np.eye(3, dtype=np.int64), np.diag([2, 2, 1])]):
+        with pytest.raises(ValueError, match="prime"):
+            AutomorphismSet(LQ, "commuting", _canonical(maps))
     # a set handed its keys, as _finish_set and dataclasses.replace hand them, is not checked again
     AutomorphismSet(L, "central", arr[::-1].copy(), central._keys)
 
