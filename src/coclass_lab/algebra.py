@@ -17,6 +17,7 @@ one algebra shares one computation.
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -53,13 +54,14 @@ class JacobiViolation:
         return f"Jacobi fails on (e{i+1}, e{j+1}, e{k+1}): residual {self.residual}"
 
 
-def _normalize_sc(field: FieldSpec, dim: int, sc) -> dict:
-    table = {}
-    for (i, j), terms in sc.items():
+def _normalize_sc(field: FieldSpec, dim: int, pairs) -> dict:
+    table, seen = {}, set()  # seen, not table: a bracket whose terms cancel is not stored
+    for (i, j), terms in pairs:
         if not (0 <= i < j < dim):
             raise ValueError(f"structure constants need 0 <= i < j < dim, got ({i}, {j})")
-        if (i, j) in table:
+        if (i, j) in seen:
             raise ValueError(f"duplicate bracket entry ({i}, {j})")
+        seen.add((i, j))
         acc: dict = {}
         for k, c in terms:
             if not 0 <= k < dim:
@@ -72,14 +74,18 @@ def _normalize_sc(field: FieldSpec, dim: int, sc) -> dict:
 
 
 class LieAlgebra:
-    """Finite-dimensional Lie algebra over F_p (p odd) or Q."""
+    """Finite-dimensional Lie algebra over F_p (p odd) or Q.
+
+    ``sc`` is a mapping or an iterable of ((i, j), ((k, c), ...)) pairs
+    with 0 <= i < j < dim and 0 <= k < dim; a repeated (i, j) is an error.
+    """
 
     def __init__(self, field: FieldSpec, dim: int, sc):
         if dim < 1:
             raise ValueError("dimension must be >= 1")
         self.field = field
         self.dim = dim
-        self.sc = _normalize_sc(field, dim, dict(sc))
+        self.sc = _normalize_sc(field, dim, sc.items() if isinstance(sc, Mapping) else sc)
         self._zeros = (field.zero,) * dim
 
     def __eq__(self, other) -> bool:

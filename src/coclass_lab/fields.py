@@ -120,15 +120,15 @@ class FieldSpec:
         return pow(a, -1, self.p) if self.p else 1 / a
 
     def parse(self, text) -> Scalar:
-        """Scalar from catalog-file form: int, or "num/den" for rationals."""
-        if isinstance(text, int):
+        """Scalar from catalog-file form: an int (a bool is none) or a "num/den" string."""
+        if isinstance(text, int) and not isinstance(text, bool):
             return self.canon(text)
         if isinstance(text, str):
             if "/" in text:
                 num, den = text.split("/", 1)
                 return self.canon(Fraction(int(num), int(den)))
             return self.canon(int(text))
-        raise ValueError(f"bad scalar literal {text!r}")
+        raise ValueError('not an integer or a "num/den" string')
 
     def unparse(self, x: Scalar):
         """Catalog-file form: plain int when possible, else "num/den"."""

@@ -79,10 +79,6 @@ class LinearMap:
                 images.append(basis_vec(f, algebra.dim, j))
         return LinearMap.from_images(algebra, images)
 
-    @staticmethod
-    def identity(algebra: LieAlgebra) -> "LinearMap":
-        return LinearMap(Matrix.identity(algebra.field, algebra.dim))
-
     @property
     def dim(self) -> int:
         return self.matrix.nrows

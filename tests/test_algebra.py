@@ -9,6 +9,7 @@ from coclass_lab.constructions import (
     dim5_example,
     direct_sum,
     filiform,
+    from_bracket_table,
     heisenberg,
 )
 from coclass_lab.fields import FieldSpec
@@ -62,6 +63,13 @@ def test_bad_indices_rejected():
         LieAlgebra(F3, 3, {(2, 1): ((0, 1),)})
     with pytest.raises(ValueError):
         LieAlgebra(F3, 2, {(0, 1): ((5, 1),)})
+    # a repeated pair is refused, not merged into its last copy
+    with pytest.raises(ValueError, match=r"duplicate bracket entry \(0, 1\)"):
+        LieAlgebra(F3, 3, [((0, 1), ((2, 1),)), ((0, 1), ((2, 2),))])
+    with pytest.raises(ValueError, match=r"duplicate bracket entry \(0, 1\)"):
+        LieAlgebra(F3, 3, [((0, 1), ()), ((0, 1), ((2, 2),))])
+    with pytest.raises(ValueError, match=r"duplicate bracket entry \(0, 1\)"):
+        from_bracket_table(F3, 3, [(0, 1, [(2, 1)]), (0, 1, [(2, 2)])])
 
 
 # -- bracket ------------------------------------------------------------------

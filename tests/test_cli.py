@@ -114,6 +114,24 @@ def test_search_commuting_abelian_short_circuit(capsys):
     assert "11232" in out
 
 
+def test_check_subgroup_abelian_short_circuit(capsys):
+    # an abelian algebra is closed at once: its commuting set is all of GL(n, p)
+    code, out, _ = run(capsys, "--format", "json", "check-subgroup", "abelian:2", "--p", "3")
+    assert code == 0
+    assert out == '{"closed":true,"short_circuit":true,"size":48,"witness":null}\n'
+    code, out, _ = run(capsys, "check-subgroup", "abelian:2", "--p", "3")
+    assert code == 0
+    assert out == "closed: abelian algebra, commuting set = GL(2,3)\n"
+
+
+def test_prime_zero_is_no_field(capsys):
+    # --p 0 is refused, not read as FieldSpec(0), which is Q
+    with pytest.raises(SystemExit) as err:
+        main(["search-commuting", "filiform:4", "--p", "0"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err == "error: prime field needs p >= 3\n"
+
+
 def test_check_subgroup_witness_output(capsys):
     code, out, _ = run(capsys, "--format", "json", "check-subgroup", "dim5", "--p", "3")
     assert code == 0
@@ -221,6 +239,18 @@ _MALFORMED = {
     + _TERM % '{"k": 2, "c": "1/0"}' + "}",
     "scalar_not_number": "{" + _ENTRY + ", " + _TERM % '{"k": 2, "c": "zz"}' + "}",
     "scalar_float": "{" + _ENTRY + ", " + _TERM % '{"k": 2, "c": 1.5}' + "}",
+    "scalar_boolean": "{" + _ENTRY + ", " + _TERM % '{"k": 2, "c": true}' + "}",
+    "scalar_null": "{" + _ENTRY + ", " + _TERM % '{"k": 2, "c": null}' + "}",
+    "dim_zero": '{"name": "x", "field": {"prime": 3}, "dim": 0, "brackets": []}',
+    "duplicate_block": "{" + _ENTRY + ', "brackets": [{"i": 0, "j": 1, "terms": [{"k": 2, "c": 1}]}, '
+    + '{"i": 0, "j": 1, "terms": [{"k": 2, "c": 2}]}]}',
+    # the first copy's bracket is zero, so the table never stores it
+    "duplicate_zero_block": "{" + _ENTRY + ', "brackets": [{"i": 0, "j": 1, "terms": []}, '
+    + '{"i": 0, "j": 1, "terms": [{"k": 2, "c": 2}]}]}',
+    "j_out_of_range": "{" + _ENTRY + ', "brackets": [{"i": 0, "j": 3, "terms": []}]}',
+    "k_out_of_range": "{" + _ENTRY + ", " + _TERM % '{"k": 3, "c": 1}' + "}",
+    "missing_brackets": "{" + _ENTRY + "}",
+    "field_unknown": '{"name": "x", "field": "real", "dim": 2, "brackets": []}',
 }
 
 

@@ -182,6 +182,8 @@ def test_builtin_unknown_rejected():
         builtin("icosahedron:7", F3)
     with pytest.raises(CatalogError):
         builtin("filiform:not_a_number", F3)
+    with pytest.raises(CatalogError, match="bad builtin 'abelian:0': dimension must be >= 1"):
+        builtin("abelian:0", F3)
     # the message names every name builtin() accepts
     accepted = {
         "abelian:N": "abelian:3",

@@ -60,6 +60,15 @@ def test_parse_unparse_roundtrip():
     assert q.unparse(Fraction(4, 2)) == 2
 
 
+@pytest.mark.parametrize(
+    "literal", [True, False, 1.0, None, [1], {"c": 1}], ids=["true", "false", "float", "null", "list", "object"]
+)
+def test_parse_rejects_non_literals(literal):
+    # JSON true is no integer here, although bool subclasses int
+    with pytest.raises(ValueError, match='not an integer or a "num/den" string'):
+        FieldSpec.prime(3).parse(literal)
+
+
 def test_scalar_canonical_form_unique():
     q = FieldSpec.rational()
     assert q.parse("2/4") == q.parse("1/2") == q.parse("-1/-2")

