@@ -55,18 +55,20 @@ class JacobiViolation:
 
 
 def _normalize_sc(field: FieldSpec, dim: int, pairs) -> dict:
-    table, seen = {}, set()  # seen, not table: a bracket whose terms cancel is not stored
+    table, seen = {}, set()  # seen, not table: a bracket whose terms are all zero is not stored
     for (i, j), terms in pairs:
-        if not (0 <= i < j < dim):
-            raise ValueError(f"structure constants need 0 <= i < j < dim, got ({i}, {j})")
+        if not (type(i) is type(j) is int and 0 <= i < j < dim):
+            raise ValueError(f"structure constants need ints 0 <= i < j < dim, got ({i!r}, {j!r})")
         if (i, j) in seen:
             raise ValueError(f"duplicate bracket entry ({i}, {j})")
         seen.add((i, j))
         acc: dict = {}
         for k, c in terms:
-            if not 0 <= k < dim:
-                raise ValueError(f"bracket target index {k} out of range")
-            acc[k] = field.canon(acc.get(k, 0) + field.canon(c))
+            if not (type(k) is int and 0 <= k < dim):
+                raise ValueError(f"bracket target index needs an int 0 <= k < dim, got {k!r}")
+            if k in acc:
+                raise ValueError(f"repeated target {k} in bracket entry ({i}, {j})")
+            acc[k] = field.canon(c)
         cleaned = tuple((k, c) for k, c in sorted(acc.items()) if c)
         if cleaned:
             table[(i, j)] = cleaned
@@ -77,10 +79,15 @@ class LieAlgebra:
     """Finite-dimensional Lie algebra over F_p (p odd) or Q.
 
     ``sc`` is a mapping or an iterable of ((i, j), ((k, c), ...)) pairs
-    with 0 <= i < j < dim and 0 <= k < dim; a repeated (i, j) is an error.
+    with 0 <= i < j < dim and 0 <= k < dim; a repeated (i, j), or a k
+    repeated within one entry, is an error.  dim, i, j and k must be ints
+    (no bool or float) and each c an int or a Fraction: a catalog file's
+    rules, so every accepted algebra saves to a file that loads back equal.
     """
 
     def __init__(self, field: FieldSpec, dim: int, sc):
+        if type(dim) is not int:
+            raise ValueError(f"dimension must be an int, not {type(dim).__name__}")
         if dim < 1:
             raise ValueError("dimension must be >= 1")
         self.field = field

@@ -7,13 +7,12 @@ The catalog file format is line-oriented JSON, one entry per line::
      "tags": [...]}
 
 Indices are 0-based and only i < j entries are accepted, each (i, j) at
-most once, so antisymmetry is a property of the file format itself.
-Scalars are integers (reduced mod p) or "num/den" strings over the
-rationals.  A malformed entry (a value of the wrong JSON type, booleans
-included, a missing key, a bad scalar literal, a dimension below 1, or a
-block out of order, out of range or repeated) raises CatalogError, which
-load_catalog prefixes with the file and line.  The parser checks JSON
-shapes; the table rules are LieAlgebra's, the literal rules FieldSpec.parse's.
+most once and each k once within it, so antisymmetry is a property of the
+file format itself.  Scalars are integers (reduced mod p) or "num/den"
+strings over the rationals.  A malformed entry raises CatalogError, which
+load_catalog prefixes with the file and line.  The parser checks only JSON
+objects, lists, strings and keys; the number rules are FieldSpec's (prime,
+scalar) and LieAlgebra's (dim, indices, table), for tables built in code too.
 """
 
 from __future__ import annotations
@@ -203,7 +202,7 @@ def _field_from_json(obj) -> FieldSpec:
         return FieldSpec.rational()
     if isinstance(obj, dict) and set(obj) == {"prime"}:
         try:
-            return FieldSpec.prime(_checked(obj["prime"], int, "prime"))
+            return FieldSpec.prime(obj["prime"])
         except FieldError as exc:
             raise CatalogError(str(exc)) from exc
     raise CatalogError(f"bad field spec {obj!r}")
@@ -214,12 +213,9 @@ def _field_to_json(field: FieldSpec):
 
 
 def _checked(value, kind: type, what: str):
-    """value when it is a JSON value of the given kind, else a CatalogError.
-
-    JSON true and false are not integers here, although bool subclasses int.
-    """
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        names = {dict: "an object", list: "a list", int: "an integer", str: "a string"}
+    """value when it is the JSON object, list or string kind names, else a CatalogError."""
+    if not isinstance(value, kind):
+        names = {dict: "an object", list: "a list", str: "a string"}
         raise CatalogError(f"{what} must be {names[kind]}, got {json.dumps(value)}")
     return value
 
@@ -239,20 +235,18 @@ def entry_from_json(obj) -> CatalogEntry:
             raise CatalogError(f"missing key {key!r}")
     name = _checked(obj["name"], str, "name")
     field = _field_from_json(obj["field"])
-    dim = _checked(obj["dim"], int, "dim")
     sc = []
     for block in _checked(obj["brackets"], list, "brackets"):
         _checked(block, dict, "bracket block")
-        i, j = (_checked(block.get(key), int, f"bracket index {key}") for key in "ij")
         terms = []
         for term in _checked(block.get("terms", []), list, "terms"):
             _checked(term, dict, "term")
             if "k" not in term or "c" not in term:
                 raise CatalogError(f"term {json.dumps(term)} needs keys 'k' and 'c'")
-            terms.append((_checked(term["k"], int, "term index k"), _scalar(field, term["c"])))
-        sc.append(((i, j), terms))
+            terms.append((term["k"], _scalar(field, term["c"])))
+        sc.append(((block.get("i"), block.get("j")), terms))
     try:
-        algebra = LieAlgebra(field, dim, sc)
+        algebra = LieAlgebra(field, obj["dim"], sc)
     except ValueError as exc:
         raise CatalogError(str(exc)) from exc
     tags = tuple(_checked(obj.get("tags", []), list, "tags"))

@@ -25,7 +25,7 @@ MAX_PRIME = 1 << 16
 
 
 class FieldError(ValueError):
-    """Rejected field specification (p = 2, composite p, oversized p)."""
+    """Rejected field specification (p not an int, p = 2, composite p, oversized p)."""
 
 
 def _is_prime(n: int) -> bool:
@@ -47,12 +47,14 @@ class FieldSpec:
 
     Characteristic 2 is rejected outright: every closure statement this
     package checks assumes 1/2 exists, and a silently wrong verdict is
-    worse than an error.
+    worse than an error.  So is a p that is not an ``int``, such as 3.0.
     """
 
     p: int = 0  # 0 encodes the rationals
 
     def __post_init__(self):
+        if type(self.p) is not int:  # bools included
+            raise FieldError(f"p must be an int, not {type(self.p).__name__}")
         if self.p == 0:
             return
         if self.p == 2:
@@ -85,16 +87,13 @@ class FieldSpec:
         return 1 if self.p else Fraction(1)
 
     def canon(self, x) -> Scalar:
-        """Canonical form of an int/Fraction (residue or reduced fraction)."""
-        if type(x) is int:  # the common case, ahead of the isinstance (ABC) check below
+        """Canonical form (residue or reduced fraction) of an int or a Fraction;
+        any other value, a bool, a float or a numpy integer, is a ValueError."""
+        if type(x) is int:  # the common case, ahead of the isinstance check below
             return x % self.p if self.p else Fraction(x)
-        if self.is_prime:
-            if isinstance(x, Fraction):
-                if x.denominator != 1:
-                    return (x.numerator * pow(x.denominator, -1, self.p)) % self.p
-                x = x.numerator
-            return x % self.p
-        return x if isinstance(x, Fraction) else Fraction(x)
+        if not isinstance(x, Fraction):
+            raise ValueError(f"scalar must be an int or a Fraction, not {type(x).__name__}")
+        return x.numerator * pow(x.denominator, -1, self.p) % self.p if self.p else x
 
     def scale(self, c: Scalar, row) -> list:
         """c * row; c is canonical or a plain int."""
@@ -120,15 +119,13 @@ class FieldSpec:
         return pow(a, -1, self.p) if self.p else 1 / a
 
     def parse(self, text) -> Scalar:
-        """Scalar from catalog-file form: an int (a bool is none) or a "num/den" string."""
-        if isinstance(text, int) and not isinstance(text, bool):
-            return self.canon(text)
+        """Scalar from catalog-file form: an integer or "num/den" string, else what canon takes."""
         if isinstance(text, str):
             if "/" in text:
                 num, den = text.split("/", 1)
                 return self.canon(Fraction(int(num), int(den)))
             return self.canon(int(text))
-        raise ValueError('not an integer or a "num/den" string')
+        return self.canon(text)
 
     def unparse(self, x: Scalar):
         """Catalog-file form: plain int when possible, else "num/den"."""

@@ -21,10 +21,10 @@ z_t; then C f(g_t) = C g_t becomes C z_t = 0 (C the coset rows),
 the kernel of one homogeneous system over z = (z_0, ..., z_{r-1}).
 
 The budget is checked first, before V or the generator presentation is
-built, so a refusal costs only the per-level kernels.  Given the earlier
-images, f(g_t) ranges over a coset of the kernel of level t's rows, of
-size p^k; the product of these p^k bounds the p^(dim V) assignments, and
-enumeration refuses to start when it exceeds the budget.
+built, so a refusal costs one rank per level.  Given the earlier images,
+f(g_t) ranges over a coset of the kernel of level t's rows, of size p^k
+(k = n - their rank); the product of these p^k bounds the p^(dim V)
+assignments, and enumeration refuses to start when it exceeds the budget.
 
 The filter tests no commuting.  Write f = I + D and B(x, y) = [Dx, y] +
 [Dy, x], symmetric and bilinear; as B(x, x) = 2 [f(x), x] and p is odd,
@@ -138,7 +138,7 @@ import numpy as np
 
 from . import modp
 from .algebra import LieAlgebra, NonNilpotentError
-from .linalg import Matrix, kernel
+from .linalg import Matrix, kernel, rank
 from .maps import LinearMap, commuting_witness, compose
 
 DEFAULT_BUDGET = 10**8
@@ -513,7 +513,7 @@ def _level_rows(algebra: LieAlgebra, budget: int) -> tuple:
     gens = algebra.generator_indices()
     coset_rows = algebra.second_center().annihilator().rows
     ad = [algebra.ad_matrix(g).rows for g in gens]
-    widths = [kernel(Matrix(field, coset_rows + ad[t] + sum(ad[:t], ()))).dim for t in range(len(gens))]
+    widths = [algebra.dim - rank(Matrix(field, coset_rows + ad[t] + sum(ad[:t], ()))) for t in range(len(gens))]
 
     projected = 1
     for k in widths:

@@ -70,6 +70,38 @@ def test_bad_indices_rejected():
         LieAlgebra(F3, 3, [((0, 1), ()), ((0, 1), ((2, 2),))])
     with pytest.raises(ValueError, match=r"duplicate bracket entry \(0, 1\)"):
         from_bracket_table(F3, 3, [(0, 1, [(2, 1)]), (0, 1, [(2, 2)])])
+    # so is a repeated target within one entry, not summed (1 + 2 = 0 at F3)
+    with pytest.raises(ValueError, match=r"repeated target 2 in bracket entry \(0, 1\)"):
+        LieAlgebra(F3, 3, {(0, 1): ((2, 1), (2, 2))})
+    with pytest.raises(ValueError, match="repeated target 2"):
+        from_bracket_table(Q, 3, [(0, 1, [(2, 1), (2, -1)])])
+
+
+@pytest.mark.parametrize("pair", [(0, True), (0, 1.0), (0, None), (False, 1), (0.0, 1)], ids=repr)
+def test_index_pair_must_be_ints(pair):
+    # a bool or a float compares equal to an int, but no file can say it
+    with pytest.raises(ValueError, match="structure constants need ints 0 <= i < j < dim"):
+        LieAlgebra(F3, 3, {pair: ((2, 1),)})
+
+
+@pytest.mark.parametrize("k", [True, 2.0, None], ids=repr)
+def test_target_index_must_be_an_int(k):
+    with pytest.raises(ValueError, match="bracket target index needs an int 0 <= k < dim"):
+        LieAlgebra(F3, 3, {(0, 1): ((k, 1),)})
+
+
+@pytest.mark.parametrize("dim", [True, 3.0, None, "3"], ids=repr)
+def test_dimension_must_be_an_int(dim):
+    with pytest.raises(ValueError, match="dimension must be an int"):
+        LieAlgebra(F3, dim, {})
+
+
+@pytest.mark.parametrize("c", [1.5, 1.0, True, None], ids=repr)
+@pytest.mark.parametrize("field", [F3, Q], ids=str)
+def test_coefficient_must_be_an_int_or_fraction(field, c):
+    # 1.5 stored over F3 would save as 1, another algebra
+    with pytest.raises(ValueError, match="scalar must be an int or a Fraction"):
+        LieAlgebra(field, 3, {(0, 1): ((2, c),)})
 
 
 # -- bracket ------------------------------------------------------------------

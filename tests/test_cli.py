@@ -231,8 +231,12 @@ _MALFORMED = {
     "term_without_c": "{" + _ENTRY + ", " + _TERM % '{"k": 2}' + "}",
     "k_not_integer": "{" + _ENTRY + ", " + _TERM % '{"k": "2", "c": 1}' + "}",
     "i_boolean": "{" + _ENTRY + ', "brackets": [{"i": false, "j": 1, "terms": []}]}',
+    "i_float": "{" + _ENTRY + ', "brackets": [{"i": 0.0, "j": 1, "terms": []}]}',
+    "k_boolean": "{" + _ENTRY + ", " + _TERM % '{"k": true, "c": 1}' + "}",
     "dim_boolean": '{"name": "x", "field": {"prime": 3}, "dim": true, "brackets": []}',
+    "dim_float": '{"name": "x", "field": {"prime": 3}, "dim": 3.0, "brackets": []}',
     "prime_not_integer": '{"name": "x", "field": {"prime": "3"}, "dim": 2, "brackets": []}',
+    "prime_boolean": '{"name": "x", "field": {"prime": true}, "dim": 2, "brackets": []}',
     "name_not_string": '{"name": 7, "field": {"prime": 3}, "dim": 2, "brackets": []}',
     "tags_not_list": '{"name": "x", "field": {"prime": 3}, "dim": 2, "brackets": [], "tags": "t"}',
     "zero_denominator": '{"name": "x", "field": "rational", "dim": 3, '
@@ -249,6 +253,8 @@ _MALFORMED = {
     + '{"i": 0, "j": 1, "terms": [{"k": 2, "c": 2}]}]}',
     "j_out_of_range": "{" + _ENTRY + ', "brackets": [{"i": 0, "j": 3, "terms": []}]}',
     "k_out_of_range": "{" + _ENTRY + ", " + _TERM % '{"k": 3, "c": 1}' + "}",
+    # 1 + 2 = 0 at F3: summed, the two terms would load as the abelian algebra
+    "repeated_target": "{" + _ENTRY + ", " + _TERM % '{"k": 2, "c": 1}, {"k": 2, "c": 2}' + "}",
     "missing_brackets": "{" + _ENTRY + "}",
     "field_unknown": '{"name": "x", "field": "real", "dim": 2, "brackets": []}',
 }

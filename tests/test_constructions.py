@@ -1,9 +1,13 @@
 import json
+from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coclass_lab
+from coclass_lab.algebra import LieAlgebra
 from coclass_lab.constructions import (
     CatalogEntry,
     CatalogError,
@@ -299,8 +303,6 @@ def test_lower_triangle_rejected(tmp_path):
 def test_rational_scalars_round_trip(tmp_path):
     from fractions import Fraction
 
-    from coclass_lab.algebra import LieAlgebra
-
     L = LieAlgebra(Q, 3, {(0, 1): ((2, Fraction(1, 2)),)})
     entry = CatalogEntry("half", L, ("custom",))
     path = tmp_path / "q.jsonl"
@@ -308,3 +310,36 @@ def test_rational_scalars_round_trip(tmp_path):
     assert '"1/2"' in path.read_text()
     loaded = load_catalog(path)
     assert loaded[0].algebra == L
+
+
+@st.composite
+def two_step_tables(draw):
+    """(field, dim, sc) of a 2-step table: brackets only among the indices
+    outside a drawn set, landing in it, so Jacobi holds by construction."""
+    field = draw(st.sampled_from([F3, F5, Q]))
+    dim = draw(st.integers(min_value=1, max_value=6))
+    central = sorted(draw(st.sets(st.integers(min_value=0, max_value=dim - 1))))
+    top = [i for i in range(dim) if i not in central]
+    fractions = st.fractions(min_value=-20, max_value=20, max_denominator=9)
+    if field.is_prime:
+        fractions = fractions.filter(lambda c: c.denominator % field.p)
+    coefficient = st.one_of(st.integers(min_value=-30, max_value=30), fractions)
+    sc = {}
+    for pair in combinations(top, 2) if central else ():
+        terms = draw(st.dictionaries(st.sampled_from(central), coefficient, max_size=2))
+        if terms:
+            sc[pair] = tuple(terms.items())
+    return field, dim, sc
+
+
+@given(two_step_tables())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_every_accepted_algebra_saves_and_loads_back_equal(tmp_path_factory, table):
+    # a table built in code meets the catalog's rules, so no accepted
+    # algebra can save to a file that loads as another algebra or not at all
+    field, dim, sc = table
+    alg = LieAlgebra(field, dim, sc)
+    path = tmp_path_factory.getbasetemp() / "roundtrip.jsonl"
+    save_catalog([CatalogEntry("drawn", alg)], path)
+    (loaded,) = load_catalog(path)
+    assert (loaded.algebra.field, loaded.algebra.dim, loaded.algebra.sc) == (field, dim, alg.sc)

@@ -65,8 +65,25 @@ def test_parse_unparse_roundtrip():
 )
 def test_parse_rejects_non_literals(literal):
     # JSON true is no integer here, although bool subclasses int
-    with pytest.raises(ValueError, match='not an integer or a "num/den" string'):
+    with pytest.raises(ValueError, match="scalar must be an int or a Fraction, not "):
         FieldSpec.prime(3).parse(literal)
+
+
+@pytest.mark.parametrize("x", [1.5, 2.0, True, None], ids=repr)
+@pytest.mark.parametrize("field", [FieldSpec.prime(3), FieldSpec.rational()], ids=str)
+def test_canon_rejects_non_scalars(field, x):
+    # canon is the one scalar rule: parse, tables and vectors all reach it
+    with pytest.raises(ValueError, match="scalar must be an int or a Fraction, not "):
+        field.canon(x)
+
+
+@pytest.mark.parametrize("p", [3.0, True, "3", None], ids=repr)
+def test_prime_must_be_an_int(p):
+    # 3.0 == 3: such a field would equal F3 and make float residues
+    with pytest.raises(FieldError, match="p must be an int"):
+        FieldSpec.prime(p)
+    with pytest.raises(FieldError, match="p must be an int"):
+        FieldSpec(p)
 
 
 def test_scalar_canonical_form_unique():
