@@ -23,15 +23,10 @@ from .harness import (
     predict,
     profile,
     run_suite,
+    summarize,
     verify,
 )
-from .search import (
-    DEFAULT_BUDGET,
-    AbelianShortCircuit,
-    BudgetExceededError,
-    closure_check,
-    enumerate_commuting,
-)
+from .search import DEFAULT_BUDGET, BudgetExceededError
 
 EXIT_OK = 0
 EXIT_INCONSISTENT = 1
@@ -111,66 +106,56 @@ def _catalog_file(args):
     return None
 
 
-def _cmd_invariants(args) -> int:
+def _targets(args) -> list:
+    """(name, algebra) pairs: every entry of the catalog file, or the one builtin named."""
     path = _catalog_file(args)
     if path:
-        entries = load_catalog(path)
-        payloads = [_profile_payload(e.name, e.algebra) for e in entries]
-    else:
-        algebra = _resolve_algebra(args.target, FieldSpec.prime(args.p))
-        payloads = [_profile_payload(args.target, algebra)]
+        return [(e.name, e.algebra) for e in load_catalog(path)]
+    return [(args.target, _resolve_algebra(args.target, FieldSpec.prime(args.p)))]
+
+
+def _cmd_invariants(args) -> int:
+    payloads = [_profile_payload(name, algebra) for name, algebra in _targets(args)]
     _emit(args, {"profiles": payloads}, "\n".join(_profile_text(p) for p in payloads))
     return EXIT_OK
 
 
+def _summarized(args) -> tuple:
+    """The algebra named on the command line, its enumeration summary and its commuting set."""
+    algebra = _resolve_algebra(args.algebra, FieldSpec.prime(args.p))
+    summary, commuting, _ = summarize(algebra, args.budget)
+    return algebra, summary, commuting
+
+
 def _cmd_search_commuting(args) -> int:
-    field = FieldSpec.prime(args.p)
-    algebra = _resolve_algebra(args.algebra, field)
-    try:
-        aset = enumerate_commuting(algebra, budget=args.budget)
-    except AbelianShortCircuit as exc:
-        _emit(
-            args,
-            {"size": exc.aut_order, "short_circuit": True, "members": None},
-            f"abelian algebra: commuting set = GL({algebra.dim},{field.p}), order {exc.aut_order}",
-        )
-        return EXIT_OK
-    payload = {"size": aset.size, "short_circuit": False, "members": None}
-    text = f"commuting automorphisms: {aset.size}"
-    if args.members:
-        payload["members"] = aset.member_array().tolist()
-        text += "\n" + "\n".join(map(str, payload["members"]))
+    algebra, summary, commuting = _summarized(args)
+    size = summary.commuting_size
+    payload = {"size": size, "short_circuit": summary.short_circuit, "members": None}
+    if summary.short_circuit:
+        text = f"abelian algebra: commuting set = GL({algebra.dim},{algebra.field.p}), order {size}"
+    else:
+        text = f"commuting automorphisms: {size}"
+        if args.members:
+            payload["members"] = commuting.member_array().tolist()
+            text += "\n" + "\n".join(map(str, payload["members"]))
     _emit(args, payload, text)
     return EXIT_OK
 
 
 def _cmd_check_subgroup(args) -> int:
-    field = FieldSpec.prime(args.p)
-    algebra = _resolve_algebra(args.algebra, field)
-    try:
-        aset = enumerate_commuting(algebra, budget=args.budget)
-    except AbelianShortCircuit as exc:
-        _emit(
-            args,
-            {"closed": True, "short_circuit": True, "size": exc.aut_order, "witness": None},
-            f"closed: abelian algebra, commuting set = GL({algebra.dim},{field.p})",
-        )
-        return EXIT_OK
-    verdict = closure_check(aset)
-    payload = {
-        "closed": verdict.closed,
-        "short_circuit": False,
-        "size": aset.size,
-        "pair_count": verdict.pair_count,
-        "witness": None,
-    }
-    if verdict.closed:
-        text = f"closed: all compositions commute (|A| = {aset.size})"
+    algebra, summary, _ = _summarized(args)
+    size, w = summary.commuting_size, summary.witness
+    payload = {"closed": summary.closed, "short_circuit": summary.short_circuit, "size": size, "witness": None}
+    if summary.closure is not None:
+        payload["pair_count"] = summary.closure.pair_count
+    if summary.short_circuit:
+        text = f"closed: abelian algebra, commuting set = GL({algebra.dim},{algebra.field.p})"
+    elif w is None:
+        text = f"closed: all compositions commute (|A| = {size})"
     else:
-        w = verdict.witness
-        payload["witness"] = closure_witness_dict(w, field)
+        payload["witness"] = closure_witness_dict(w, algebra.field)
         text = (
-            f"not closed (|A| = {aset.size}): composition of members "
+            f"not closed (|A| = {size}): composition of members "
             f"{w.f_index} and {w.g_index} fails at x = {w.vector}, [g(f(x)), x] = {w.residual}"
         )
     _emit(args, payload, text)
@@ -205,23 +190,17 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    field = FieldSpec.prime(args.p)
-    if args.catalog:
-        entries = load_catalog(args.catalog)
-        targets = [(e.name, e.algebra) for e in entries]
-    else:
-        targets = [(args.algebra, _resolve_algebra(args.algebra, field))]
-    reports = [verify(alg, budget=args.budget, name=name) for name, alg in targets]
-    payload = {"reports": [r.as_dict(field) for r in reports]}
+    checked = [(verify(alg, budget=args.budget, name=name), alg.field) for name, alg in _targets(args)]
+    payload = {"reports": [r.as_dict(field) for r, field in checked]}
     lines = []
-    for r in reports:
+    for r, _ in checked:
         status = "consistent" if r.consistent else "INCONSISTENT"
         extra = f" ({r.unverified_reason})" if r.unverified_reason else ""
         lines.append(
             f"{r.name or 'algebra'}: {r.prediction.verdict} [{r.prediction.rule}] -> {status}{extra}"
         )
     _emit(args, payload, "\n".join(lines))
-    return EXIT_OK if all(r.consistent for r in reports) else EXIT_INCONSISTENT
+    return EXIT_OK if all(r.consistent for r, _ in checked) else EXIT_INCONSISTENT
 
 
 def _cmd_suite(args) -> int:
@@ -279,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     wd.set_defaults(func=_cmd_witness)
 
     s = sub.add_parser("verify", help="prediction vs enumeration verdicts")
-    s.add_argument("algebra", nargs="?")
+    s.add_argument("target", nargs="?", metavar="algebra")
     s.add_argument("--catalog", help="verify every entry of a catalog file")
     s.add_argument("--p", type=int, default=None, help="builtin names only (default 3)")
     s.set_defaults(func=_cmd_verify)
@@ -294,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and bool(args.algebra) == bool(args.catalog):
+    if args.command == "verify" and bool(args.target) == bool(args.catalog):
         parser.error("verify needs an algebra or --catalog FILE, not both")
     if args.command in ("verify", "invariants"):
         if args.p is not None and _catalog_file(args):

@@ -11,8 +11,9 @@ most once and each k once within it, so antisymmetry is a property of the
 file format itself.  Scalars are integers (reduced mod p) or "num/den"
 strings over the rationals.  A malformed entry raises CatalogError, which
 load_catalog prefixes with the file and line.  The parser checks only JSON
-objects, lists, strings and keys; the number rules are FieldSpec's (prime,
-scalar) and LieAlgebra's (dim, indices, table), for tables built in code too.
+objects, lists and keys; the string rule for names and tags is CatalogEntry's,
+and the number rules are FieldSpec's (prime, scalar) and LieAlgebra's (dim,
+indices, table), for entries and tables built in code too.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .fields import FieldError, FieldSpec
 
 
 class CatalogError(ValueError):
-    """Unparseable or invalid catalog file content."""
+    """Unparseable or invalid catalog content: a file line or an entry built in code."""
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +137,13 @@ class CatalogEntry:
     algebra: LieAlgebra
     tags: tuple = dataclass_field(default_factory=tuple)
 
+    def __post_init__(self):
+        """The name and every tag are strings, built in code or read from a file."""
+        if not isinstance(self.name, str):
+            raise CatalogError(f"name must be a string, got {json.dumps(self.name, default=repr)}")
+        if not isinstance(self.tags, tuple) or not all(isinstance(t, str) for t in self.tags):
+            raise CatalogError(f"tags must be a tuple of strings, got {json.dumps(self.tags, default=repr)}")
+
 
 def _entry(name: str, algebra: LieAlgebra, *extra_tags: str) -> CatalogEntry:
     tags = [f"dim={algebra.dim}"]
@@ -213,9 +221,9 @@ def _field_to_json(field: FieldSpec):
 
 
 def _checked(value, kind: type, what: str):
-    """value when it is the JSON object, list or string kind names, else a CatalogError."""
+    """value when it is the JSON object or list kind names, else a CatalogError."""
     if not isinstance(value, kind):
-        names = {dict: "an object", list: "a list", str: "a string"}
+        names = {dict: "an object", list: "a list"}
         raise CatalogError(f"{what} must be {names[kind]}, got {json.dumps(value)}")
     return value
 
@@ -233,7 +241,6 @@ def entry_from_json(obj) -> CatalogEntry:
     for key in ("name", "field", "dim", "brackets"):
         if key not in obj:
             raise CatalogError(f"missing key {key!r}")
-    name = _checked(obj["name"], str, "name")
     field = _field_from_json(obj["field"])
     sc = []
     for block in _checked(obj["brackets"], list, "brackets"):
@@ -250,7 +257,7 @@ def entry_from_json(obj) -> CatalogEntry:
     except ValueError as exc:
         raise CatalogError(str(exc)) from exc
     tags = tuple(_checked(obj.get("tags", []), list, "tags"))
-    return CatalogEntry(name, algebra, tags)
+    return CatalogEntry(obj["name"], algebra, tags)
 
 
 def entry_to_json(entry: CatalogEntry) -> dict:

@@ -28,7 +28,6 @@ from .maps import (
 )
 from .search import (
     AbelianShortCircuit,
-    AutomorphismSet,
     BudgetExceededError,
     ClosureVerdict,
     ClosureWitness,
@@ -250,23 +249,29 @@ def _consistency(verdict: str, summary: EnumerationSummary) -> bool:
     return True
 
 
-def _abelian_summary(order: int) -> EnumerationSummary:
-    return EnumerationSummary(
-        commuting_size=order,
-        central_size=order,
-        closed=True,
-        equal=True,
-        central_in_commuting=True,
-        closure=None,
-        equality=None,
-        short_circuit=True,
-    )
+def summarize(algebra: LieAlgebra, budget: int) -> tuple:
+    """The enumeration summary of an algebra over F_p, then its commuting and central sets.
 
-
-def summarize_enumeration(commuting: AutomorphismSet, central: AutomorphismSet) -> EnumerationSummary:
+    An abelian algebra is not enumerated: its summary comes from the order
+    of GL(n, p), and both sets are None.  Raises BudgetExceededError.
+    """
+    try:
+        commuting, central = _commuting_and_central(algebra, budget)
+    except AbelianShortCircuit as exc:
+        abelian = EnumerationSummary(
+            commuting_size=exc.aut_order,
+            central_size=exc.aut_order,
+            closed=True,
+            equal=True,
+            central_in_commuting=True,
+            closure=None,
+            equality=None,
+            short_circuit=True,
+        )
+        return abelian, None, None
     closure = closure_check(commuting)
     equality = sets_equal(commuting, central)
-    return EnumerationSummary(
+    summary = EnumerationSummary(
         commuting_size=commuting.size,
         central_size=central.size,
         closed=closure.closed,
@@ -275,6 +280,7 @@ def summarize_enumeration(commuting: AutomorphismSet, central: AutomorphismSet) 
         closure=closure,
         equality=equality,
     )
+    return summary, commuting, central
 
 
 def verify(algebra: LieAlgebra, budget: int = SUITE_BUDGET, name: str = "") -> VerdictReport:
@@ -291,13 +297,9 @@ def _verify(algebra: LieAlgebra, budget: int, name: str) -> tuple:
         reason = "enumeration needs a prime field"
     else:
         try:
-            commuting, central = _commuting_and_central(algebra, budget)
-        except AbelianShortCircuit as exc:
-            summary = _abelian_summary(exc.aut_order)
+            summary, commuting, central = summarize(algebra, budget)
         except BudgetExceededError as exc:
-            commuting, reason = None, f"unverified: {exc}"
-    if commuting is not None:
-        summary = summarize_enumeration(commuting, central)
+            reason = f"unverified: {exc}"
     consistent = summary is None or _consistency(pred.verdict, summary)
     return VerdictReport(name, prof, pred, summary, reason, consistent), commuting, central
 

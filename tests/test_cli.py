@@ -1,11 +1,14 @@
 import json
+import shlex
 from pathlib import Path
 
 import pytest
 
+from coclass_lab import cli
 from coclass_lab.cli import main
 from coclass_lab.constructions import builtin, default_catalog, save_catalog
 from coclass_lab.fields import FieldSpec
+from coclass_lab.harness import SUITE_BUDGET
 from coclass_lab.search import enumerate_commuting
 
 F3 = FieldSpec.prime(3)
@@ -239,6 +242,7 @@ _MALFORMED = {
     "prime_boolean": '{"name": "x", "field": {"prime": true}, "dim": 2, "brackets": []}',
     "name_not_string": '{"name": 7, "field": {"prime": 3}, "dim": 2, "brackets": []}',
     "tags_not_list": '{"name": "x", "field": {"prime": 3}, "dim": 2, "brackets": [], "tags": "t"}',
+    "tag_not_string": '{"name": "x", "field": {"prime": 3}, "dim": 2, "brackets": [], "tags": [7, null, {"a": 1}]}',
     "zero_denominator": '{"name": "x", "field": "rational", "dim": 3, '
     + _TERM % '{"k": 2, "c": "1/0"}' + "}",
     "scalar_not_number": "{" + _ENTRY + ", " + _TERM % '{"k": 2, "c": "zz"}' + "}",
@@ -314,6 +318,60 @@ def test_verify_catalog_json_matches_golden_copy(capsys):
     code, out, _ = run(capsys, "--format", "json", "--budget", "200000", "verify", "--catalog", str(catalog))
     assert code == 0
     assert out == (root / "tests" / "golden" / "verify_catalog.json").read_text(encoding="utf-8")
+
+
+def _golden_runs(path: Path) -> list:
+    """(argv, stdout) per block: a "$ coclass-lab ARGS" line, then that run's stdout."""
+    runs = []
+    for line in path.read_text(encoding="utf-8").splitlines(keepends=True):
+        if line.startswith("$ coclass-lab "):
+            runs.append((shlex.split(line[len("$ coclass-lab ") :]), ""))
+        else:
+            argv, out = runs[-1]
+            runs[-1] = (argv, out + line)
+    return runs
+
+
+def test_set_commands_match_golden_copy(capsys):
+    # check-subgroup and search-commuting in both formats: abelian, closed and
+    # non-closed rows, members, F3 and F5; CI replays them with the console script
+    runs = _golden_runs(Path(__file__).resolve().parent / "golden" / "set_commands.txt")
+    assert len(runs) == 16
+    for argv, expected in runs:
+        assert run(capsys, *argv) == (0, expected, ""), argv
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_set_commands_agree_with_verify(monkeypatch, capsys, p):
+    # every default-catalog row and abelian:2, each named on the command line:
+    # check-subgroup and search-commuting report verify's enumeration, and are
+    # refused for budget exactly where verify leaves the row unverified; a row
+    # is named by its catalog name, since the direct sums have no builtin name
+    field = FieldSpec.prime(p)
+    rows = {e.name: e.algebra for e in default_catalog(field)}
+    monkeypatch.setattr(cli, "builtin", lambda name, f: rows[name] if name in rows else builtin(name, f))
+    budget = ["--format", "json", "--budget", str(SUITE_BUDGET)]
+    verified = 0
+    for name in [*rows, "abelian:2"]:
+        code, out, _ = run(capsys, *budget, "verify", name, "--p", str(p))
+        assert code == 0, name
+        enumeration = json.loads(out)["reports"][0]["enumeration"]
+        check = run(capsys, *budget, "check-subgroup", name, "--p", str(p))
+        search = run(capsys, *budget, "search-commuting", name, "--p", str(p))
+        if enumeration is None:
+            assert check[0] == search[0] == 3, name
+            continue
+        verified += 1
+        assert check[0] == search[0] == 0, name
+        closure, sizes = json.loads(check[1]), json.loads(search[1])
+        witness = enumeration["witness"]
+        if witness is not None:
+            witness = {k: v for k, v in witness.items() if k not in ("f_index", "g_index")}
+        assert (closure["closed"], closure["short_circuit"], closure["size"], closure["witness"]) == (
+            enumeration["closed"], enumeration["short_circuit"], enumeration["commuting_size"], witness
+        ), name
+        assert (sizes["size"], sizes["short_circuit"]) == (enumeration["commuting_size"], enumeration["short_circuit"]), name
+    assert verified >= {3: 17, 5: 12}[p]  # the rows decided within SUITE_BUDGET today
 
 
 def _filiform4_file(tmp_path):

@@ -312,6 +312,24 @@ def test_rational_scalars_round_trip(tmp_path):
     assert loaded[0].algebra == L
 
 
+@pytest.mark.parametrize(
+    "name, tags, message",
+    [
+        (5, ("t",), "name must be a string, got 5"),
+        (None, (), "name must be a string, got null"),
+        ("x", ("t", 7), 'tags must be a tuple of strings, got ["t", 7]'),
+        ("x", ["t"], 'tags must be a tuple of strings, got ["t"]'),
+        ("x", "tt", 'tags must be a tuple of strings, got "tt"'),
+    ],
+)
+def test_catalog_entry_refuses_what_no_file_holds(name, tags, message):
+    # an entry built in code obeys the file's string rule, so save_catalog
+    # never writes a name or tag that load_catalog would refuse or retype
+    with pytest.raises(CatalogError) as err:
+        CatalogEntry(name, abelian(3, F3), tags)
+    assert str(err.value) == message
+
+
 @st.composite
 def two_step_tables(draw):
     """(field, dim, sc) of a 2-step table: brackets only among the indices
