@@ -7,11 +7,33 @@ is the one axiom that needs checking, and :meth:`LieAlgebra.validate`
 reports each failing triple together with its residual vector.
 
 A :class:`LieAlgebra` must not be mutated after construction: it caches a
-per-index bracket table and its lower and upper central series on first
-use.  ``derived``, ``center``, ``second_center``, ``is_nilpotent``,
-``nilpotency_class``, ``coclass``, ``generator_indices`` and both
-``*_central_series`` methods read the cached series, so every invariant of
-one algebra shares one computation.
+per-index bracket table, L', a generating set and its lower and upper
+central series on first use.  ``derived``, ``center``, ``second_center``,
+``is_nilpotent``, ``nilpotency_class``, ``coclass``, ``generator_indices``
+and both ``*_central_series`` methods read the cached values, so every
+invariant of one algebra shares one computation.
+
+L' is the span of the table's nonzero rows [e_i, e_j], with no bracket
+computed.  Both series then bracket with a generating set X of L instead
+of the whole basis (W. de Graaf, *Lie Algebras: Theory and Algorithms*,
+2000, ch. 1).  Two lemmas justify it:
+
+- As X generates L and ad [a, b] = [ad a, ad b], ad(L) lies in the
+  associative algebra generated by ad(X), spanned by the words
+  ad(g_1) ... ad(g_m) with m >= 1.  Every L^k is an ideal, so
+  ad(X)-stable, and such a word maps L^k into ad(g_1)(L^k); so
+  [L, L^k] = [X, L^k].
+- For x in L and an ideal Z_k, {w : [x, w] in Z_k} is a subspace, and Jacobi,
+  [x, [g, w]] = [[x, g], w] + [g, [x, w]], keeps it closed under ad(X) once it
+  holds X.  So when [x, g] lies in Z_k for every g in X it is all of L, and
+  Z_{k+1} = {x : [x, g] in Z_k for all g in X}.
+
+X is ``generator_indices()`` (a lift of a basis of L/L') when the
+ad(X)-closure of span(X), the subalgebra that X generates, is L; that
+closure is the one ``generator_presentation`` records step by step.  A
+nilpotent L is always generated so.  Otherwise, as for sl2 (L' = L, no
+generator) or sl2 + heisenberg(1, 1) (X spans only the Heisenberg part), X
+is every basis index.
 """
 
 from __future__ import annotations
@@ -155,6 +177,17 @@ class LieAlgebra:
         p = self.field.p
         return tuple([v % p for v in out]) if p else tuple(out)
 
+    def _bracket_with_basis(self, x: Vector, j: int) -> Vector:
+        """[x, e_j] for a canonical vector x, from the brackets of e_j alone."""
+        out = list(self._zeros)
+        for i, terms in self._adjacency[j]:  # terms of [e_j, e_i] = -[e_i, e_j]
+            xi = x[i]
+            if xi:
+                for k, t in terms:
+                    out[k] -= xi * t
+        p = self.field.p
+        return tuple([v % p for v in out]) if p else tuple(out)
+
     def ad_matrix(self, j: int) -> Matrix:
         """Matrix of x -> [x, e_j] acting on coordinates."""
         cols = [self.bracket_basis(i, j) for i in range(self.dim)]
@@ -199,10 +232,14 @@ class LieAlgebra:
         vecs = [self._bracket(x, y) for x in a.basis.rows for y in b.basis.rows]
         return _span(self.field, self.dim, vecs)
 
+    @cached_property
+    def _derived(self) -> Subspace:
+        """[L, L]: the span of the table's nonzero rows."""
+        return _span(self.field, self.dim, [self.bracket_basis(i, j) for i, j in self.sc])
+
     def derived(self) -> Subspace:
-        """[L, L]; the lower series stops at L itself when [L, L] = L."""
-        lower = self._lower_series
-        return lower[1] if len(lower) > 1 else lower[0]
+        """[L, L]."""
+        return self._derived
 
     def center(self) -> Subspace:
         upper = self._upper_series
@@ -213,34 +250,38 @@ class LieAlgebra:
         return upper[min(2, len(upper) - 1)]
 
     def _center_preimage(self, z: Subspace) -> Subspace:
-        """{x : [x, e_j] in z for all j}: the kernel of c . [e_i, e_j] over constraints c of z."""
+        """{x : [x, g] in z for g in X}: the kernel of c . [e_g, e_i] over constraints c of z."""
         f = self.field
         columns = tuple(zip(*z.annihilator().rows))  # columns[k][ci] is constraint ci's entry k
-        # row (c, j), column i holds c . [e_i, e_j]; only nonzero brackets contribute
+        # row (c, g), column i holds c . [e_g, e_i]; only nonzero brackets contribute
         rows = defaultdict(list(self._zeros).copy)
-        for i, pairs in enumerate(self._adjacency):
-            for j, terms in pairs:
+        for g in self._bracket_generators:
+            for i, terms in self._adjacency[g]:
                 (k, t), *rest = terms
-                values = f.scale(t, columns[k])  # c . [e_i, e_j] for every constraint c at once
+                values = f.scale(t, columns[k])  # c . [e_g, e_i] for every constraint c at once
                 for k, t in rest:
                     values = f.sub_multiple(values, -t, columns[k])
                 for ci, value in enumerate(values):
                     if value:
-                        rows[ci, j][i] = value
+                        rows[ci, g][i] = value
         if not rows:
             return self.full_space()
         return kernel(Matrix(self.field, tuple(map(tuple, rows.values()))))
 
+    def _lower_step(self, term: Subspace) -> Subspace:
+        """[term, X], which is [term, L] for an ideal term."""
+        bracket, gens = self._bracket_with_basis, self._bracket_generators
+        return _span(self.field, self.dim, [bracket(v, g) for v in term.basis.rows for g in gens])
+
     @cached_property
     def _lower_series(self) -> tuple:
         series = [self.full_space()]
-        while True:
-            nxt = self.bracket_subspaces(self.full_space(), series[-1])
-            if nxt == series[-1]:
-                break
+        nxt = self._derived
+        while nxt != series[-1]:
             series.append(nxt)
             if nxt.is_zero:
                 break
+            nxt = self._lower_step(nxt)
         return tuple(series)
 
     @cached_property
@@ -300,7 +341,12 @@ class LieAlgebra:
     # -- generator presentation ----------------------------------------------
 
     def generator_indices(self) -> list:
-        """Lexicographically first basis indices independent modulo L'.
+        """Lexicographically first basis indices independent modulo L' (cached)."""
+        return list(self._generator_indices)
+
+    @cached_property
+    def _generator_indices(self) -> tuple:
+        """The indices of ``generator_indices``.
 
         They are the pivot columns of the reduced annihilator
         Λ = ``derived().annihilator()``, whose kernel is L'.  Column i of Λ
@@ -310,39 +356,64 @@ class LieAlgebra:
         Λ is the identity on these columns and kills L', so its rows are
         the L/L' coordinates with respect to the generators.
         """
-        return [next(i for i, x in enumerate(row) if x) for row in self.derived().annihilator().rows]
+        return tuple(next(i for i, x in enumerate(row) if x) for row in self.derived().annihilator().rows)
+
+    @cached_property
+    def _generator_closure(self) -> tuple:
+        """(generators, steps, values): the ad(X)-closure of span(X), X = ``generator_indices``.
+
+        The values start as the generators g_0, ..., g_{r-1}, the basis
+        vectors of ``generator_indices``.  One forward pass over the
+        growing value list tries [g_t, values[s]] for each s in turn and
+        each t, and appends it as the step (t, s) when it leaves the span
+        of the values so far.  The pass ends when the values span L or when
+        it runs out of values; then they span the subalgebra X generates.
+        The span is kept in echelon form: one (pivot, row) per value, each
+        row zero at the earlier pivots and 1 at its own, so reducing w by
+        the rows in turn leaves 0 exactly when w lies in the span.
+        """
+        f = self.field
+        n = self.dim
+        generators = self._generator_indices
+        values = [basis_vec(f, n, g) for g in generators]
+        echelon = list(zip(generators, values))
+        steps = []
+        s = 0
+        while s < len(values) < n:
+            for t in range(len(generators)):
+                w = residual = self._bracket(values[t], values[s])
+                for c, row in echelon:
+                    if residual[c]:
+                        residual = f.sub_multiple(residual, residual[c], row)
+                c = next((c for c, x in enumerate(residual) if x), None)
+                if c is not None:
+                    steps.append((t, s))
+                    values.append(w)
+                    echelon.append((c, f.scale(f.inv(residual[c]), residual)))
+            s += 1
+        return generators, tuple(steps), tuple(values)
+
+    @cached_property
+    def _bracket_generators(self) -> tuple:
+        """X for both series: ``generator_indices`` when they generate L, else every index."""
+        generators, _, values = self._generator_closure
+        return generators if len(values) == self.dim else tuple(range(self.dim))
 
     def generator_presentation(self) -> "GeneratorPresentation":
         """Express a basis of L as bracket words in lifts of a basis of L/L'.
 
-        The values start as the generators g_0, ..., g_{r-1}, the basis
-        vectors of ``generator_indices``.  One forward pass over the
-        growing value list then tries [g_t, values[s]] for each s in turn
-        and each t, and appends it as the step (t, s) when it leaves the
-        span of the values so far, until they span L.  ``basis_inverse``
-        inverts the matrix whose columns are the values, so a map with
-        those value images is (images as columns) @ basis_inverse.
+        The generators, steps (t, s) and values are those of the
+        ad(X)-closure that the series read, and they span L since L is
+        nilpotent.  ``basis_inverse`` inverts the matrix whose columns are
+        the values, so a map with those value images is
+        (images as columns) @ basis_inverse.
         """
         if not self.is_nilpotent:
             raise NonNilpotentError("presentations require a nilpotent algebra")
-        f = self.field
-        n = self.dim
-        generators = tuple(self.generator_indices())
-        values = [basis_vec(f, n, g) for g in generators]
-        span = _span(f, n, values)
-        steps = []
-        s = 0
-        while not span.is_full():
-            if s == len(values):
-                raise AssertionError("generator extension stalled before spanning L")
-            for t in range(len(generators)):
-                w = self._bracket(values[t], values[s])
-                if not span.contains(w):
-                    steps.append((t, s))
-                    values.append(w)
-                    span = _span(f, n, span.basis.rows + (w,))
-            s += 1
-        return GeneratorPresentation(generators, tuple(steps), invert(Matrix(f, tuple(zip(*values)))))
+        generators, steps, values = self._generator_closure
+        if len(values) != self.dim:
+            raise AssertionError("generator extension stalled before spanning L")
+        return GeneratorPresentation(generators, steps, invert(Matrix(self.field, tuple(zip(*values)))))
 
 
 @dataclass(frozen=True)

@@ -132,6 +132,9 @@ def _cmd_search_commuting(args) -> int:
     size = summary.commuting_size
     payload = {"size": size, "short_circuit": summary.short_circuit, "members": None}
     if summary.short_circuit:
+        if args.members:
+            gl = f"GL({algebra.dim},{algebra.field.p})"
+            raise ValueError(f"--members lists no set for an abelian algebra: all of {gl} commutes")
         text = f"abelian algebra: commuting set = GL({algebra.dim},{algebra.field.p}), order {size}"
     else:
         text = f"commuting automorphisms: {size}"
@@ -237,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("search-commuting", help="enumerate the commuting automorphisms")
     s.add_argument("algebra")
     s.add_argument("--p", type=int, default=3)
-    s.add_argument("--members", action="store_true", help="print member matrices")
+    s.add_argument("--members", action="store_true",
+                   help="print member matrices (refused for an abelian algebra)")
     s.set_defaults(func=_cmd_search_commuting)
 
     s = sub.add_parser("check-subgroup", help="closure verdict with witness")

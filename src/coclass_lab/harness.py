@@ -386,7 +386,9 @@ class WitnessReport:
         }
 
 
-def _variant_report(algebra: LieAlgebra, beta1: LinearMap, beta2: LinearMap, variant: str) -> VariantReport:
+def _variant_report(
+    algebra: LieAlgebra, beta1: LinearMap, beta1_commuting: bool, beta2: LinearMap, variant: str
+) -> VariantReport:
     comp = compose(beta1, beta2)  # beta2 first
     witness = commuting_witness(algebra, comp)
     defect_input = defect_bracket = None
@@ -399,7 +401,7 @@ def _variant_report(algebra: LieAlgebra, beta1: LinearMap, beta2: LinearMap, var
     beta2_automorphism = is_automorphism(algebra, beta2).clean
     return VariantReport(
         variant=variant,
-        beta1_commuting=is_commuting(algebra, beta1),
+        beta1_commuting=beta1_commuting,
         beta2_automorphism=beta2_automorphism,
         beta2_commuting=beta2_automorphism and commuting_defect(algebra, beta2).clean,
         composition_commuting=comp_ok,
@@ -422,7 +424,8 @@ def heisenberg_witness(k: int, m: int, field: FieldSpec, variant: str = "both") 
     beta1 = _beta1_heisenberg(algebra)
     variants = ("printed", "corrected") if variant == "both" else (variant,)
     beta2s = {v: _beta2_heisenberg(algebra, v) for v in variants}
-    reports = tuple(_variant_report(algebra, beta1, beta2s[v], v) for v in variants)
+    beta1_commuting = is_commuting(algebra, beta1)
+    reports = tuple(_variant_report(algebra, beta1, beta1_commuting, beta2s[v], v) for v in variants)
     return WitnessReport("heisenberg", {"k": k, "m": m}, field, reports, beta1, beta2s)
 
 
@@ -435,7 +438,7 @@ def dim5_witness(field: FieldSpec) -> WitnessReport:
     beta2 = LinearMap.from_image_map(
         algebra, {0: [(0, 1), (3, 1)], 2: [(1, -1), (2, -1)], 3: [(3, -1)]}
     )
-    report = _variant_report(algebra, beta1, beta2, "corrected")
+    report = _variant_report(algebra, beta1, is_commuting(algebra, beta1), beta2, "corrected")
     return WitnessReport("dim5", {}, field, (report,), beta1, {"corrected": beta2})
 
 

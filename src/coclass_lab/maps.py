@@ -122,16 +122,23 @@ def inverse(f: LinearMap) -> LinearMap:
 
 
 def is_homomorphism(algebra: LieAlgebra, f: LinearMap) -> DefectReport:
-    """f([e_i, e_j]) = [f(e_i), f(e_j)] on basis pairs (bilinearity suffices)."""
+    """f([e_i, e_j]) = [f(e_i), f(e_j)] on basis pairs (bilinearity suffices).
+
+    f([e_i, e_j]) is sum c_k f(e_k) over the table's terms (k, c) of [e_i, e_j].
+    """
     if f.dim != algebra.dim:
         raise ValueError("map/algebra dimension mismatch")
+    field, n = algebra.field, algebra.dim
     witnesses = []
     images = f.matrix.transpose().rows
-    for i in range(algebra.dim):
-        for j in range(i + 1, algebra.dim):
-            lhs = f.matrix.apply(algebra.bracket_basis(i, j))
+    zero = (field.zero,) * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            lhs = zero
+            for k, c in algebra.sc.get((i, j), ()):
+                lhs = field.sub_multiple(lhs, -c, images[k])
             rhs = algebra._bracket(images[i], images[j])
-            residual = sub_vec(algebra.field, lhs, rhs)
+            residual = sub_vec(field, lhs, rhs)
             if not is_zero_vec(residual):
                 witnesses.append(((i, j), residual))
     return DefectReport(None if not witnesses else NOT_HOMOMORPHISM, tuple(witnesses))
@@ -153,15 +160,16 @@ def commuting_defect(algebra: LieAlgebra, f: LinearMap) -> DefectReport:
     if f.dim != algebra.dim:
         raise ValueError("map/algebra dimension mismatch")
     witnesses = []
-    bracket, images = algebra._bracket, f.matrix.transpose().rows
-    basis = [basis_vec(algebra.field, algebra.dim, i) for i in range(algebra.dim)]
-    for i in range(algebra.dim):
-        b = bracket(images[i], basis[i])
+    n, images = algebra.dim, f.matrix.transpose().rows
+    # ad[i][j] = [f(e_i), e_j], from the brackets of e_j alone
+    ad = [[algebra._bracket_with_basis(x, j) for j in range(n)] for x in images]
+    for i in range(n):
+        b = ad[i][i]
         if not is_zero_vec(b):
             witnesses.append(((i,), b))
-    for i in range(algebra.dim):
-        for j in range(i + 1, algebra.dim):
-            s = add_vec(algebra.field, bracket(images[i], basis[j]), bracket(images[j], basis[i]))
+    for i in range(n):
+        for j in range(i + 1, n):
+            s = add_vec(algebra.field, ad[i][j], ad[j][i])
             if not is_zero_vec(s):
                 witnesses.append(((i, j), s))
     return DefectReport(None if not witnesses else NOT_COMMUTING, tuple(witnesses))

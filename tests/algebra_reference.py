@@ -1,16 +1,20 @@
 """The original dense definitions of the algebra invariants, kept as references.
 
 ``LieAlgebra`` now brackets through a per-index table of nonzero brackets
-and reads every invariant from its cached central series.  These are the
-definitions it replaced: the bracket as a loop over the whole structure
-table, L' as the span of all basis brackets, Z(L) as the centralizer of
-L, Z_2(L) as the preimage of Z(L) under every ad e_j, and the two series
-as iterations of those, and the generators of L/L' grown one basis
-vector at a time.  Beside them: the Jacobi check on dense basis
-vectors, and the subalgebra s rebuilt as an algebra of its own
-(``restrict``), whose class ``LieAlgebra.subalgebra_class`` now computes
-inside L, and ``span_vectors``, a subspace listed vector by vector.  The
-tests require the library to agree with them.
+and reads every invariant from its cached central series, which it
+builds from L' read off the table and from brackets with a generating
+set X only (X is every index when ``generator_indices`` do not generate
+L, as in the non-nilpotent cases).  These are the definitions it
+replaced: the bracket as a loop over the whole structure table, L' as
+the span of all basis brackets, Z(L) as the centralizer of L, Z_2(L) as
+the preimage of Z(L) under every ad e_j, and the two series as
+iterations of those, bracketing with every basis vector, and the
+generators of L/L' grown one basis vector at a time.  Beside them: the
+Jacobi check on dense basis vectors, and the subalgebra s rebuilt as an
+algebra of its own (``restrict``), whose class
+``LieAlgebra.subalgebra_class`` now computes inside L, and
+``span_vectors``, a subspace listed vector by vector.  The tests require
+the library to agree with them.
 """
 
 from itertools import product

@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 
 import algebra_reference as ref
 from coclass_lab.algebra import LieAlgebra, NonNilpotentError, NotSubalgebraError
-from coclass_lab.constructions import abelian, default_catalog, filiform, heisenberg, load_catalog
+from coclass_lab.constructions import (
+    abelian,
+    default_catalog,
+    direct_sum,
+    filiform,
+    heisenberg,
+    load_catalog,
+)
 from coclass_lab.fields import FieldSpec
 from coclass_lab.linalg import Subspace, basis_vec, vec
 
@@ -53,11 +60,24 @@ def large_algebras():
 
 SOLVABLE = LieAlgebra(F3, 2, {(0, 1): ((1, 1),)})  # [e1, e2] = e2
 
+
+def sl2(field: FieldSpec) -> LieAlgebra:
+    """[h, e] = 2e, [h, f] = -2f, [e, f] = h, so [L, L] = L in odd characteristic and over Q."""
+    return LieAlgebra(field, 3, {(0, 1): ((1, 2),), (0, 2): ((2, -2),), (1, 2): ((0, 1),)})
+
+
+def sl2_plus_heisenberg(field: FieldSpec) -> LieAlgebra:
+    """sl2 + heisenberg(1, 1): generator_indices() = [3, 4] generate only the Heisenberg
+    part, so series bracketing with them alone would call L nilpotent with sl2 central."""
+    return direct_sum(sl2(field), heisenberg(1, 1, field))
+
+
 CASES = (
     [(f"{e.name}_F3", e.algebra) for e in default_catalog(F3)]
     + [(f"{e.name}_F5", e.algebra) for e in default_catalog(F5)]
     + large_algebras()
     + [("solvable_e1e2", SOLVABLE)]
+    + [(f"sl2_plus_heisenberg_1_1_{f}", sl2_plus_heisenberg(f)) for f in (F3, F5)]
 )
 
 
@@ -87,6 +107,20 @@ def test_invariants_equal_dense_definitions(name, alg):
     assert alg.second_center() == ref.second_center(alg)
     assert alg.lower_central_series() == ref.lower_central_series(alg)
     assert alg.upper_central_series() == ref.upper_central_series(alg)
+    assert alg.is_nilpotent == ref.lower_central_series(alg)[-1].is_zero
+
+
+def test_series_bracket_with_the_generators_of_every_nilpotent_case():
+    # X is generator_indices() wherever they generate L, which every
+    # nilpotent catalog row and large algebra does; the rest use every index
+    nilpotent = [e.algebra for f in (F3, F5, FieldSpec.prime(7), Q) for e in default_catalog(f)]
+    nilpotent += [e.algebra for path in sorted(DATA.iterdir()) for e in load_catalog(path)]
+    nilpotent += [alg for _, alg in large_algebras()]
+    for alg in nilpotent:
+        assert alg._bracket_generators == tuple(alg.generator_indices()), alg
+    for alg in (SOLVABLE, sl2(F5), sl2_plus_heisenberg(F3), sl2_plus_heisenberg(F5)):
+        assert alg._bracket_generators == tuple(range(alg.dim)), alg
+    assert sl2_plus_heisenberg(F3).generator_indices() == [3, 4]
 
 
 def test_solvable_non_nilpotent_invariants():
@@ -98,11 +132,6 @@ def test_solvable_non_nilpotent_invariants():
     assert L.upper_central_series() == [L.zero_space()]
     with pytest.raises(NonNilpotentError):
         L.nilpotency_class()
-
-
-def sl2(field: FieldSpec) -> LieAlgebra:
-    """[h, e] = 2e, [h, f] = -2f, [e, f] = h, so [L, L] = L in odd characteristic and over Q."""
-    return LieAlgebra(field, 3, {(0, 1): ((1, 2),), (0, 2): ((2, -2),), (1, 2): ((0, 1),)})
 
 
 def test_perfect_algebra_derived_is_whole_algebra():

@@ -117,6 +117,17 @@ def test_search_commuting_abelian_short_circuit(capsys):
     assert "11232" in out
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_search_commuting_members_of_abelian_is_a_usage_error(capsys, fmt):
+    # the commuting set of an abelian algebra is all of GL(n, p), never listed
+    with pytest.raises(SystemExit) as err:
+        main(["--format", fmt, "search-commuting", "abelian:3", "--members"])
+    assert err.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: --members lists no set for an abelian algebra: all of GL(3,3) commutes\n"
+
+
 def test_check_subgroup_abelian_short_circuit(capsys):
     # an abelian algebra is closed at once: its commuting set is all of GL(n, p)
     code, out, _ = run(capsys, "--format", "json", "check-subgroup", "abelian:2", "--p", "3")
@@ -337,6 +348,18 @@ def test_set_commands_match_golden_copy(capsys):
     # non-closed rows, members, F3 and F5; CI replays them with the console script
     runs = _golden_runs(Path(__file__).resolve().parent / "golden" / "set_commands.txt")
     assert len(runs) == 16
+    for argv, expected in runs:
+        assert run(capsys, *argv) == (0, expected, ""), argv
+
+
+def test_invariants_commands_match_golden_copy(monkeypatch, capsys):
+    # invariants on both shipped data files and the two witness families, in
+    # both formats; written before the series bracketed with generators only,
+    # and CI replays them with the console script
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.chdir(root)  # the data files are named relative to the repository
+    runs = _golden_runs(root / "tests" / "golden" / "invariants_commands.txt")
+    assert len(runs) == 8
     for argv, expected in runs:
         assert run(capsys, *argv) == (0, expected, ""), argv
 

@@ -227,7 +227,8 @@ def test_variant_report_on_commuting_composition_that_is_no_automorphism():
     # zero o identity has a clean commuting defect but is singular: the
     # report says the composition fails, with no defect vector to show
     L = heisenberg(2, 1, F3)
-    v = _variant_report(L, LinearMap(zero_matrix(F3, 5, 5)), identity_map(L), "corrected")
+    zero = LinearMap(zero_matrix(F3, 5, 5))
+    v = _variant_report(L, zero, is_commuting(L, zero), identity_map(L), "corrected")
     assert not v.composition_commuting
     assert v.defect_input is None and v.defect_bracket is None
     assert v.as_dict(F3)["defect_input"] is None
@@ -250,6 +251,21 @@ def test_variant_report_checks_automorphism_only_of_commuting_compositions(monke
     failing = [c for c in comps if not commuting_defect(L, c).clean]
     assert failing and checked
     assert not any(f in failing for _, f in checked)
+
+
+def test_heisenberg_witness_decides_beta1_once(monkeypatch):
+    # both variants share beta1, so its verdict is decided once per witness
+    calls = []
+    real = harness.is_commuting
+
+    def recording(algebra, f):
+        calls.append(f)
+        return real(algebra, f)
+
+    monkeypatch.setattr(harness, "is_commuting", recording)
+    report = heisenberg_witness(2, 1, F3)
+    assert calls == [report.beta1]
+    assert [v.beta1_commuting for v in report.variants] == [True, True]
 
 
 def test_heisenberg_witness_rejects_small_k():
@@ -307,13 +323,12 @@ def test_structural_suite_bounds_fire_for_all_dim6_entries():
 def test_profile_then_structural_suite_compute_each_series_once(monkeypatch):
     alg = dim6_center1(F3)  # fresh: catalog entries compute their class tags
     entry = CatalogEntry("dim6_center1", alg)
-    calls = {"bracket_subspaces": 0, "_center_preimage": 0}
+    calls = {"_lower_step": 0, "_center_preimage": 0}
     for name in calls:
         original = getattr(LieAlgebra, name)
 
         def counted(self, *args, _original=original, _name=name):
-            # lower-series steps bracket L itself; subalgebra_class brackets inside Z_2
-            if self is alg and (_name != "bracket_subspaces" or args[0].is_full()):
+            if self is alg:
                 calls[_name] += 1
             return _original(self, *args)
 
@@ -321,9 +336,10 @@ def test_profile_then_structural_suite_compute_each_series_once(monkeypatch):
     profile(alg)
     report = structural_suite([entry])
     assert {c.entry for c in report.checks} == {"dim6_center1"}
-    # one bracket_subspaces per lower step, one preimage per upper step
+    # L' is read from the table, so one bracket step per later lower term
+    # (the last one is 0); one preimage per upper step
     assert calls == {
-        "bracket_subspaces": len(alg.lower_central_series()) - 1,
+        "_lower_step": len(alg.lower_central_series()) - 2,
         "_center_preimage": len(alg.upper_central_series()) - 1,
     }
 
