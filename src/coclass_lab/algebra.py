@@ -28,6 +28,14 @@ of the whole basis (W. de Graaf, *Lie Algebras: Theory and Algorithms*,
   holds X.  So when [x, g] lies in Z_k for every g in X it is all of L, and
   Z_{k+1} = {x : [x, g] in Z_k for all g in X}.
 
+A third fact ends the upper series without a system: once L' lies in
+Z_k, every [x, g] lies in L' and so in Z_k, and Z_{k+1} = L.  Each other
+step solves for x with Z_k given by constraint rows read off its RREF basis:
+a vector is the combination of the rows weighted by its pivot coordinates,
+so for each non-pivot column q, x_q - sum_r x_pivot(r) r[q] = 0.  These
+n - dim Z_k rows vanish on Z_k and are independent (row q alone is nonzero
+at q), so they cut out exactly Z_k.
+
 X is ``generator_indices()`` (a lift of a basis of L/L') when the
 ad(X)-closure of span(X), the subalgebra that X generates, is L; that
 closure is the one ``generator_presentation`` records step by step.  A
@@ -42,7 +50,6 @@ from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable
 
 from .fields import FieldSpec
@@ -189,8 +196,11 @@ class LieAlgebra:
         return tuple([v % p for v in out]) if p else tuple(out)
 
     def ad_matrix(self, j: int) -> Matrix:
-        """Matrix of x -> [x, e_j] acting on coordinates."""
-        cols = [self.bracket_basis(i, j) for i in range(self.dim)]
+        """Matrix of x -> [x, e_j] acting on coordinates: column i is [e_i, e_j],
+        zero unless e_j's adjacency holds i."""
+        cols = [self._zeros] * self.dim
+        for i, _ in self._adjacency[j]:
+            cols[i] = self.bracket_basis(i, j)
         return Matrix(self.field, tuple(zip(*cols)))
 
     # -- validation -------------------------------------------------------
@@ -199,22 +209,32 @@ class LieAlgebra:
         """Jacobi residuals [[x,y],z] + [[y,z],x] + [[z,x],y] over basis triples.
 
         Antisymmetry holds by the storage convention, so an empty list
-        means the table is a genuine Lie algebra.  Each residual walks the
-        nonzero brackets of the per-index table, sums the three terms and
-        reduces once.
+        means the table is a genuine Lie algebra.  Only nonzero brackets
+        contribute: for each table entry [e_a, e_b] (a < b), term e_m of
+        it and e_c in e_m's adjacency (c not a or b), the term of
+        [[e_a, e_b], e_c] is added to the sorted triple of a, b, c, with
+        sign + when (a, b, c) is a cyclic rotation of that triple (c < a
+        or c > b) and - when it is not (a < c < b).  Each touched triple
+        is reduced once, and the failing ones are listed in lexicographic
+        order, the order of ``itertools.combinations``.
         """
-        table = [dict(pairs) for pairs in self._adjacency]
+        adj = self._adjacency
+        sums = defaultdict(list(self._zeros).copy)
+        for (a, b), terms in self.sc.items():
+            for m, x in terms:
+                for c, row in adj[m]:
+                    if c == a or c == b:
+                        continue
+                    key, s = ((c, a, b), x) if c < a else ((a, b, c), x) if c > b else ((a, c, b), -x)
+                    out = sums[key]
+                    for l, y in row:
+                        out[l] += s * y
         p = self.field.p
         violations = []
-        for i, j, k in combinations(range(self.dim), 3):
-            out = list(self._zeros)
-            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                for m, x in table[a].get(b, ()):
-                    for l, y in table[m].get(c, ()):
-                        out[l] += x * y
-            r = tuple([v % p for v in out]) if p else tuple(out)
+        for triple in sorted(sums):
+            r = tuple([v % p for v in sums[triple]]) if p else tuple(sums[triple])
             if any(r):
-                violations.append(JacobiViolation((i, j, k), r))
+                violations.append(JacobiViolation(triple, r))
         return violations
 
     # -- subspace machinery -------------------------------------------------
@@ -250,11 +270,17 @@ class LieAlgebra:
         return upper[min(2, len(upper) - 1)]
 
     def _center_preimage(self, z: Subspace) -> Subspace:
-        """{x : [x, g] in z for g in X}: the kernel of c . [e_g, e_i] over constraints c of z."""
-        f = self.field
-        columns = tuple(zip(*z.annihilator().rows))  # columns[k][ci] is constraint ci's entry k
+        """{x : [x, g] in z for g in X}: the kernel of c . [e_g, e_i] over z's RREF constraint rows c."""
+        f, n = self.field, self.dim
+        rows = z.basis.rows
+        pivots = [next(i for i, x in enumerate(row) if x) for row in rows]
+        free = [q for q in range(n) if q not in pivots]
+        # columns[k][ci] is entry k of constraint ci: x_q - sum_r x_pivot(r) r[q], q = free[ci]
+        columns = {q: basis_vec(f, len(free), ci) for ci, q in enumerate(free)}
+        for row, c in zip(rows, pivots):
+            columns[c] = f.scale(-1, [row[q] for q in free])
         # row (c, g), column i holds c . [e_g, e_i]; only nonzero brackets contribute
-        rows = defaultdict(list(self._zeros).copy)
+        system = defaultdict(list(self._zeros).copy)
         for g in self._bracket_generators:
             for i, terms in self._adjacency[g]:
                 (k, t), *rest = terms
@@ -263,10 +289,10 @@ class LieAlgebra:
                     values = f.sub_multiple(values, -t, columns[k])
                 for ci, value in enumerate(values):
                     if value:
-                        rows[ci, g][i] = value
-        if not rows:
+                        system[ci, g][i] = value
+        if not system:
             return self.full_space()
-        return kernel(Matrix(self.field, tuple(map(tuple, rows.values()))))
+        return kernel(Matrix(f, tuple(map(tuple, system.values()))))
 
     def _lower_step(self, term: Subspace) -> Subspace:
         """[term, X], which is [term, L] for an ideal term."""
@@ -287,14 +313,12 @@ class LieAlgebra:
     @cached_property
     def _upper_series(self) -> tuple:
         series = [self.zero_space()]
-        while True:
+        while not series[-1].contains_subspace(self._derived):  # else Z_{k+1} = L
             nxt = self._center_preimage(series[-1])
             if nxt == series[-1]:
-                break
+                return tuple(series)
             series.append(nxt)
-            if nxt.is_full():
-                break
-        return tuple(series)
+        return (*series, self.full_space())
 
     def lower_central_series(self) -> list:
         """[L, L', L^2, ...] down to the first repeated term."""

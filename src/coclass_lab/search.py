@@ -21,10 +21,11 @@ z_t; then C f(g_t) = C g_t becomes C z_t = 0 (C the coset rows),
 the kernel of one homogeneous system over z = (z_0, ..., z_{r-1}).
 
 The budget is checked first, before V or the generator presentation is
-built, so a refusal costs one rank per level.  Given the earlier images,
-f(g_t) ranges over a coset of the kernel of level t's rows, of size p^k
-(k = n - their rank); the product of these p^k bounds the p^(dim V)
-assignments, and enumeration refuses to start when it exceeds the budget.
+built, so a refusal costs one elimination per level.  Given the earlier
+images, f(g_t) ranges over a coset of the kernel of level t's rows, of
+size p^k (k = n - their rank); the product of these p^k bounds the
+p^(dim V) assignments, and enumeration refuses to start when it exceeds
+the budget.
 
 The filter tests no commuting.  Write f = I + D and B(x, y) = [Dx, y] +
 [Dy, x], symmetric and bilinear; as B(x, x) = 2 [f(x), x] and p is odd,
@@ -138,7 +139,7 @@ import numpy as np
 
 from . import modp
 from .algebra import LieAlgebra, NonNilpotentError
-from .linalg import Matrix, kernel, rank
+from .linalg import Matrix, _span, kernel
 from .maps import LinearMap, commuting_witness, compose
 
 DEFAULT_BUDGET = 10**8
@@ -321,10 +322,14 @@ def _finish_set(algebra: LieAlgebra, kind: str, mats, inverses=None, moves=None)
     n = algebra.dim
     blocks = [mats] if isinstance(mats, np.ndarray) else mats
     source_keys = np.concatenate([_row_keys(b, p) for b in blocks])
-    keys, first = np.unique(source_keys, return_index=True)
-    if len(keys) < len(source_keys):
+    # the source of each canonical position; keys that pass the repeat check
+    # are distinct, so every sort kind gives this one order
+    first = np.argsort(source_keys)
+    keys = source_keys[first]
+    if (keys[1:] == keys[:-1]).any():
         raise AssertionError(f"{kind} enumeration listed a member twice")
-    at = np.argsort(first)  # the canonical position of each source
+    at = np.empty_like(first)  # the canonical position of each source
+    at[first] = np.arange(len(first))
     arr = np.empty((len(keys), n, n), dtype=np.int64)
     start = 0
     for block in blocks:
@@ -503,17 +508,25 @@ def _level_rows(algebra: LieAlgebra, budget: int) -> tuple:
     """(generators, coset rows, ad(g_t) rows) of the level systems, within the budget.
 
     Level t's rows on w = f(g_t) are the coset rows C, [w, g_t], and
-    [w, g_s] for each s < t.  BudgetExceededError is raised when the
-    projection, the product of the per-level kernel sizes, exceeds the
-    budget; it is an upper bound on p^(dim V), not the count
-    (dim6_center1 over F3 projects 3^9 and has 3^7 assignments).
+    [w, g_s] for each s < t, so its kernel has width n - rank(C + ad_0 +
+    ... + ad_t).  One span grows through the levels: level t eliminates
+    level t - 1's RREF basis together with ad(g_t)'s rows, once.
+    BudgetExceededError is raised when the projection, the product of the
+    per-level kernel sizes, exceeds the budget; it is an upper bound on
+    p^(dim V), not the count (dim6_center1 over F3 projects 3^9 and has
+    3^7 assignments).
     """
     field = algebra.field
     p = field.p
+    n = algebra.dim
     gens = algebra.generator_indices()
     coset_rows = algebra.second_center().annihilator().rows
     ad = [algebra.ad_matrix(g).rows for g in gens]
-    widths = [algebra.dim - rank(Matrix(field, coset_rows + ad[t] + sum(ad[:t], ()))) for t in range(len(gens))]
+    widths = []
+    span = coset_rows
+    for rows in ad:
+        span = _span(field, n, span + rows).basis.rows
+        widths.append(n - len(span))
 
     projected = 1
     for k in widths:

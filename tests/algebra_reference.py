@@ -6,8 +6,9 @@ builds from L' read off the table and from brackets with a generating
 set X only (X is every index when ``generator_indices`` do not generate
 L, as in the non-nilpotent cases).  These are the definitions it
 replaced: the bracket as a loop over the whole structure table, L' as
-the span of all basis brackets, Z(L) as the centralizer of L, Z_2(L) as
-the preimage of Z(L) under every ad e_j, and the two series as
+the span of all basis brackets, ad e_j as the dense bracket columns,
+Z(L) as the centralizer of L, Z_2(L) as the preimage of Z(L), through
+its annihilator, under every ad e_j, and the two series as
 iterations of those, bracketing with every basis vector, and the
 generators of L/L' grown one basis vector at a time.  Beside them: the
 Jacobi check on dense basis vectors, and the subalgebra s rebuilt as an
@@ -74,13 +75,20 @@ def center(alg) -> Subspace:
     return centralizer(alg, alg.full_space())
 
 
+def ad_matrix(alg, j: int) -> Matrix:
+    """Matrix of x -> [x, e_j]: column i is the dense [e_i, e_j]."""
+    f, n = alg.field, alg.dim
+    cols = [bracket(alg, basis_vec(f, n, i), basis_vec(f, n, j)) for i in range(n)]
+    return Matrix(f, tuple(zip(*cols)))
+
+
 def center_preimage(alg, z: Subspace) -> Subspace:
     if z.is_full():
         return alg.full_space()
     constraints = z.annihilator()
     rows = []
     for j in range(alg.dim):
-        rows.extend((constraints @ alg.ad_matrix(j)).rows)
+        rows.extend((constraints @ ad_matrix(alg, j)).rows)
     if not rows:
         return alg.full_space()
     return kernel(Matrix(alg.field, tuple(rows)))

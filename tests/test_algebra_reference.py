@@ -13,6 +13,7 @@ import algebra_reference as ref
 from coclass_lab.algebra import LieAlgebra, NonNilpotentError, NotSubalgebraError
 from coclass_lab.constructions import (
     abelian,
+    builtin,
     default_catalog,
     direct_sum,
     filiform,
@@ -20,7 +21,7 @@ from coclass_lab.constructions import (
     load_catalog,
 )
 from coclass_lab.fields import FieldSpec
-from coclass_lab.linalg import Subspace, basis_vec, vec
+from coclass_lab.linalg import Matrix, Subspace, basis_vec, invert, vec
 
 F3 = FieldSpec.prime(3)
 F5 = FieldSpec.prime(5)
@@ -72,12 +73,36 @@ def sl2_plus_heisenberg(field: FieldSpec) -> LieAlgebra:
     return direct_sum(sl2(field), heisenberg(1, 1, field))
 
 
+def skewed(alg: LieAlgebra) -> LieAlgebra:
+    """alg in the basis b_i = e_{i-1} + e_i (b_0 = e_0), whose center and series
+    terms are no longer spanned by basis vectors."""
+    f, n = alg.field, alg.dim
+    b = [vec(f, [int(k in (i - 1, i)) for k in range(n)]) for i in range(n)]
+    coordinates = invert(Matrix(f, tuple(zip(*b))))
+    sc = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = coordinates.apply(ref.bracket(alg, b[i], b[j]))
+            if any(w):
+                sc[(i, j)] = tuple((k, c) for k, c in enumerate(w) if c)
+    return LieAlgebra(f, n, sc)
+
+
+SKEWED = [
+    ("skewed_filiform_6_F5", skewed(filiform(6, F5))),
+    ("skewed_dim6_center1_F3", skewed(builtin("dim6_center1", F3))),
+    ("skewed_heisenberg_2_2_Q", skewed(heisenberg(2, 2, Q))),
+    ("skewed_sl2_plus_heisenberg_1_1_F5", skewed(sl2_plus_heisenberg(F5))),
+]
+
+
 CASES = (
     [(f"{e.name}_F3", e.algebra) for e in default_catalog(F3)]
     + [(f"{e.name}_F5", e.algebra) for e in default_catalog(F5)]
     + large_algebras()
     + [("solvable_e1e2", SOLVABLE)]
     + [(f"sl2_plus_heisenberg_1_1_{f}", sl2_plus_heisenberg(f)) for f in (F3, F5)]
+    + SKEWED
 )
 
 
@@ -108,6 +133,20 @@ def test_invariants_equal_dense_definitions(name, alg):
     assert alg.lower_central_series() == ref.lower_central_series(alg)
     assert alg.upper_central_series() == ref.upper_central_series(alg)
     assert alg.is_nilpotent == ref.lower_central_series(alg)[-1].is_zero
+    for j in range(n):
+        assert alg.ad_matrix(j) == ref.ad_matrix(alg, j)
+
+
+@pytest.mark.parametrize("field", (F3, F5, Q), ids=str)
+def test_upper_series_where_no_term_holds_the_derived_algebra(field):
+    # each term is a preimage solved from RREF constraint rows: no Z_k
+    # holds L', so the series never ends by the L' in Z_k shortcut; the
+    # skewed basis makes Z and Z_2 more than spans of basis vectors
+    for alg in (sl2(field), sl2_plus_heisenberg(field), skewed(sl2_plus_heisenberg(field))):
+        upper = alg.upper_central_series()
+        assert upper == ref.upper_central_series(alg)
+        assert not any(z.contains_subspace(alg.derived()) for z in upper)
+    assert [z.dim for z in sl2_plus_heisenberg(field).upper_central_series()] == [0, 1, 3]
 
 
 def test_series_bracket_with_the_generators_of_every_nilpotent_case():
@@ -189,6 +228,29 @@ def random_tables(seed: int, count: int) -> list:
                     sc[(i, j)] = tuple((k, rng.randrange(1, 5)) for k in rng.sample(range(dim), 2))
         out.append(LieAlgebra(field, dim, sc))
     return out
+
+
+@st.composite
+def jacobi_tables(draw):
+    """A structure table of dimension <= 9 over F3, F5 or Q; most break Jacobi."""
+    field = draw(st.sampled_from((F3, F5, Q)))
+    dim = draw(st.integers(min_value=1, max_value=9))
+    if field.is_prime:
+        coeff = st.integers(min_value=-field.p, max_value=field.p)
+    else:
+        coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    keys = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)) if pairs else []
+    target = st.integers(min_value=0, max_value=dim - 1)
+    sc = {key: tuple(draw(st.dictionaries(target, coeff, max_size=3)).items()) for key in keys}
+    return LieAlgebra(field, dim, sc)
+
+
+@given(jacobi_tables())
+@settings(max_examples=300, deadline=None)
+def test_validate_matches_dense_loop_on_drawn_tables(alg):
+    # the sparse sum over table entries against the dense loop over every triple
+    assert alg.validate() == ref.validate(alg)
 
 
 def test_validate_matches_dense_loop():

@@ -337,10 +337,11 @@ def test_profile_then_structural_suite_compute_each_series_once(monkeypatch):
     report = structural_suite([entry])
     assert {c.entry for c in report.checks} == {"dim6_center1"}
     # L' is read from the table, so one bracket step per later lower term
-    # (the last one is 0); one preimage per upper step
+    # (the last one is 0); one preimage per upper step but the last, where
+    # L' in Z_k gives Z_{k+1} = L
     assert calls == {
         "_lower_step": len(alg.lower_central_series()) - 2,
-        "_center_preimage": len(alg.upper_central_series()) - 1,
+        "_center_preimage": len(alg.upper_central_series()) - 2,
     }
 
 

@@ -91,12 +91,12 @@ def test_assignment_blocks_narrower_than_chunk(catalog_sets, monkeypatch):
 
 def test_refusal_computes_only_the_level_kernels(monkeypatch):
     # the budget check reads the r per-level kernel sizes as n - rank, one
-    # elimination each; no kernel, the joint system's included, is computed
-    # for a refused algebra
+    # elimination each of the growing span; no kernel, the joint system's
+    # included, is computed for a refused algebra
     alg = heisenberg(2, 2, FieldSpec.prime(3))
     calls = []
-    real = search.rank
-    monkeypatch.setattr(search, "rank", lambda m: calls.append(m.ncols) or real(m))
+    real = search._span
+    monkeypatch.setattr(search, "_span", lambda f, n, rows: calls.append(n) or real(f, n, rows))
     monkeypatch.setattr(search, "kernel", lambda m: pytest.fail("kernel computed on a refusal"))
     with pytest.raises(BudgetExceededError):
         enumerate_commuting(alg, budget=0)
