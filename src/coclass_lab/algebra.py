@@ -373,14 +373,14 @@ class LieAlgebra:
         """The indices of ``generator_indices``.
 
         They are the pivot columns of the reduced annihilator
-        Λ = ``derived().annihilator()``, whose kernel is L'.  Column i of Λ
+        Λ = ``derived().annihilator``, whose kernel is L'.  Column i of Λ
         is Λ e_i, and it is a combination of the columns before it exactly
         when e_i lies in L' + span(e_0, ..., e_{i-1}); so the pivots are
         the greedy picks, and their basis vectors lift a basis of L/L'.
         Λ is the identity on these columns and kills L', so its rows are
         the L/L' coordinates with respect to the generators.
         """
-        return tuple(next(i for i, x in enumerate(row) if x) for row in self.derived().annihilator().rows)
+        return tuple(next(i for i, x in enumerate(row) if x) for row in self.derived().annihilator.rows)
 
     @cached_property
     def _generator_closure(self) -> tuple:

@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
                         f"(default 10^8; 'suite' defaults to {SUITE_BUDGET}; "
                         f"env {BUDGET_ENV} sets the default; must be positive). "
                         "It bounds candidates, not memory: a set holds 8*n^2 bytes per "
-                        "member and an enumeration peaks near two such arrays "
+                        "member and an enumeration keeps one such array "
                         "(heisenberg_2_2 over F_3: 6,456,024 members, 1.86 GB, "
                         "within the default)")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -16,6 +16,7 @@ them as they are); outside input is canonicalised, through ``vec``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .fields import FieldSpec
@@ -190,8 +191,9 @@ class Subspace:
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(row) for row in other.basis.rows)
 
+    @cached_property
     def annihilator(self) -> Matrix:
-        """Matrix C with this subspace = {x : C x = 0}.
+        """Matrix C with this subspace = {x : C x = 0} (computed once per subspace).
 
         Rows of C are a basis of the kernel of the basis matrix, so
         C has full row rank and C . basis^T = 0, which pins the kernel

@@ -71,7 +71,7 @@ def matrix_to_array(m, ncols: int) -> np.ndarray:
 
 def subspace_constraints(s) -> np.ndarray:
     """Rows C with s = {x : C x = 0}; shape (n - dim, n)."""
-    return matrix_to_array(s.annihilator(), s.ambient_dim)
+    return matrix_to_array(s.annihilator, s.ambient_dim)
 
 
 def spanning_rows(rows: np.ndarray, p: int, rank: Optional[int] = None) -> list:

@@ -100,7 +100,10 @@ with M_h = (I + X_h U)^-1 and G_h = I - U M_h X_h.
 
 Every listing is of distinct members, and ``_finish_set`` checks it: a
 repeated member is an error, so each listed size is exact, |S| = N |Aut_c|
-and |Aut_c| = h p^(m-s).
+and |Aut_c| = h p^(m-s).  Both listings stream their blocks (Aut_c's
+heads plus tails and the products r ∘ c, each from ``_pair_blocks``) into
+``_finish_set``, which keys each block and lets it go, then decodes the
+canonical array from the sorted keys: one member array is alive at a time.
 
   * Aut_c's members I + U (X_h + T_t) are distinct: U has independent
     columns, and a head combination with (sum y_i X_i) U = 0 has y = 0, as
@@ -133,6 +136,7 @@ F - I, from how it was built.  The identity sweep decides on it, and
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field, replace
+from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -256,20 +260,26 @@ class AutomorphismSet:
         return same_kind and np.array_equal(self._array, other._array)
 
 
+@cache
+def _digits_below(p: int, bits: int) -> int:
+    """The most base-p digits whose values all lie below 2^bits: the most d with p^d < 2^bits."""
+    return next(d for d in range(bits, 0, -1) if p**d < 2**bits)
+
+
 def _row_keys(mats: np.ndarray, p: int) -> np.ndarray:
     """One opaque key per matrix whose order is row-major entry order.
 
     The flattened entries, residues in [0, p), are packed base p, first
-    entry most significant, into int64 words of d digits each, d the most
-    with p^d < 2^63, so each word is non-negative.  When one word holds
-    every entry, that word is the key, a native int64.  Otherwise the
-    words are big-endian and the key is their bytes (``void``):
-    big-endian bytes of non-negative integers compare like the integers.
-    Either way comparing the keys compares the flattened entry tuples
-    lexicographically.
+    entry most significant, into int64 words of ``_digits_below(p, 63)``
+    digits each, so each word is non-negative.  When one word holds every
+    entry, that word is the key, a native int64.  Otherwise the words are
+    big-endian and the key is their bytes (``void``): big-endian bytes of
+    non-negative integers compare like the integers.  Either way comparing
+    the keys compares the flattened entry tuples lexicographically, and
+    ``_key_rows`` reads the entries back.
     """
     flat = mats.reshape(len(mats), mats.shape[1] * mats.shape[2])
-    d = next(d for d in range(63, 0, -1) if p**d < 2**63)
+    d = _digits_below(p, 63)
     count = -(-flat.shape[1] // d)
     words = np.empty((len(mats), count), dtype=np.int64 if count == 1 else ">i8")
     for w in range(count):
@@ -279,6 +289,37 @@ def _row_keys(mats: np.ndarray, p: int) -> np.ndarray:
     if count == 1:
         return words[:, 0]
     return words.view(np.dtype((np.void, count * 8))).ravel()
+
+
+def _key_rows(keys: np.ndarray, p: int, width: int) -> np.ndarray:
+    """The (len(keys), width) int32 residue rows whose ``_row_keys`` are keys.
+
+    Each key word is cut, most significant digits first, into pieces of
+    at most c = ``_digits_below(p, 31)`` digits (a word's first piece
+    takes what is left over), and the digits of all pieces are peeled
+    together in int32: c floor divisions by p, whatever the width.
+    """
+    d, c = _digits_below(p, 63), _digits_below(p, 31)
+    words = keys.view(">i8").reshape(len(keys), -1).astype(np.int64) if keys.dtype.kind == "V" else keys[:, None]
+    pieces, sizes = [], []
+    for w in range(words.shape[1]):
+        word, below = words[:, w], min(d, width - w * d)
+        while below:
+            size = below - (below - 1) // c * c
+            below -= size
+            value = word // p**below
+            word = word - value * p**below
+            pieces.append(value)
+            sizes.append(size)
+    peeled = np.empty((c + 1, len(pieces), len(keys)), dtype=np.int32)
+    peeled[0] = pieces
+    for i in range(c):
+        np.floor_divide(peeled[i], p, out=peeled[i + 1])
+    digits = peeled[:-1] - p * peeled[1:]  # [i, j]: digit i of piece j, least significant first
+    # the entries in order: piece by piece, each from its most significant digit
+    place = [i for size in sizes for i in range(size - 1, -1, -1)]
+    piece = [j for j, size in enumerate(sizes) for _ in range(size)]
+    return digits[place, piece].T
 
 
 def _contains_rows(sorted_keys: np.ndarray, query: np.ndarray) -> np.ndarray:
@@ -295,12 +336,14 @@ def _holds_identity(keys: np.ndarray, p: int, n: int) -> bool:
 
 
 def _finish_set(algebra: LieAlgebra, kind: str, mats, inverses=None, moves=None) -> AutomorphismSet:
-    """Canonical set from member matrices, entries in [0, p), as one
-    (B, n, n) int64 array or a list of blocks: sorted in row-major entry
-    order; a repeated member is an error, as every enumerator lists
-    distinct members (module docstring).  Each block is written to the
-    canonical positions of its rows, so the blocks and that array are the
-    only member copies alive.
+    """Canonical set from member matrices, as one (B, n, n) int64 array or
+    an iterable of blocks, read once: sorted in row-major entry order; a
+    repeated member is an error, as every enumerator lists distinct
+    members (module docstring).  Each block is checked to hold residues
+    in [0, p) and keyed (``_row_keys``), then let go; the canonical array
+    is decoded from the sorted keys (``_key_rows``), which encode residue
+    rows injectively.  So an enumerator that streams its blocks holds one
+    block and the canonical array, the only member copy, at a time.
 
     The set must hold the identity and every member's inverse.
     ``inverses(members, sources)`` (default ``modp.batch_inverse``) gives
@@ -309,9 +352,10 @@ def _finish_set(algebra: LieAlgebra, kind: str, mats, inverses=None, moves=None)
     trusted: it must satisfy f g = I mod p and be found among the members,
     and then g^-1 = f needs no check of its own.  So blocks of
     INVERSE_BLOCK members, in canonical order, ask only for the members
-    that no earlier check has paired.  Each proof is kept: f at index a
-    and g at index b give inverse[a] = b and inverse[b] = a, the set's
-    inverse index (8 bytes per member).
+    that no earlier check has paired; each block is decoded just before
+    its members are read.  Each proof is kept: f at index a and g at index
+    b give inverse[a] = b and inverse[b] = a, the set's inverse index
+    (8 bytes per member).
 
     ``moves``, a (d, n, n) basis of the span of the members'
     displacements F - I that the caller derived from how it made them, is
@@ -320,21 +364,20 @@ def _finish_set(algebra: LieAlgebra, kind: str, mats, inverses=None, moves=None)
     """
     p = algebra.field.p
     n = algebra.dim
-    blocks = [mats] if isinstance(mats, np.ndarray) else mats
-    source_keys = np.concatenate([_row_keys(b, p) for b in blocks])
+
+    def keyed(block: np.ndarray) -> np.ndarray:
+        # a negative entry reads as at least 2^63 in uint64, so one max checks both ends
+        if len(block) and block.view(np.uint64).max() >= p:
+            raise AssertionError(f"{kind} enumeration made an entry outside [0, {p})")
+        return _row_keys(block, p)
+
+    source_keys = np.concatenate([keyed(block) for block in ([mats] if isinstance(mats, np.ndarray) else mats)])
     # the source of each canonical position; keys that pass the repeat check
     # are distinct, so every sort kind gives this one order
     first = np.argsort(source_keys)
     keys = source_keys[first]
     if (keys[1:] == keys[:-1]).any():
         raise AssertionError(f"{kind} enumeration listed a member twice")
-    at = np.empty_like(first)  # the canonical position of each source
-    at[first] = np.arange(len(first))
-    arr = np.empty((len(keys), n, n), dtype=np.int64)
-    start = 0
-    for block in blocks:
-        arr[at[start : start + len(block)]] = block
-        start += len(block)
     if not _holds_identity(keys, p, n):
         raise AssertionError(f"{kind} enumeration lost the identity map")
     eye = np.eye(n, dtype=np.int64)
@@ -343,10 +386,14 @@ def _finish_set(algebra: LieAlgebra, kind: str, mats, inverses=None, moves=None)
         def inverses(members, sources):
             return modp.batch_inverse(members, p)[0]
 
+    arr = np.empty((len(keys), n, n), dtype=np.int64)
+    flat = arr.reshape(len(keys), n * n)
     paired = np.zeros(len(arr), dtype=bool)
     inverse = np.empty(len(arr), dtype=np.int64)
     for start in range(0, len(arr), INVERSE_BLOCK):
-        todo = start + np.flatnonzero(~paired[start : start + INVERSE_BLOCK])
+        stop = start + INVERSE_BLOCK
+        flat[start:stop] = _key_rows(keys[start:stop], p, n * n)
+        todo = start + np.flatnonzero(~paired[start:stop])
         members = arr[todo]
         candidates = inverses(members, first[todo])
         inverse_keys = _row_keys(candidates, p)
@@ -381,22 +428,22 @@ def _span_points(basis: np.ndarray, p: int, idx: np.ndarray) -> np.ndarray:
     return modp.residue(_digits(p, len(basis), idx) @ basis, p)
 
 
-def _pair_blocks(left: np.ndarray, right: np.ndarray, combine) -> list:
-    """The (n, n) maps combine makes of every pair (i, j), pair (i, j) at source i len(right) + j.
+def _pair_blocks(left: np.ndarray, right: np.ndarray, combine):
+    """Yield the (n, n) maps combine makes of every pair (i, j), pair (i, j) at source i len(right) + j.
 
     Blocks hold at most CHUNK pairs, in source order: CHUNK // len(right)
     left rows times all of right, or one left row times a CHUNK slice of
     right when len(right) >= CHUNK.  combine takes a block of a left rows
-    and one of b right rows and returns their (a, b, n, n) maps.
+    and one of b right rows and returns their (a, b, n, n) maps.  Each
+    block is made when the consumer asks for it, so a consumer that lets
+    each block go (``_finish_set``) never holds all pairs at once.
     """
     m = len(right)
     step, width = max(1, CHUNK // m), min(m, CHUNK)
-    blocks = []
     for i in range(0, len(left), step):
         for j in range(0, m, width):
             block = combine(left[i : i + step], right[j : j + width])
-            blocks.append(block.reshape(block.shape[0] * block.shape[1], *block.shape[2:]))
-    return blocks
+            yield block.reshape(block.shape[0] * block.shape[1], *block.shape[2:])
 
 
 def _invertible_points(algebra: LieAlgebra, kind: str, U: np.ndarray, X_basis: np.ndarray) -> AutomorphismSet:
@@ -415,13 +462,13 @@ def _invertible_points(algebra: LieAlgebra, kind: str, U: np.ndarray, X_basis: n
 
     The head maps H_h = I + U X_h and the p^(m-s) tail combinations T_t
     are computed once.  Member (h, t), at source t c + h (c the number of
-    heads), is H_h + U T_t, listed tail by tail in blocks of at most CHUNK
-    rows (``_pair_blocks``): each block makes the tail maps U T_t of its
-    tails once for all heads, and no more than one block of them is held,
-    which a listing head by head would need all of at once.  Its
-    candidate inverse is Woodbury's I - U M_h (X_h + T_t) =
-    G_h - (U M_h) T_t, with G_h = I - U M_h X_h: T_t U = 0 leaves K_h as
-    it is.  ``_finish_set`` proves it.
+    heads), is H_h + U T_t, streamed tail by tail to ``_finish_set`` in
+    blocks of at most CHUNK rows (``_pair_blocks``): each block makes the
+    tail maps U T_t of its tails once for all heads, and no more than one
+    block of them, or of members, is held, where a listing head by head
+    would need all tail maps at once.  Its candidate inverse is Woodbury's
+    I - U M_h (X_h + T_t) = G_h - (U M_h) T_t, with G_h = I - U M_h X_h:
+    T_t U = 0 leaves K_h as it is.  ``_finish_set`` proves it.
 
     The displacements span what the h head displacements U X_h and the
     m - s tail maps U T_j span (module docstring); ``modp.spanning_maps``
@@ -469,7 +516,12 @@ def enumerate_commuting(algebra: LieAlgebra, budget: int = DEFAULT_BUDGET) -> Au
 
 
 def _commuting_and_central(algebra: LieAlgebra, budget: int) -> tuple:
-    """(commuting set, central set), the central set enumerated once for both."""
+    """(commuting set, central set), the central set enumerated once for both.
+
+    The products r ∘ c are streamed to ``_finish_set`` in blocks of at most
+    CHUNK (``_pair_blocks``), so the commuting set's canonical array is the
+    one copy of its members.
+    """
     field = algebra.field
     if not field.is_prime:
         raise ValueError("enumeration needs a prime field")
@@ -520,7 +572,7 @@ def _level_rows(algebra: LieAlgebra, budget: int) -> tuple:
     p = field.p
     n = algebra.dim
     gens = algebra.generator_indices()
-    coset_rows = algebra.second_center().annihilator().rows
+    coset_rows = algebra.second_center().annihilator.rows
     ad = [algebra.ad_matrix(g).rows for g in gens]
     widths = []
     span = coset_rows

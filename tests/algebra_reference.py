@@ -85,7 +85,7 @@ def ad_matrix(alg, j: int) -> Matrix:
 def center_preimage(alg, z: Subspace) -> Subspace:
     if z.is_full():
         return alg.full_space()
-    constraints = z.annihilator()
+    constraints = z.annihilator
     rows = []
     for j in range(alg.dim):
         rows.extend((constraints @ ad_matrix(alg, j)).rows)

@@ -86,7 +86,7 @@ def _plan(algebra, prune_second_center: bool):
     field = algebra.field
     gens = algebra.generator_presentation().generators
     z2 = algebra.second_center()
-    coset_rows = None if z2.is_full() or not prune_second_center else z2.annihilator()
+    coset_rows = None if z2.is_full() or not prune_second_center else z2.annihilator
     level_rows = []
     projected = 1
     for t in range(len(gens)):

@@ -631,6 +631,73 @@ def test_finish_set_rejects_a_repeat_across_blocks():
         _finish_set(L, "central", [central[:5], central[4:]])
 
 
+@pytest.mark.parametrize("bad", (-1, 3), ids=("negative", "p"))
+@pytest.mark.parametrize("listing", ("array", "blocks"))
+def test_finish_set_rejects_an_entry_outside_residues(bad, listing):
+    # an entry outside [0, p) is refused before it is keyed, in a single
+    # array or in a later block of a stream
+    from coclass_lab.search import _finish_set
+
+    L = heisenberg(1, 1, F3)
+    central = enumerate_central(L).member_array().copy()
+    central[-1, 0, 2] = bad
+    mats = central if listing == "array" else iter([central[:4], central[4:]])
+    with pytest.raises(AssertionError, match=r"central enumeration made an entry outside \[0, 3\)"):
+        _finish_set(L, "central", mats)
+
+
+def _closed_under_inverse(p: int, n: int, count: int, seed: int) -> np.ndarray:
+    """Random invertible n x n maps mod p, their inverses and I, without repeats, in random order."""
+    rng = np.random.default_rng(seed)
+    mats = rng.integers(0, p, size=(count, n, n), dtype=np.int64)
+    inv, ok = modp.batch_inverse(mats, p)
+    rows = np.unique(np.concatenate([np.eye(n, dtype=np.int64)[None], mats[ok], inv[ok]]).reshape(-1, n * n), axis=0)
+    return rows[rng.permutation(len(rows))].reshape(-1, n, n)
+
+
+@pytest.mark.parametrize(
+    "p, n, words",
+    ((3, 4, 1), (3, 6, 1), (3, 7, 2), (3, 8, 2), (4093, 3, 2), (65521, 2, 2), (65521, 3, 3)),
+)
+def test_finish_set_decodes_the_sorted_source_rows(p, n, words):
+    # the canonical array is read back from the sorted keys: it must equal
+    # the source rows sorted in row-major entry order, for one-word keys
+    # (an int64 each) and for keys of several big-endian words
+    from coclass_lab.search import _finish_set, _key_rows, _row_keys
+
+    L = abelian(n, FieldSpec.prime(p))
+    mats = _closed_under_inverse(p, n, 300, seed=p + n)
+    aset = _finish_set(L, "full", [mats[:100], mats[100:]])
+    keys = aset._keys
+    assert (keys.dtype.itemsize // 8 if keys.dtype.kind == "V" else 1) == words
+    assert np.array_equal(aset.member_array(), _canonical(mats))
+    # the extremes of every digit read back too, although no set holds them
+    edges = np.array([np.zeros((n, n)), np.full((n, n), p - 1), np.eye(n) * (p - 1)], dtype=np.int64)
+    assert np.array_equal(_key_rows(_row_keys(edges, p), p, n * n), edges.reshape(3, n * n))
+
+
+@pytest.mark.parametrize("dim", (7, 8))
+def test_multiword_enumeration_is_its_sorted_blocks(monkeypatch, dim):
+    # filiform_7 and filiform_8 over F3: 3^49 and 3^64 need two key words;
+    # the listed array equals the blocks the enumerator streamed, sorted
+    alg = filiform(dim, F3)
+    real = search._finish_set
+    streamed = []
+
+    def record(algebra, kind, mats, inverses=None, moves=None):
+        def passing():
+            for block in mats:
+                streamed.append(block.copy())
+                yield block
+
+        return real(algebra, kind, passing(), inverses, moves)
+
+    monkeypatch.setattr(search, "_finish_set", record)
+    central = enumerate_central(alg)
+    assert central._keys.dtype.kind == "V" and central.size == 9
+    assert np.array_equal(central.member_array(), _canonical(np.concatenate(streamed)))
+
+
 @pytest.mark.parametrize(
     "maker,classes",
     [(lambda: heisenberg(1, 2, F3), 2), (lambda: filiform(5, F3), 1)],
@@ -675,8 +742,9 @@ def test_hand_built_set_must_be_canonical():
 
 
 def test_enumeration_peaks_below_two_and_a_half_member_arrays():
-    # the canonical array is filled straight from the kept blocks, so the
-    # blocks and that array are the only member copies alive at once
+    # Aut_c's heads plus tails on the I + W path: the blocks are keyed and
+    # let go as they are made, so the decoded canonical array is the one
+    # member copy (1.28 arrays measured)
     import tracemalloc
 
     from coclass_lab.constructions import default_catalog
@@ -692,6 +760,24 @@ def test_enumeration_peaks_below_two_and_a_half_member_arrays():
         tracemalloc.stop()
     assert aset.size == 100_842
     assert peak < 2.5 * aset.member_array().nbytes
+
+
+def test_streamed_listing_peaks_within_two_member_arrays():
+    # the product blocks are keyed and let go as they are made, and the
+    # canonical array is decoded from the sorted keys: it is the one member
+    # copy, next to its keys, its inverse index, Aut_c and one block
+    import tracemalloc
+
+    alg = heisenberg(1, 2, FieldSpec.prime(5))
+    alg.second_center(), alg.derived()  # series caches, outside the measurement
+    tracemalloc.start()
+    try:
+        aset = enumerate_commuting(alg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert aset.size == 50_000
+    assert peak <= 2.0 * aset.member_array().nbytes
 
 
 def _canonical(mats) -> np.ndarray:

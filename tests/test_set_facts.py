@@ -215,8 +215,16 @@ def test_product_blocks_stay_within_chunk_and_in_source_order(catalog_runs, monk
     blocks = []
 
     def record(algebra, kind, mats, inverses=None, moves=None):
-        blocks.append((kind, [len(b) for b in mats]))
-        return real(algebra, kind, mats, inverses, moves)
+        # the blocks are a stream that _finish_set reads once: note each size as it passes
+        sizes = []
+        blocks.append((kind, sizes))
+
+        def passing():
+            for block in mats:
+                sizes.append(len(block))
+                yield block
+
+        return real(algebra, kind, passing(), inverses, moves)
 
     monkeypatch.setattr(search, "_finish_set", record)
     checked = 0
