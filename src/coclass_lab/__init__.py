@@ -41,7 +41,6 @@ from .search import (
     AutomorphismSet,
     BudgetExceededError,
     closure_check,
-    enumerate_aut_bruteforce,
     enumerate_central,
     enumerate_commuting,
     sets_equal,
@@ -74,7 +73,6 @@ __all__ = [
     "dim5_example",
     "dim5_witness",
     "direct_sum",
-    "enumerate_aut_bruteforce",
     "enumerate_central",
     "enumerate_commuting",
     "filiform",

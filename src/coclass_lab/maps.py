@@ -12,8 +12,11 @@ S(x, y) = [f(x), y] + [f(y), x],
 
 so B(e_i) = 0 for all i together with S(e_i, e_j) = 0 for all i < j is
 equivalent to the full quantified statement, over any field and at any
-field size.  The identity sweep :func:`identity_suite_batch` is two
-contractions, U and W; the Jacobi identity gives every other tensor from them.
+field size.  B(e_i) and S(e_i, e_j) are linear in f, so the maps that
+commute form a subspace, the commuting hull (:func:`commuting_hull`),
+which holds every commuting and every central automorphism.  The
+identity sweep :func:`identity_suite_batch` is two contractions, U and W;
+the Jacobi identity gives every other tensor from them.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from . import modp
 from .algebra import LieAlgebra
 from .linalg import (
     Matrix,
+    Subspace,
     Vector,
     add_vec,
     basis_vec,
@@ -173,6 +177,34 @@ def commuting_defect(algebra: LieAlgebra, f: LinearMap) -> DefectReport:
             if not is_zero_vec(s):
                 witnesses.append(((i, j), s))
     return DefectReport(None if not witnesses else NOT_COMMUTING, tuple(witnesses))
+
+
+def commuting_hull(algebra: LieAlgebra) -> Subspace:
+    """C = {f : [f(x), x] = 0 for all x}, the maps f with B(e_i) = 0 and S(e_i, e_j) = 0.
+
+    A map is read as its n^2 entries in row-major order, entry (k, j), the
+    k-th coordinate of f(e_j) as in :class:`LinearMap`, at k n + j.  As
+    [f(e_i), e_j] = sum_k f_ki [e_k, e_j], the row of coordinate m of
+    S(e_i, e_j), i < j, holds ad(e_j)'s row m at the entries k n + i and
+    ad(e_i)'s row m at the entries k n + j (ad(e_j) the map x -> [x, e_j]);
+    that of B(e_i) holds ad(e_i)'s row m at the entries k n + i.  C is the
+    kernel of these n * n(n + 1)/2 rows, over any field.
+
+    C holds every commuting map, so every commuting automorphism, and every
+    central one: for f = I + phi with phi(L) in Z, [f(x), x] = [phi(x), x] = 0.
+    """
+    field, n = algebra.field, algebra.dim
+    ad = [algebra.ad_matrix(j).rows for j in range(n)]
+    rows = []
+    for i in range(n):
+        for j in range(i, n):
+            for m in range(n):
+                row = [field.zero] * (n * n)
+                row[i :: n] = ad[j][m]
+                if j != i:
+                    row[j :: n] = ad[i][m]
+                rows.append(tuple(row))
+    return kernel(Matrix(field, tuple(rows)))
 
 
 def is_commuting(algebra: LieAlgebra, f: LinearMap) -> bool:

@@ -37,7 +37,9 @@ puts D(L') in Z.  For z in Z_2, [z, [a, b]] = [[z, a], b] + [a, [z, b]] = 0
 (Jacobi, with [z, a] and [z, b] central), so [Z_2, L'] = 0 and
 B(x, [a, b]) = [Dx, [a, b]] + [D[a, b], x] = 0.  So B vanishes on
 generator pairs and on L x L', hence on L = span(g_t) + L': f commutes.
-The brute-force oracle keeps its own commuting mask.
+The brute-force oracle draws its candidates from the commuting hull C,
+the maps that commute, and its commuting mask must keep every
+automorphism among them: the kernel and the mask check each other.
 
 The filter tests no invertibility either.  A homomorphism f whose
 generator images are independent modulo L' has an image H, a subalgebra,
@@ -110,7 +112,8 @@ canonical array from the sorted keys: one member array is alive at a time.
     the N_i = X_i U are independent, so the span of the heads meets the
     span of the tails only in 0.
   * The products r ∘ c are distinct (above).
-  * The brute-force oracle filters the p^(n^2) distinct matrices.
+  * The brute-force oracle filters the p^(dim C) points of the commuting
+    hull C, distinct as combinations of an independent basis.
 
 Each set carries a basis ``_moves`` of the span of its displacements
 F - I, from how it was built.  The identity sweep decides on it, and
@@ -144,7 +147,7 @@ import numpy as np
 from . import modp
 from .algebra import LieAlgebra, NonNilpotentError
 from .linalg import Matrix, _span, kernel
-from .maps import LinearMap, commuting_witness, compose
+from .maps import LinearMap, commuting_hull, commuting_witness, compose
 
 DEFAULT_BUDGET = 10**8
 BRUTE_FORCE_LIMIT = 250_000
@@ -215,7 +218,7 @@ class AutomorphismSet:
     """
 
     algebra: LieAlgebra
-    kind: str  # "commuting" | "central" | "full"
+    kind: str  # "commuting" | "central"; the tests' all-matrices reference also makes "full"
     _array: np.ndarray = dataclass_field(repr=False)
     _keys: Optional[np.ndarray] = dataclass_field(default=None, repr=False)
     _inverse: Optional[np.ndarray] = dataclass_field(default=None, repr=False)
@@ -724,11 +727,6 @@ def enumerate_central(algebra: LieAlgebra, budget: int = DEFAULT_BUDGET) -> Auto
 # ---------------------------------------------------------------------------
 
 
-def enumerate_aut_bruteforce(algebra: LieAlgebra) -> AutomorphismSet:
-    """Ground truth: filter all p^(n^2) matrices by the automorphism predicate."""
-    return _bruteforce(algebra, ("full",))[0]
-
-
 def enumerate_commuting_bruteforce(algebra: LieAlgebra) -> AutomorphismSet:
     return _bruteforce(algebra, ("commuting",))[0]
 
@@ -738,26 +736,39 @@ def enumerate_central_bruteforce(algebra: LieAlgebra) -> AutomorphismSet:
 
 
 def _bruteforce(algebra: LieAlgebra, kinds: tuple) -> tuple:
-    """One set per kind: the automorphisms among all p^(n^2) <= BRUTE_FORCE_LIMIT
-    matrices, found once, then each kind's own mask ("full" keeps them all)."""
+    """One set per kind, "commuting" or "central": the automorphisms of that
+    kind, found by filtering every map of the commuting hull C.
+
+    The scope is all p^(n^2) matrices: the oracle refuses when p^(n^2)
+    exceeds BRUTE_FORCE_LIMIT, read at call time.  The work is the
+    p^(dim C) points of C (``maps.commuting_hull``), which hold every
+    commuting map, and central ⊆ commuting ⊆ C: a central automorphism
+    I + phi, phi(L) in Z, commutes.  So both sets lie among C's points,
+    which go once through the invertible and homomorphism filters; each
+    kind then takes its own mask.  The commuting mask must keep every
+    automorphism in C, so the kernel and the modp mask check each other.
+    """
     if not algebra.field.is_prime:
         raise ValueError("brute force needs a prime field")
     p, n = algebra.field.p, algebra.dim
     count = p ** (n * n)
     if count > BRUTE_FORCE_LIMIT:
         raise BudgetExceededError(BRUTE_FORCE_LIMIT, count, f"p^(n^2) = {p}^{n * n}")
-    mats = _digits(p, n * n, np.arange(count)).reshape(count, n, n)
+    hull = modp.matrix_to_array(commuting_hull(algebra).basis, n * n)
+    mats = _span_points(hull, p, np.arange(p ** len(hull))).reshape(-1, n, n)
     T = modp.structure_tensor(algebra)
     mats = mats[modp.batch_invertible(mats, p)]
     mats = mats[modp.batch_is_homomorphism(mats, T, p)]
+    if not modp.batch_is_commuting(mats, T, p).all():
+        raise AssertionError("the commuting hull holds an automorphism that does not commute")
     sets = []
     for kind in kinds:
         keep = slice(None)
-        if kind == "commuting":
-            keep = modp.batch_is_commuting(mats, T, p)
-        elif kind == "central":
+        if kind == "central":
             disp = modp.residue(mats - np.eye(n, dtype=np.int64), p)
             keep = ~modp.batch_outside(disp, modp.subspace_constraints(algebra.center()), p).any(axis=1)
+        elif kind != "commuting":
+            raise ValueError(f"the hull oracle lists commuting or central sets, not {kind!r}")
         sets.append(_finish_set(algebra, kind, mats[keep]))
     return tuple(sets)
 

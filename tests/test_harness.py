@@ -378,8 +378,8 @@ def test_suite_records_oracle_over_its_limit_as_skipped(monkeypatch, p):
 
 def test_suite_sweeps_on_set_bases_and_filters_the_oracle_matrices_once(monkeypatch):
     # the identity sweep decides on each commuting set's displacement basis,
-    # picking no spanning members, and the 3^9 matrices of heisenberg_1_1 are
-    # filtered once for both oracles
+    # picking no spanning members, and the 3^4 points of heisenberg_1_1's
+    # commuting hull are filtered once for both oracles
     from coclass_lab import modp
 
     sweeping, scanned, filtered = [], [], []
@@ -403,4 +403,4 @@ def test_suite_sweeps_on_set_bases_and_filters_the_oracle_matrices_once(monkeypa
     report = harness.run_suite(3, 20_000)
     assert report.ok and len(report.identity_counts) >= 10
     assert scanned == []
-    assert filtered.count(3**9) == 1
+    assert filtered.count(3**4) == 1

@@ -12,6 +12,7 @@ from coclass_lab.maps import (
     NOT_INVERTIBLE,
     LinearMap,
     commuting_defect,
+    commuting_hull,
     commuting_witness,
     compose,
     identity_suite_batch,
@@ -144,6 +145,29 @@ def test_central_implies_commuting_on_samples():
     assert is_central(L, shift).clean
     assert is_commuting(L, shift)
 
+
+
+@pytest.mark.parametrize("field", (F3, F5, Q), ids=str)
+@pytest.mark.parametrize(
+    "make, dim_c",
+    [(lambda F: heisenberg(1, 1, F), 4), (lambda F: filiform(4, F), 5), (dim5_example, 11)],
+    ids=["heisenberg_1_1", "filiform_4", "dim5_example"],
+)
+def test_commuting_hull_holds_exactly_the_commuting_maps(field, make, dim_c):
+    # every basis map of C commutes, and a matrix unit commutes exactly when it lies
+    # in C; dim C is the same over F3, F5 and Q
+    L = make(field)
+    n = L.dim
+    hull = commuting_hull(L)
+    assert hull.ambient_dim == n * n and hull.dim == dim_c
+
+    def as_map(entries):
+        return LinearMap(Matrix(field, tuple(tuple(entries[k * n : (k + 1) * n]) for k in range(n))))
+
+    assert all(commuting_defect(L, as_map(row)).clean for row in hull.basis.rows)
+    for u in range(n * n):
+        unit = basis_vec(field, n * n, u)
+        assert commuting_defect(L, as_map(unit)).clean == hull.contains(unit), u
 
 # -- compose / inverse --------------------------------------------------------------
 

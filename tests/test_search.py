@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+import bruteforce_reference
+from bruteforce_reference import enumerate_aut_bruteforce
 from closure_reference import closure_scan
 from linalg_helpers import identity_map
 from coclass_lab import modp, search
+from coclass_lab.algebra import LieAlgebra
 from coclass_lab.constructions import (
     abelian,
     coclass2_indecomposable,
@@ -16,13 +19,12 @@ from coclass_lab.constructions import (
 )
 from coclass_lab.fields import FieldSpec
 from coclass_lab.linalg import Matrix, add_vec, basis_vec, sub_vec
-from coclass_lab.maps import LinearMap, commuting_defect, compose, inverse, is_commuting
+from coclass_lab.maps import LinearMap, commuting_defect, commuting_hull, compose, inverse, is_commuting
 from coclass_lab.search import (
     AbelianShortCircuit,
     AutomorphismSet,
     BudgetExceededError,
     closure_check,
-    enumerate_aut_bruteforce,
     enumerate_central,
     enumerate_central_bruteforce,
     enumerate_commuting,
@@ -289,12 +291,21 @@ def test_bruteforce_reads_limit_at_call_time(monkeypatch, oracle):
     assert oracle(L).size == 48
 
 
+def _same_sets(a, b, label):
+    """Member arrays, inverse indices and displacement bases all equal."""
+    assert a.kind == b.kind, label
+    assert np.array_equal(a.member_array(), b.member_array()), label
+    assert np.array_equal(a._inverse, b._inverse), label
+    assert np.array_equal(a._moves, b._moves), label
+
+
 @pytest.mark.parametrize("p", (3, 5, 7))
 def test_one_bruteforce_filter_serves_every_kind(p, monkeypatch):
-    # the automorphisms among all p^(n^2) matrices are found once and each kind
-    # masks them; the sets equal the per-kind oracles', refusals included
-    kinds = ("full", "commuting", "central")
-    oracles = (enumerate_aut_bruteforce, enumerate_commuting_bruteforce, enumerate_central_bruteforce)
+    # the automorphisms among the p^(dim C) points of the commuting hull are found
+    # once and each kind masks them; the sets equal the per-kind oracles' and the
+    # all-matrices reference's, refusals included
+    kinds = ("commuting", "central")
+    oracles = (enumerate_commuting_bruteforce, enumerate_central_bruteforce)
     filtered = []
     real = modp.batch_invertible
     monkeypatch.setattr(modp, "batch_invertible", lambda mats, q: filtered.append(len(mats)) or real(mats, q))
@@ -304,20 +315,67 @@ def test_one_bruteforce_filter_serves_every_kind(p, monkeypatch):
         alg = entry.algebra
         count = p ** (alg.dim**2)
         if count > search.BRUTE_FORCE_LIMIT:
-            for call in [lambda: search._bruteforce(alg, kinds)] + [lambda f=f: f(alg) for f in oracles]:
+            calls = [lambda: search._bruteforce(alg, kinds), lambda: bruteforce_reference.bruteforce(alg, kinds)]
+            for call in calls + [lambda f=f: f(alg) for f in oracles]:
                 with pytest.raises(BudgetExceededError) as err:
                     call()
                 assert (err.value.budget, err.value.projected) == (search.BRUTE_FORCE_LIMIT, count)
             continue
         filtered.clear()
         together = search._bruteforce(alg, kinds)
-        assert filtered == [count], entry.name
-        for aset, kind, oracle in zip(together, kinds, oracles):
-            alone = oracle(alg)
-            assert aset.kind == alone.kind == kind
-            assert np.array_equal(aset.member_array(), alone.member_array()), (entry.name, kind)
-            assert np.array_equal(aset._inverse, alone._inverse), (entry.name, kind)
-            assert np.array_equal(aset._moves, alone._moves), (entry.name, kind)
+        assert filtered == [p ** commuting_hull(alg).dim], entry.name
+        reference = bruteforce_reference.bruteforce(alg, kinds)
+        for aset, kind, oracle, expected in zip(together, kinds, oracles, reference):
+            assert aset.kind == kind
+            _same_sets(aset, oracle(alg), (entry.name, kind))
+            _same_sets(aset, expected, (entry.name, kind))
+
+
+@pytest.mark.parametrize(
+    "algebra",
+    [
+        heisenberg(1, 1, F3),
+        *(abelian(2, FieldSpec.prime(p)) for p in (3, 5, 7)),
+        LieAlgebra(F3, 2, {(0, 1): [(1, 1)]}),  # [e0, e1] = e1, not nilpotent
+    ],
+    ids=["heisenberg_1_1-F3", "abelian_2-F3", "abelian_2-F5", "abelian_2-F7", "non_nilpotent-F3"],
+)
+def test_hull_oracle_equals_the_all_matrices_reference(algebra):
+    # the hull holds every commuting map, abelian(2)'s hull is every matrix, and a
+    # non-nilpotent algebra is filtered like any other: the hull's points give the
+    # sets that filtering all p^(n^2) matrices gives
+    kinds = ("commuting", "central")
+    hull_sets = search._bruteforce(algebra, kinds)
+    for aset, expected, kind in zip(hull_sets, bruteforce_reference.bruteforce(algebra, kinds), kinds):
+        _same_sets(aset, expected, kind)
+
+
+# (row, p) pairs of the default catalog with p^(dim C) <= 3^10
+HULL_PAIRS = {
+    3: {"filiform_4", "filiform_5", "filiform_6", "filiform_7", "filiform_8", "heisenberg_1_1",
+        "heisenberg_1_2", "coclass2_indecomposable", "dim6_center1"},
+    5: {"filiform_4", "filiform_5", "heisenberg_1_1"},
+    7: {"filiform_4", "heisenberg_1_1"},
+}
+
+
+@pytest.mark.parametrize("p", sorted(HULL_PAIRS))
+def test_hull_oracle_equals_the_enumerators_on_the_catalog(p, monkeypatch, catalog_runs):
+    # the oracle uses no generator, level row, class or lemma: on every catalog row
+    # whose hull has at most 3^10 points it lists the enumerators' exact sets
+    covered = set()
+    for run in catalog_runs(p):
+        alg = run.algebra
+        if p ** commuting_hull(alg).dim > 3**10:
+            continue
+        covered.add(run.name)
+        monkeypatch.setattr(search, "BRUTE_FORCE_LIMIT", p ** (alg.dim**2))
+        brute_c, brute_z = search._bruteforce(alg, ("commuting", "central"))
+        for fast, brute in ((run.commuting, brute_c), (run.central, brute_z)):
+            assert isinstance(fast, AutomorphismSet), (run.name, fast)
+            assert np.array_equal(fast.member_array(), brute.member_array()), (run.name, brute.kind)
+            assert np.array_equal(fast._inverse, brute._inverse), (run.name, brute.kind)
+    assert covered == HULL_PAIRS[p]
 
 
 # -- closure ------------------------------------------------------------------------

@@ -18,6 +18,7 @@ import math
 import numpy as np
 import pytest
 
+from bruteforce_reference import enumerate_aut_bruteforce
 from closure_reference import closure_scan
 from elimination_reference import spanning_rows as reference_spanning_rows
 from coclass_lab import modp, search
@@ -26,7 +27,7 @@ from coclass_lab.constructions import heisenberg
 from coclass_lab.fields import FieldSpec
 from coclass_lab.harness import SUITE_BUDGET
 from coclass_lab.maps import _identity_counts, identity_suite_batch
-from coclass_lab.search import AutomorphismSet, BudgetExceededError, closure_check, enumerate_aut_bruteforce
+from coclass_lab.search import AutomorphismSet, BudgetExceededError, closure_check
 
 # closure_scan composes up to N^2 pairs; larger closed sets are compared
 # with a copy of the set that picks its own spanning members instead
